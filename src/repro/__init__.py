@@ -42,7 +42,6 @@ from .core import (
     Explainer,
     Explanation,
     ExplanationTable,
-    InterventionEngine,
     InterventionResult,
     NumericalQuery,
     RankedExplanation,
@@ -104,7 +103,6 @@ __all__ = [
     "Explainer",
     "Explanation",
     "ExplanationTable",
-    "InterventionEngine",
     "InterventionResult",
     "NumericalQuery",
     "RankedExplanation",

@@ -18,10 +18,10 @@ supplied, yielding one of three verdicts per aggregate:
   (avg, min, max, …); only the per-candidate ``exact`` ground-truth
   method applies.
 
-The verdict reasons are the single source of truth:
-:func:`repro.core.additivity.analyze_additivity` delegates here, so the
-strings surfaced by ``NotAdditiveError`` and this certificate are
-identical.
+The certificate is the one additivity verdict type:
+:func:`repro.core.additivity.analyze_additivity` returns it
+data-resolved, and ``NotAdditiveError`` carries its :meth:`explain`
+text.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from ..core.numquery import AggregateQuery, NumericalQuery
 from ..engine.schema import DatabaseSchema
+from ..errors import NotAdditiveError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..engine.database import Database
@@ -112,6 +113,24 @@ class AdditivityCertificate:
             if v.name == name:
                 return v
         raise KeyError(name)
+
+    def explain(self) -> str:
+        """A readable multi-line summary."""
+        lines = [
+            f"  {v.name}: {'additive' if v.additive else 'NOT additive'} — {v.reason}"
+            for v in self.verdicts
+        ]
+        verdict = (
+            "intervention-additive"
+            if self.all_exact_cube
+            else "NOT intervention-additive"
+        )
+        return f"query is {verdict}:\n" + "\n".join(lines)
+
+    def raise_if_not_additive(self) -> None:
+        """Raise :class:`NotAdditiveError` unless all parts are additive."""
+        if not self.all_exact_cube:
+            raise NotAdditiveError(self.explain())
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -349,8 +368,7 @@ def certify_additivity(
     Purely static when neither *database* nor *universal* is given; the
     footnote-11 data condition is then reported as unresolved (and the
     verdict stays conservative).  Passing either resolves it against
-    the actual instance, matching
-    :func:`repro.core.additivity.analyze_additivity` exactly.
+    the actual instance.
 
     The universal table is materialized lazily — only when some
     ``count(distinct …)`` aggregate actually needs the data condition.

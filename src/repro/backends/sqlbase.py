@@ -53,7 +53,7 @@ from ..engine.database import Database
 from ..engine.schema import DatabaseSchema
 from ..engine.table import Table
 from ..engine.types import DUMMY, NULL, Value, is_null
-from ..engine.universal import JoinTree, universal_table
+from ..engine.universal import JoinTree
 from ..errors import QueryError
 from ..obs import phase
 from .base import ExecutionBackend
@@ -372,31 +372,14 @@ class SQLBackend(ExecutionBackend):
             schema.qualified(attr)  # raises SchemaError on unknown names
         query = question.query
         if check_additivity:
-            # A data-resolved certificate replaces the probe below,
-            # which otherwise materializes the engine-side universal
-            # table per request just to re-derive the same verdicts.
-            if certificate is not None and certificate.data_resolved:
-                if not certificate.all_exact_cube:
-                    from ..core.additivity import (
-                        AdditivityReport,
-                        AggregateAdditivity,
-                    )
-
-                    AdditivityReport(
-                        tuple(
-                            AggregateAdditivity(v.name, v.additive, v.reason)
-                            for v in certificate.verdicts
-                        )
-                    ).raise_if_not_additive()
-            else:
-                u = (
-                    universal
-                    if universal is not None
-                    else universal_table(database)
+            # A data-resolved certificate replaces the probe, which
+            # otherwise materializes the engine-side universal table
+            # per request just to re-derive the same verdicts.
+            if certificate is None or not certificate.data_resolved:
+                certificate = analyze_additivity(
+                    database, query, universal=universal
                 )
-                analyze_additivity(
-                    database, query, universal=u
-                ).raise_if_not_additive()
+            certificate.raise_if_not_additive()
 
         cube_names = {q.name: f"{CUBE_PREFIX}{q.name}" for q in query.aggregates}
         reserved = {UNIVERSAL_VIEW, KEYS_TABLE, *cube_names.values()}

@@ -15,9 +15,7 @@ Public surface:
 """
 
 from .additivity import (
-    AdditivityReport,
     AdditivitySlack,
-    AggregateAdditivity,
     analyze_additivity,
     audit_additivity,
 )
@@ -54,7 +52,6 @@ from .explainer import (
 )
 from .iterative import IndexedInterventionEvaluator
 from .intervention import (
-    InterventionEngine,
     InterventionResult,
     IterationTrace,
     compute_intervention,
@@ -99,9 +96,7 @@ from .topk import (
 )
 
 __all__ = [
-    "AdditivityReport",
     "AdditivitySlack",
-    "AggregateAdditivity",
     "analyze_additivity",
     "audit_additivity",
     "active_domain",
@@ -132,7 +127,6 @@ __all__ = [
     "question_key",
     "render_ranking",
     "IndexedInterventionEvaluator",
-    "InterventionEngine",
     "InterventionResult",
     "IterationTrace",
     "compute_intervention",

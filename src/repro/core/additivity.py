@@ -20,56 +20,25 @@ condition with no back-and-forth keys at all: count(distinct R_i.pk)
 where each R_i tuple occurs in exactly one universal row (e.g. a
 single-table schema counting its own primary key).
 
-The data-level uniqueness condition is verified against the actual
-universal table, so the report is instance-specific, exactly like the
-paper's usage.
+The structural rules live in :mod:`repro.analysis.additivity`, whose
+:class:`~repro.analysis.additivity.AdditivityCertificate` is the verdict
+type; :func:`analyze_additivity` resolves the data-level uniqueness
+condition against the actual universal table, so the verdict is
+instance-specific, exactly like the paper's usage.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional
 
 from ..engine.database import Database
 from ..engine.table import Table
 from ..engine.universal import universal_table
-from ..errors import NotAdditiveError
 from .numquery import NumericalQuery
 
-
-@dataclass(frozen=True)
-class AggregateAdditivity:
-    """Verdict for one aggregate query."""
-
-    name: str
-    additive: bool
-    reason: str
-
-
-@dataclass(frozen=True)
-class AdditivityReport:
-    """Verdict for a whole numerical query (additive iff all parts are)."""
-
-    per_aggregate: Tuple[AggregateAdditivity, ...]
-
-    @property
-    def additive(self) -> bool:
-        """True iff every component aggregate is intervention-additive."""
-        return all(a.additive for a in self.per_aggregate)
-
-    def explain(self) -> str:
-        """A readable multi-line summary."""
-        lines = [
-            f"  {a.name}: {'additive' if a.additive else 'NOT additive'} — {a.reason}"
-            for a in self.per_aggregate
-        ]
-        verdict = "intervention-additive" if self.additive else "NOT intervention-additive"
-        return f"query is {verdict}:\n" + "\n".join(lines)
-
-    def raise_if_not_additive(self) -> None:
-        """Raise :class:`NotAdditiveError` unless all parts are additive."""
-        if not self.additive:
-            raise NotAdditiveError(self.explain())
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..analysis.additivity import AdditivityCertificate
 
 
 def analyze_additivity(
@@ -77,25 +46,17 @@ def analyze_additivity(
     query: NumericalQuery,
     *,
     universal: Optional[Table] = None,
-) -> AdditivityReport:
+) -> "AdditivityCertificate":
     """Check every aggregate of *query* for intervention-additivity.
 
-    The structural rules live in :mod:`repro.analysis.additivity`
-    (which can also run them statically, without data); this wrapper
-    resolves the footnote-11 data condition against the concrete
-    universal table and keeps the historical report type.
+    Returns the data-resolved certificate: the footnote-11 condition is
+    checked against *universal* (materialized from *database* only when
+    some ``count(distinct …)`` aggregate needs it).
     """
     from ..analysis.additivity import certify_additivity
 
-    u = universal if universal is not None else universal_table(database)
-    certificate = certify_additivity(
-        database.schema, query, database=database, universal=u
-    )
-    return AdditivityReport(
-        tuple(
-            AggregateAdditivity(v.name, v.additive, v.reason)
-            for v in certificate.verdicts
-        )
+    return certify_additivity(
+        database.schema, query, database=database, universal=universal
     )
 
 
@@ -133,10 +94,10 @@ def audit_additivity(
     aggregate, the deviation between the cube identity
     ``q(D) − q(D_φ)`` and the ground truth ``q(D − Δ^φ)``.
     """
-    from .intervention import InterventionEngine
+    from .intervention import FixpointStrategy
 
     u = universal if universal is not None else universal_table(database)
-    engine = InterventionEngine(database, universal=u)
+    engine = FixpointStrategy(database, universal=u)
     results: List[AdditivitySlack] = []
     originals = {q.name: q.evaluate(u) for q in query.aggregates}
     for phi in phis:

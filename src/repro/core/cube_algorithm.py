@@ -26,27 +26,23 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from ..engine.aggregates import AggregateSpec
 from ..engine.cube import cube, dummy_rewrite
 from ..engine.joins import full_outer_join_many
 from ..engine.table import Table
-from ..engine.types import NULL, Row, Value, is_dummy, is_null
+from ..engine.types import NULL, Value, is_dummy, is_null
 from ..engine.universal import universal_table
 from ..engine.database import Database
 from ..errors import ExplanationError
 from ..obs import phase
-from .additivity import AdditivityReport, analyze_additivity
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..analysis.additivity import AdditivityCertificate
-
-#: Signature of a cube implementation (table, dimensions, aggregates).
-CubeImpl = Callable[[Table, Sequence[str], Sequence[AggregateSpec]], Table]
+from .additivity import analyze_additivity
 from .numquery import NumericalQuery
 from .predicates import AtomicPredicate, Explanation
 from .question import UserQuestion
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..analysis.additivity import AdditivityCertificate
 
 MU_INTERV = "mu_interv"
 MU_AGGR = "mu_aggr"
@@ -137,9 +133,7 @@ def build_explanation_table(
     *,
     universal: Optional[Table] = None,
     check_additivity: bool = True,
-    use_dummy_rewrite: bool = True,
     support_threshold: Optional[float] = None,
-    cube_impl: Optional[CubeImpl] = None,
     use_fastpath: bool = True,
     backend: object = "memory",
     certificate: Optional["AdditivityCertificate"] = None,
@@ -149,26 +143,23 @@ def build_explanation_table(
 
     ``attributes`` are qualified universal columns (the relevant set
     A').  ``support_threshold`` drops explanations where *no* aggregate
-    reaches the threshold (Section 5.1.1 uses 1000).
-    ``use_dummy_rewrite=False`` switches off the Section 4.2 null→dummy
-    optimization and uses a slower null-aware join — kept for the
-    ablation benchmark.  ``cube_impl`` overrides the cube
-    implementation (benchmarks inject the retained row-path oracles
-    through it; by default the columnar cube — numpy-vectorized via
-    ``use_fastpath`` where supported — is used).
+    reaches the threshold (Section 5.1.1 uses 1000).  The cube is the
+    columnar one, numpy-vectorized via ``use_fastpath`` where supported.
 
     ``certificate`` is a data-resolved
     :class:`~repro.analysis.additivity.AdditivityCertificate` for this
     (database, query): when supplied, the additivity precondition is
     read off the certificate instead of being re-probed against the
     universal table (the per-request probe the serving path avoids).
+    An unresolved (static-only) certificate is not trusted — its
+    conservative verdicts would reject additive-in-data plans — so it
+    is re-derived against the instance.
 
     ``backend`` selects the execution substrate: ``"memory"`` (this
     module's native path), ``"sqlite"`` / ``"duckdb"`` (push the whole
     algorithm into a real DBMS — see :mod:`repro.backends`), or any
-    :class:`~repro.backends.ExecutionBackend` instance.  The ablation
-    knobs (``use_dummy_rewrite``, ``cube_impl``, ``use_fastpath``)
-    only apply to the in-memory path.
+    :class:`~repro.backends.ExecutionBackend` instance.
+    ``use_fastpath`` only applies to the in-memory path.
 
     ``shards`` (default: the ``REPRO_SHARDS`` environment variable,
     else 1) spreads each per-aggregate cube across worker processes
@@ -176,7 +167,7 @@ def build_explanation_table(
     by a driver key and every aggregate's cube is computed as a merge
     of per-shard partial states — content-identical to serial
     execution at any shard count.  Sharding applies only to the
-    in-memory path and is superseded by an explicit ``cube_impl``.
+    in-memory path.
     """
     if backend != "memory":
         from ..backends import MemoryBackend, get_backend
@@ -198,8 +189,9 @@ def build_explanation_table(
         u.position(attr)  # raise early on unknown columns
     if check_additivity:
         with phase("additivity_check"):
-            report = _additivity_report(database, query, u, certificate)
-            report.raise_if_not_additive()
+            if certificate is None or not certificate.data_resolved:
+                certificate = analyze_additivity(database, query, universal=u)
+            certificate.raise_if_not_additive()
 
     # Step 1: u_j = q_j(D).
     with phase("q_original", aggregates=len(query.aggregates)):
@@ -208,7 +200,7 @@ def build_explanation_table(
     # Step 2: one cube per aggregate query, over its filtered input.
     from ..engine import fastpath
 
-    shard_session = _shard_session(u, attributes, query, shards, cube_impl)
+    shard_session = _shard_session(u, attributes, query, shards)
 
     cubes: List[Table] = []
     value_columns: List[str] = []
@@ -224,25 +216,17 @@ def build_explanation_table(
                 cube_ph.annotate(sharded=shard_session.shards)
             else:
                 source = q.filtered(u)
-                if cube_impl is not None:
-                    chosen: CubeImpl = cube_impl
-                elif use_fastpath and fastpath.supports((spec,)):
-                    chosen = fastpath.cube_numpy
+                if use_fastpath and fastpath.supports((spec,)):
+                    c = fastpath.cube_numpy(source, attributes, (spec,))
                 else:
-                    chosen = cube
-                c = chosen(source, attributes, (spec,))
+                    c = cube(source, attributes, (spec,))
                 cube_ph.annotate(rows_in=len(source))
-            if use_dummy_rewrite:
-                c = dummy_rewrite(c, attributes)
+            c = dummy_rewrite(c, attributes)
             cube_ph.annotate(groups=len(c))
             cubes.append(c)
 
     # Step 3: combine the m cubes on the explanation columns.
-    if use_dummy_rewrite:
-        joined = full_outer_join_many(cubes, attributes, fill=NULL)
-    else:
-        with phase("dummy_join", tables=len(cubes), naive=True):
-            joined = _null_aware_outer_join(cubes, list(attributes))
+    joined = full_outer_join_many(cubes, attributes, fill=NULL)
 
     # Steps 3b/4: fill defaults, μ columns, support filter.
     with phase("finalize", rows=len(joined)):
@@ -260,16 +244,14 @@ def _shard_session(
     attributes: Sequence[str],
     query: NumericalQuery,
     shards: Optional[int],
-    cube_impl: Optional[CubeImpl],
 ):
     """A :class:`~repro.parallel.ShardedCubeSession` when sharding applies.
 
     Returns ``None`` (serial execution) when the resolved shard count
-    is 1 or an explicit ``cube_impl`` overrides the cube.  The session
-    scatters the universal table once, projected down to the columns
-    any aggregate's cube will touch; the driver key prefers a shared
-    ``count(distinct X)`` argument so per-shard distinct-sets stay
-    disjoint.
+    is 1.  The session scatters the universal table once, projected
+    down to the columns any aggregate's cube will touch; the driver key
+    prefers a shared ``count(distinct X)`` argument so per-shard
+    distinct-sets stay disjoint.
     """
     from ..parallel import (
         ShardedCubeSession,
@@ -277,8 +259,6 @@ def _shard_session(
         resolve_shard_count,
     )
 
-    if cube_impl is not None:
-        return None
     n = resolve_shard_count(shards)
     if n <= 1:
         return None
@@ -300,33 +280,6 @@ def _shard_session(
         driver_key=driver,
         columns=tuple(needed),
     )
-
-
-def _additivity_report(
-    database: Database,
-    query: NumericalQuery,
-    universal: Table,
-    certificate: Optional["AdditivityCertificate"],
-) -> AdditivityReport:
-    """The additivity verdicts, from the certificate when one exists.
-
-    A supplied certificate replaces the per-request universal-table
-    probe; its verdicts must have been resolved against this database
-    (the :class:`~repro.core.explainer.Explainer` and the serving layer
-    guarantee that by construction).  An unresolved (static-only)
-    certificate is not trusted — its conservative verdicts would
-    reject additive-in-data plans — so we fall back to probing.
-    """
-    from .additivity import AggregateAdditivity
-
-    if certificate is not None and certificate.data_resolved:
-        return AdditivityReport(
-            tuple(
-                AggregateAdditivity(v.name, v.additive, v.reason)
-                for v in certificate.verdicts
-            )
-        )
-    return analyze_additivity(database, query, universal=universal)
 
 
 def finalize_explanation_table(
@@ -477,46 +430,3 @@ def _fill_missing_values(
             col = [default if is_null(v) else v for v in col]
         data.append(col)
     return Table.from_columns(joined.columns, data, nrows=len(joined))
-
-
-def _null_aware_outer_join(cubes: Sequence[Table], on: List[str]) -> Table:
-    """The naive combination without the dummy rewrite (ablation).
-
-    Treats NULL as an ordinary joinable marker by comparing key tuples
-    with Python equality per pair of rows — the quadratic
-    "(isnull A and isnull B) or (A = B)" plan the paper's optimization
-    replaces.
-    """
-    result = cubes[0]
-    for right in cubes[1:]:
-        left_key_pos = result.positions(on)
-        right_key_pos = right.positions(on)
-        left_rest = [c for c in result.columns if c not in set(on)]
-        right_rest = [c for c in right.columns if c not in set(on)]
-        left_rest_pos = result.positions(left_rest)
-        right_rest_pos = right.positions(right_rest)
-        out_cols = on + left_rest + right_rest
-        out_rows: List[Row] = []
-        matched_right = [False] * len(right.rows())
-        right_rows = right.rows()
-        for lrow in result.rows():
-            lkey = tuple(lrow[i] for i in left_key_pos)
-            lvals = tuple(lrow[i] for i in left_rest_pos)
-            matched = False
-            for ridx, rrow in enumerate(right_rows):
-                rkey = tuple(rrow[i] for i in right_key_pos)
-                if lkey == rkey:  # NULL is a singleton: NULL == NULL here
-                    matched = True
-                    matched_right[ridx] = True
-                    rvals = tuple(rrow[i] for i in right_rest_pos)
-                    out_rows.append(lkey + lvals + rvals)
-            if not matched:
-                out_rows.append(lkey + lvals + (NULL,) * len(right_rest))
-        for ridx, rrow in enumerate(right_rows):
-            if matched_right[ridx]:
-                continue
-            rkey = tuple(rrow[i] for i in right_key_pos)
-            rvals = tuple(rrow[i] for i in right_rest_pos)
-            out_rows.append(rkey + (NULL,) * len(left_rest) + rvals)
-        result = Table(out_cols, out_rows)
-    return result

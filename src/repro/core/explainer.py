@@ -42,6 +42,7 @@ from typing import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..analysis.additivity import AdditivityCertificate
     from ..analysis.analyzer import PlanCertificate
     from ..incremental import IncrementalSession, RefreshStats
 
@@ -51,7 +52,7 @@ from ..engine.types import DUMMY, NULL, Row, Value, is_null
 from ..engine.universal import JoinTree, universal_table
 from ..errors import ExplanationError
 from ..obs import phase
-from .additivity import AdditivityReport, analyze_additivity
+from .additivity import analyze_additivity
 from .candidates import enumerate_explanations
 from .cube_algorithm import (
     MU_AGGR,
@@ -216,7 +217,7 @@ class Explainer:
 
     # -- analysis -----------------------------------------------------------
 
-    def additivity_report(self) -> AdditivityReport:
+    def additivity_report(self) -> "AdditivityCertificate":
         """Is the question's query intervention-additive here?"""
         return analyze_additivity(
             self.database, self.question.query, universal=self.universal
@@ -308,9 +309,18 @@ class Explainer:
         self._tables[method] = table
 
     def explanation_table(
-        self, method: str = "cube", **kwargs
+        self,
+        method: str = "cube",
+        *,
+        check_additivity: bool = True,
+        use_fastpath: bool = True,
     ) -> ExplanationTable:
-        """Build (and cache) the table *M* with the chosen method."""
+        """Build the table *M* with the chosen method.
+
+        The table is cached per method at the default keywords; the
+        two cube-path keywords (see :func:`build_explanation_table`)
+        bypass the cache when set.
+        """
         method = self.resolve_method(method)
         if method not in METHODS:
             raise ExplanationError(
@@ -321,9 +331,9 @@ class Explainer:
                 f"method {method!r} runs only on the in-memory engine; "
                 f"SQL backends implement the 'cube' method"
             )
-        cache_key = method if not kwargs else None
-        if cache_key and cache_key in self._tables:
-            return self._tables[cache_key]
+        cacheable = check_additivity and use_fastpath
+        if cacheable and method in self._tables:
+            return self._tables[method]
         with phase(
             "explanation_table",
             method=method,
@@ -331,18 +341,17 @@ class Explainer:
         ) as ph:
             ph.annotate(certified_bound=self.certificate().certified_bound)
             if method == "cube":
-                kwargs.setdefault(
-                    "certificate", self.certificate().additivity
-                )
-                kwargs.setdefault("shards", self.shards)
                 m = build_explanation_table(
                     self.database,
                     self.question,
                     self.attributes,
                     universal=self.universal,
+                    check_additivity=check_additivity,
                     support_threshold=self.support_threshold,
+                    use_fastpath=use_fastpath,
                     backend=self.backend,
-                    **kwargs,
+                    certificate=self.certificate().additivity,
+                    shards=self.shards,
                 )
             elif method == "naive":
                 m = self._naive_table(exact=False)
@@ -359,8 +368,8 @@ class Explainer:
             else:
                 m = self._naive_table(exact=True)
             ph.annotate(rows=len(m))
-        if cache_key:
-            self._tables[cache_key] = m
+        if cacheable:
+            self._tables[method] = m
         return m
 
     def _naive_table(self, *, exact: bool) -> ExplanationTable:

@@ -27,8 +27,7 @@ offers two interchangeable schedules behind the
   rules to Δ^t, union the results into Δ^{t+1}, stop when nothing
   changes.  Its iteration counter matches the convergence statements
   of Propositions 3.4, 3.5, 3.10 and 3.11 and the n−1 lower bound of
-  Example 3.7.  (:data:`InterventionEngine` remains an alias for
-  backward compatibility.)
+  Example 3.7.
 * :class:`ClosureStrategy` — probes the precomputed FK cascade closure
   index (:mod:`repro.engine.closure`): Δ^φ is the union of the seeds'
   transitive deletion closures plus a bounded semijoin repair loop.
@@ -397,11 +396,6 @@ class FixpointStrategy(_StrategyBase):
             iterations=iteration,
             trace=tuple(trace),
         )
-
-
-#: Backward-compatible name: the fixpoint schedule is the original
-#: (and default) intervention engine.
-InterventionEngine = FixpointStrategy
 
 
 class ClosureStrategy(_StrategyBase):

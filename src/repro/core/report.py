@@ -11,15 +11,17 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..engine.database import Database
 from ..engine.types import Value
-from .additivity import AdditivityReport
 from .degrees import ExplanationScore
 from .explainer import Explainer
 from .question import UserQuestion
 from .topk import RankedExplanation
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..analysis.additivity import AdditivityCertificate
 
 
 @dataclass(frozen=True)
@@ -29,7 +31,7 @@ class ExplanationReport:
     question: str
     direction: str
     original_value: Value
-    additivity: AdditivityReport
+    additivity: "AdditivityCertificate"
     method: str
     table_size: int
     top_by_intervention: Tuple[RankedExplanation, ...]
@@ -83,7 +85,7 @@ class ExplanationReport:
             "question": self.question,
             "direction": self.direction,
             "original_value": _jsonable(self.original_value),
-            "intervention_additive": self.additivity.additive,
+            "intervention_additive": self.additivity.all_exact_cube,
             "method": self.method,
             "table_size": self.table_size,
             "top_by_intervention": [
@@ -158,7 +160,7 @@ def explain_question(
     )
     additivity = explainer.additivity_report()
     if method is None:
-        method = "cube" if additivity.additive else "indexed"
+        method = "cube" if additivity.all_exact_cube else "indexed"
     m = explainer.explanation_table(method)
     top_i = tuple(explainer.top(k, by="intervention", strategy=strategy, method=method))
     top_a = tuple(explainer.top(k, by="aggravation", strategy=strategy, method=method))

@@ -158,14 +158,14 @@ def validate_question(
         checks.append(Check("query", False, f"Q(D) failed: {exc}"))
 
     # 3. Additivity / recommended method.
-    report = analyze_additivity(database, question.query, universal=u)
-    if report.additive:
+    certificate = analyze_additivity(database, question.query, universal=u)
+    if certificate.all_exact_cube:
         checks.append(
             Check("additivity", True, "intervention-additive: use method='cube'")
         )
     else:
         reasons = "; ".join(
-            a.reason for a in report.per_aggregate if not a.additive
+            v.reason for v in certificate.verdicts if not v.additive
         )
         checks.append(
             Check(

@@ -13,8 +13,7 @@ equivalent relational machinery:
 * group-by and ``WITH CUBE`` (:mod:`~repro.engine.groupby`,
   :mod:`~repro.engine.cube`),
 * the universal relation and the Yannakakis full reducer
-  (:mod:`~repro.engine.universal`, :mod:`~repro.engine.reduction`),
-* heap-based top-K (:mod:`~repro.engine.topk`).
+  (:mod:`~repro.engine.universal`, :mod:`~repro.engine.reduction`).
 """
 
 from .aggregates import (
@@ -32,7 +31,7 @@ from .columnstore import ColumnStore
 # The retained row-path oracles (cube_rowwise, cube_bruteforce,
 # group_by_rowwise) are deliberately NOT re-exported: only benchmarks
 # and the dedicated parity tests may import them, straight from their
-# defining modules (enforced by tools/check_imports.py).
+# defining modules (enforced by reprolint RL001).
 from .cube import (
     cube,
     dummy_rewrite,
@@ -70,7 +69,6 @@ from .schema import (
     single_table_schema,
 )
 from .table import Table
-from .topk import rank_of, top_1, top_k
 from .types import DUMMY, NULL, Row, Value, is_dummy, is_missing, is_null
 from .universal import JoinTree, project_universal, qualified_columns, universal_table
 from .reduction import (
@@ -85,7 +83,7 @@ from .storage import (
     save_database,
     save_schema,
 )
-from . import fastpath, optimizer, plan
+from . import fastpath
 
 __all__ = [
     "AGGREGATE_KINDS",
@@ -135,9 +133,6 @@ __all__ = [
     "make_schema",
     "single_table_schema",
     "Table",
-    "rank_of",
-    "top_1",
-    "top_k",
     "DUMMY",
     "NULL",
     "Row",
@@ -158,6 +153,4 @@ __all__ = [
     "save_database",
     "save_schema",
     "fastpath",
-    "optimizer",
-    "plan",
 ]

@@ -5,9 +5,8 @@ PK-enforcing store.  Query *results* — joins, projections, group-bys,
 cubes — have none of those constraints: they are bags/sets of rows
 under a flat list of (possibly qualified) column names.  :class:`Table`
 is that result type.  All relational operators in
-:mod:`repro.engine.operators`, :mod:`repro.engine.joins`,
-:mod:`repro.engine.groupby` and :mod:`repro.engine.cube` consume and
-produce Tables.
+:mod:`repro.engine.joins`, :mod:`repro.engine.groupby` and
+:mod:`repro.engine.cube` consume and produce Tables.
 
 Storage is dual and lazy: a table holds a row-tuple list, a
 :class:`~repro.engine.columnstore.ColumnStore`, or both, deriving and

@@ -2,7 +2,7 @@
 
 The certificate promises a bound on program P's productive iteration
 count *before any data is seen*.  These tests wire the certified bound
-into :class:`InterventionEngine` (which raises
+into :class:`FixpointStrategy` (which raises
 :class:`AnalysisInvariantError` on violation) and additionally assert
 the count directly, over
 
@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import certify_convergence
-from repro.core.intervention import InterventionEngine
+from repro.core.intervention import FixpointStrategy
 from repro.core.predicates import AtomicPredicate, Explanation
 from repro.datasets import chains
 from repro.datasets import running_example as rex
@@ -91,7 +91,7 @@ def checked_engine(db):
     """An engine that raises AnalysisInvariantError past the bound."""
     cert = certify_convergence(db.schema, total_rows=db.total_rows())
     assert cert.bound is not None  # total_rows makes every bound concrete
-    return InterventionEngine(db, certified_bound=cert.bound), cert
+    return FixpointStrategy(db, certified_bound=cert.bound), cert
 
 
 class TestRunningExampleBounds:

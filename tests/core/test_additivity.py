@@ -24,68 +24,68 @@ def single(spec, where=None):
 class TestNoBackAndForth:
     def test_count_star_additive(self):
         db = rex.database(back_and_forth=False)
-        assert analyze_additivity(db, single(count_star("q"))).additive
+        assert analyze_additivity(db, single(count_star("q"))).all_exact_cube
 
     def test_count_additive(self):
         from repro.engine.aggregates import AggregateSpec
 
         db = rex.database(back_and_forth=False)
         q = single(AggregateSpec("count", "Publication.year", "q"))
-        assert analyze_additivity(db, q).additive
+        assert analyze_additivity(db, q).all_exact_cube
 
     def test_sum_additive(self):
         db = rex.database(back_and_forth=False)
         q = single(agg_sum("Publication.year", "q"))
-        assert analyze_additivity(db, q).additive
+        assert analyze_additivity(db, q).all_exact_cube
 
     def test_avg_never_additive(self):
         db = rex.database(back_and_forth=False)
         q = single(agg_avg("Publication.year", "q"))
-        assert not analyze_additivity(db, q).additive
+        assert not analyze_additivity(db, q).all_exact_cube
 
     def test_max_never_additive(self):
         db = rex.database(back_and_forth=False)
         q = single(agg_max("Publication.year", "q"))
-        assert not analyze_additivity(db, q).additive
+        assert not analyze_additivity(db, q).all_exact_cube
 
     def test_single_table_count_star(self):
         db = natality.generate(rows=100, seed=1)
-        assert analyze_additivity(db, single(count_star("q"))).additive
+        assert analyze_additivity(db, single(count_star("q"))).all_exact_cube
 
     def test_count_distinct_own_pk_single_table(self):
         db = natality.generate(rows=100, seed=1)
         q = single(count_distinct("Birth.bid", "q"))
-        assert analyze_additivity(db, q).additive
+        assert analyze_additivity(db, q).all_exact_cube
 
     def test_count_distinct_non_pk_not_additive(self):
         db = natality.generate(rows=100, seed=1)
         q = single(count_distinct("Birth.race", "q"))
-        assert not analyze_additivity(db, q).additive
+        assert not analyze_additivity(db, q).all_exact_cube
 
 
 class TestWithBackAndForth:
     def test_count_star_not_additive(self):
         db = rex.database()
-        assert not analyze_additivity(db, single(count_star("q"))).additive
+        assert not analyze_additivity(db, single(count_star("q"))).all_exact_cube
 
     def test_count_distinct_pubid_additive(self):
         """Footnote 11: the b&f key + unique Authored per U row."""
         db = rex.database()
         q = single(count_distinct("Publication.pubid", "q"))
         report = analyze_additivity(db, q)
-        assert report.additive
-        assert "footnote 11" in report.per_aggregate[0].reason
+        assert report.all_exact_cube
+        assert "footnote 11" in report.verdicts[0].reason
 
     def test_count_distinct_author_id_not_additive(self):
         """No b&f key points at Author and authors repeat across rows."""
         db = rex.database()
         q = single(count_distinct("Author.id", "q"))
-        assert not analyze_additivity(db, q).additive
+        assert not analyze_additivity(db, q).all_exact_cube
 
     def test_unqualified_argument_not_additive(self):
         db = rex.database()
         q = single(count_distinct("pubid", "q"))
-        assert not analyze_additivity(db, q).additive
+        assert not analyze_additivity(db, q).all_exact_cube
 
     def test_chain_schema_count_distinct(self):
         """Two b&f keys into R1/R2; R3 unique per row -> additive for
@@ -93,12 +93,12 @@ class TestWithBackAndForth:
         db, _ = chains.example_37(2)
         q = single(count_distinct("R1.a", "q"))
         report = analyze_additivity(db, q)
-        assert report.additive
+        assert report.all_exact_cube
 
     def test_sum_with_back_and_forth_not_additive(self):
         db = rex.database()
         q = single(agg_sum("Publication.year", "q"))
-        assert not analyze_additivity(db, q).additive
+        assert not analyze_additivity(db, q).all_exact_cube
 
 
 class TestReportMechanics:
@@ -108,8 +108,8 @@ class TestReportMechanics:
         q2 = AggregateQuery("q2", count_star("q2"))
         query = ratio_query(q1, q2)
         report = analyze_additivity(db, query)
-        assert not report.additive
-        verdicts = {a.name: a.additive for a in report.per_aggregate}
+        assert not report.all_exact_cube
+        verdicts = {a.name: a.additive for a in report.verdicts}
         assert verdicts == {"q1": True, "q2": False}
 
     def test_explain_text(self):
@@ -159,5 +159,5 @@ class TestReportMechanics:
         )
         q = single(count_distinct("Order_.oid", "q"))
         report = analyze_additivity(db, q)
-        assert not report.additive
-        assert "repeat" in report.per_aggregate[0].reason
+        assert not report.all_exact_cube
+        assert "repeat" in report.verdicts[0].reason

@@ -124,8 +124,8 @@ class TestSlackWitness:
         report = analyze_additivity(
             cross_domain_db, single_query(com_count())
         )
-        assert not report.additive
-        assert "Author.dom" in report.per_aggregate[0].reason
+        assert not report.all_exact_cube
+        assert "Author.dom" in report.verdicts[0].reason
 
     def test_checker_accepts_publication_side_where(self, cross_domain_db):
         """With the WHERE on Publication attributes only, the FD check
@@ -136,7 +136,7 @@ class TestSlackWitness:
         report = analyze_additivity(
             cross_domain_db, single_query(venue_count())
         )
-        assert report.additive
+        assert report.all_exact_cube
 
 
 class TestAudit:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.causality import DataCausalGraph, SchemaCausalGraph, prop_310_bound
-from repro.core.intervention import InterventionEngine, compute_intervention
+from repro.core.intervention import FixpointStrategy, compute_intervention
 from repro.core.predicates import parse_explanation
 from repro.datasets import chains
 from repro.datasets import running_example as rex
@@ -113,7 +113,7 @@ class TestProposition310:
     def test_bound_holds_on_running_example(self, phi_text):
         db = rex.database()
         phi = parse_explanation(phi_text)
-        engine = InterventionEngine(db)
+        engine = FixpointStrategy(db)
         result = engine.compute(phi)
         bound = prop_310_bound(db, result.seeds)
         assert result.iterations <= bound

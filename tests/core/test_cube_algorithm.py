@@ -156,40 +156,34 @@ class TestDegreesMatchNaive:
 
 
 class TestOptions:
-    def test_dummy_rewrite_ablation_same_result(self):
-        db = natality.generate(rows=200, seed=3)
-        question = natality.q_race_question()
-        attrs = ["Birth.marital", "Birth.tobacco"]
-        fast = build_explanation_table(db, question, attrs)
-        slow = build_explanation_table(
-            db, question, attrs, use_dummy_rewrite=False
-        )
-        # The null-aware variant leaves NULL markers; compare via
-        # explanation identity and degrees.
-        def norm(m):
-            return {
-                str(m.explanation_of(row)): row[m.table.position(MU_INTERV)]
-                for row in m.table.rows()
-            }
-
-        fast_map, slow_map = norm(fast), norm(slow)
-        assert set(fast_map) == set(slow_map)
-        for key in fast_map:
-            assert fast_map[key] == pytest.approx(slow_map[key])
-
     def test_brute_force_cube_same_result(self):
-        # Inject the retained 2^d-group-bys oracle as the cube
-        # implementation; production code never imports it.
-        from repro.engine.cube import cube_bruteforce
+        # The v_j columns of M against the retained 2^d-group-bys
+        # oracle on the same per-aggregate inputs; production code
+        # never imports it.
+        from repro.engine.cube import cube_bruteforce, dummy_rewrite
+        from repro.engine.universal import universal_table
 
         db = natality.generate(rows=200, seed=3)
         question = natality.q_race_question()
         attrs = ["Birth.marital", "Birth.prenatal"]
-        fast = build_explanation_table(db, question, attrs)
-        brute = build_explanation_table(
-            db, question, attrs, cube_impl=cube_bruteforce
-        )
-        assert fast.table == brute.table
+        m = build_explanation_table(db, question, attrs)
+        key_pos = m.table.positions(attrs)
+        u = universal_table(db)
+        for q in question.query.aggregates:
+            brute = dummy_rewrite(
+                cube_bruteforce(q.filtered(u), attrs, (q.aggregate,)), attrs
+            )
+            expected = {row[:-1]: row[-1] for row in brute.rows()}
+            v_pos = m.table.position(f"v_{q.name}")
+            got = {
+                tuple(row[i] for i in key_pos): row[v_pos]
+                for row in m.table.rows()
+            }
+            # Explanations missing from this aggregate's cube carry its
+            # empty-input default in M.
+            default = q.aggregate.default_value
+            assert got == {key: expected.get(key, default) for key in got}
+            assert set(expected) <= set(got)
 
     def test_support_threshold_filters(self):
         db = natality.generate(rows=500, seed=3)

@@ -43,7 +43,7 @@ class TestConstruction:
 
     def test_additivity_report(self):
         ex = Explainer(rex.database(), sigmod_question(), ATTRS)
-        assert ex.additivity_report().additive
+        assert ex.additivity_report().all_exact_cube
 
 
 class TestMethods:
@@ -58,9 +58,14 @@ class TestMethods:
 
     def test_kwargs_bypass_cache(self):
         ex = Explainer(rex.database(), sigmod_question(), ATTRS)
-        a = ex.explanation_table("cube", use_dummy_rewrite=True)
-        b = ex.explanation_table("cube", use_dummy_rewrite=True)
+        a = ex.explanation_table("cube", check_additivity=False)
+        b = ex.explanation_table("cube", check_additivity=False)
         assert a is not b
+
+    def test_misspelt_keyword_rejected(self):
+        ex = Explainer(rex.database(), sigmod_question(), ATTRS)
+        with pytest.raises(TypeError):
+            ex.explanation_table("cube", check_aditivity=False)
 
     def test_exact_and_naive_differ_only_where_expected(self):
         """On the additive count(distinct pubid) query, all three

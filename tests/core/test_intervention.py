@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.intervention import (
-    InterventionEngine,
+    FixpointStrategy,
     compute_intervention,
     is_closed,
     is_valid_intervention,
@@ -21,7 +21,7 @@ class TestSeeds:
         nothing else) is forced out by Rule (i) — r1 still appears in
         the 2011 row and t1 still appears in RR's row."""
         db = rex.database()
-        engine = InterventionEngine(db)
+        engine = FixpointStrategy(db)
         seeds = engine.seed_delta(rex_phi())
         assert seeds.rows_for("Authored") == {rex.S1}
         assert seeds.rows_for("Author") == frozenset()
@@ -30,7 +30,7 @@ class TestSeeds:
     def test_seed_of_broad_predicate(self):
         db = rex.database()
         phi = parse_explanation("Author.dom = 'com'")
-        seeds = InterventionEngine(db).seed_delta(phi)
+        seeds = FixpointStrategy(db).seed_delta(phi)
         # Every universal row has a com author except none — all rows
         # have at least one com author, so everything is seeded.
         assert seeds.rows_for("Authored") == {
@@ -189,7 +189,7 @@ class TestConvergenceProperties:
 
     def test_iteration_budget_error(self):
         db, phi = chains.example_37(3)
-        engine = InterventionEngine(db)
+        engine = FixpointStrategy(db)
         with pytest.raises(ConvergenceError):
             engine.compute(phi, max_iterations=2)
 
@@ -214,7 +214,7 @@ class TestConvergenceProperties:
 class TestEngineReuse:
     def test_engine_computes_many_phis(self):
         db = rex.database()
-        engine = InterventionEngine(db)
+        engine = FixpointStrategy(db)
         r1 = engine.compute(parse_explanation("Author.name = 'JG'"))
         r2 = engine.compute(parse_explanation("Author.name = 'RR'"))
         assert r1.delta != r2.delta
@@ -226,7 +226,7 @@ class TestEngineReuse:
 
         db = rex.database()
         u = universal_table(db)
-        engine = InterventionEngine(db, universal=u)
+        engine = FixpointStrategy(db, universal=u)
         result = engine.compute(rex_phi())
         assert result.delta.rows_for("Publication") == {rex.T1}
 

@@ -128,11 +128,11 @@ class TestInternals:
 
     def test_seeds_match_engine_seeds(self):
         from repro.core import parse_explanation
-        from repro.core.intervention import InterventionEngine
+        from repro.core.intervention import FixpointStrategy
 
         db = rex.database()
         ev = IndexedInterventionEvaluator(db, sigmod_question(), ATTRS)
-        engine = InterventionEngine(db)
+        engine = FixpointStrategy(db)
         for assignment in (
             {"Author.name": "JG"},
             {"Author.name": "JG", "Publication.year": 2001},

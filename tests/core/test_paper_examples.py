@@ -172,7 +172,7 @@ class TestFootnote11:
     def test_additivity_report(self):
         db = rex.database()
         report = analyze_additivity(db, self._query())
-        assert report.additive
+        assert report.all_exact_cube
 
     @pytest.mark.parametrize(
         "phi_text",
@@ -199,7 +199,7 @@ class TestFootnote11:
         db = rex.database()
         query = single_query(AggregateQuery("q", count_star("q")))
         report = analyze_additivity(db, query)
-        assert not report.additive
+        assert not report.all_exact_cube
 
     def test_count_star_identity_actually_fails(self):
         """Concrete witness that the additive identity breaks for

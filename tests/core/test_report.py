@@ -34,7 +34,7 @@ class TestExplainQuestion:
         )
         assert report.direction == "high"
         assert report.original_value == 2
-        assert report.additivity.additive
+        assert report.additivity.all_exact_cube
         assert report.method == "cube"
         assert len(report.top_by_intervention) == 3
         assert len(report.top_by_aggravation) == 3
@@ -48,7 +48,7 @@ class TestExplainQuestion:
             rex.database(), question, ["Author.name"], k=2
         )
         assert report.method == "indexed"
-        assert not report.additivity.additive
+        assert not report.additivity.all_exact_cube
         assert report.top_by_intervention
 
     def test_explicit_method_respected(self):

@@ -60,7 +60,7 @@ class TestUniversalShape:
 
         q = single_query(AggregateQuery("q", count_star("q")))
         report = analyze_additivity(rewritten.database, q)
-        assert report.additive
+        assert report.all_exact_cube
 
     def test_each_row_carries_both_authors(self, rewritten):
         u = universal_table(rewritten.database)

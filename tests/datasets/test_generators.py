@@ -157,8 +157,8 @@ class TestDblp:
 
         db = dblp.generate(scale=0.5, seed=9)
         report = analyze_additivity(db, dblp.bump_question().query)
-        assert not report.additive
-        assert "Author.dom" in report.per_aggregate[0].reason
+        assert not report.all_exact_cube
+        assert "Author.dom" in report.verdicts[0].reason
 
 
 class TestGeoDblp:
@@ -188,7 +188,7 @@ class TestGeoDblp:
 
         db = geodblp.generate(scale=0.5, seed=4)
         report = analyze_additivity(db, geodblp.uk_question().query)
-        assert report.additive
+        assert report.all_exact_cube
 
     def test_question_value_below_one(self):
         from repro.engine.universal import universal_table
@@ -348,7 +348,7 @@ class TestQRacePrime:
             natality.q_race_prime_question(),
             natality.default_attributes("race"),
         )
-        assert ex.additivity_report().additive
+        assert ex.additivity_report().all_exact_cube
         assert ex.original_value() > 1  # Asian ratio beats Black ratio
         top = ex.top(5)
         assert len(top) == 5

@@ -21,7 +21,7 @@ class TestNatalityPipeline:
         )
 
     def test_additive(self, explainer):
-        assert explainer.additivity_report().additive
+        assert explainer.additivity_report().all_exact_cube
 
     def test_q_is_high(self, explainer):
         assert explainer.original_value() > 10
@@ -64,7 +64,7 @@ class TestDblpPipeline:
         certificate refuses the cube and recommends the indexed exact
         evaluator (see tests/core/test_additivity_boundary.py for the
         minimal witness)."""
-        assert not explainer.additivity_report().additive
+        assert not explainer.additivity_report().all_exact_cube
         assert explainer.resolve_method("auto") == "indexed"
 
     def test_top_explanations_reduce_q(self, explainer):
@@ -96,7 +96,7 @@ class TestGeoDblpPipeline:
         return Explainer(db, geodblp.uk_question(), geodblp.default_attributes())
 
     def test_additive_through_eight_tables(self, explainer):
-        assert explainer.additivity_report().additive
+        assert explainer.additivity_report().all_exact_cube
 
     def test_cube_matches_exact_on_eight_table_join(self, explainer):
         top = explainer.top(3)

@@ -133,11 +133,11 @@ class TestGeoDblpConvergence:
         """geodblp has one b&f key in an 8-relation acyclic schema:
         every intervention converges within 2s + 2 = 4 iterations."""
         from repro.core import parse_explanation
-        from repro.core.intervention import InterventionEngine
+        from repro.core.intervention import FixpointStrategy
         from repro.datasets import geodblp
 
         db = geodblp.generate(scale=0.5, seed=3)
-        engine = InterventionEngine(db)
+        engine = FixpointStrategy(db)
         for phi_text in (
             "Country.country = 'United Kingdom'",
             "City.city = 'Oxford'",

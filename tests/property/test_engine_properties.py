@@ -9,8 +9,7 @@ from repro.engine.cube import cube, cube_bruteforce, dummy_rewrite, undummy
 from repro.engine.groupby import group_by, scalar_aggregate
 from repro.engine.joins import antijoin, full_outer_join, hash_join, semijoin
 from repro.engine.table import Table
-from repro.engine.topk import top_k
-from repro.engine.types import NULL, sort_key
+from repro.engine.types import NULL
 
 values = st.one_of(
     st.integers(-5, 5), st.sampled_from(["a", "b", "c"]), st.just(NULL)
@@ -145,23 +144,6 @@ class TestJoins:
         semi = semijoin(t, t, ["k"], ["k"])
         expected = [r for r in t.rows() if r[0] is not NULL]
         assert sorted(map(str, semi.rows())) == sorted(map(str, expected))
-
-
-class TestTopK:
-    @common
-    @given(t=tables(columns=("name", "score")), k=st.integers(0, 30))
-    def test_topk_is_sorted_and_bounded(self, t, k):
-        out = top_k(t, "score", k)
-        assert len(out) <= k
-        keys = [sort_key(r[1]) for r in out.rows()]
-        assert keys == sorted(keys, reverse=True)
-
-    @common
-    @given(t=tables(columns=("name", "score")))
-    def test_topk_full_equals_filtered_sort(self, t):
-        out = top_k(t, "score", len(t))
-        nonmissing = [r for r in t.rows() if r[1] is not NULL]
-        assert len(out) == len(nonmissing)
 
 
 class TestTableAlgebra:

@@ -24,7 +24,7 @@ from repro.core import (
     compute_intervention,
     is_valid_intervention,
 )
-from repro.core.intervention import InterventionEngine
+from repro.core.intervention import FixpointStrategy
 from repro.datasets import running_example as rex
 from repro.engine.database import Database, Delta
 from repro.engine.reduction import semijoin_reduce
@@ -189,7 +189,7 @@ class TestConvergence:
     @common_settings
     @given(db=small_databases(), phi=explanations())
     def test_idempotent_recompute(self, db, phi):
-        engine = InterventionEngine(db)
+        engine = FixpointStrategy(db)
         assert engine.compute(phi).delta == engine.compute(phi).delta
 
     @common_settings

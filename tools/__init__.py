@@ -1,6 +1,5 @@
 """Repository tooling (not shipped with the ``repro`` package).
 
 ``tools.reprolint`` is the repo-wide static invariant analyzer; see
-``docs/static_analysis.md``.  ``tools/check_imports.py`` is a thin
-compatibility shim over reprolint's RL001/RL002 checks.
+``docs/static_analysis.md``.
 """

@@ -1,6 +1,6 @@
 """RL001 — import layering and oracle quarantine.
 
-Ported from ``tools/check_imports.py``.  Two rules:
+Two rules:
 
 * A ``repro`` subpackage may import, at module level, only from its own
   layer or below (see ``conventions.LAYERS``).  Function-level imports

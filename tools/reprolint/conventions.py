@@ -58,7 +58,9 @@ ORACLE_ALLOWLIST: Set[str] = {
 STDLIB_ONLY_EXEMPT_SUBPACKAGES: Set[str] = {"backends"}
 
 #: (subpackage, filename) -> third-party roots that one file may import
-#: at module level despite the purity rule (always behind a guard).
+#: at module level despite the purity rule.  Both are unguarded:
+#: ``import repro`` loads them, so the root must also be declared in
+#: ``pyproject.toml``'s ``[project].dependencies``.
 THIRD_PARTY_EXEMPTIONS: Dict[Tuple[str, str], Set[str]] = {
     ("engine", "fastpath.py"): {"numpy"},
     # The natality generator is numpy-vectorized end to end; unlike
