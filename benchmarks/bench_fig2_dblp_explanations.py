@@ -21,7 +21,7 @@ def test_fig2_top_explanations(benchmark, dblp_db):
     explainer = _explainer(dblp_db)
 
     def run():
-        return explainer.top(9, strategy="minimal_append", method="cube")
+        return explainer.top(9, strategy="minimal_append", method="auto")
 
     top = benchmark(run)
     print_ranking("Figure 2: top-9 explanations for the bump (intervention)", top)

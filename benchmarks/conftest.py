@@ -58,8 +58,8 @@ def pytest_addoption(parser):
         action="store",
         choices=("fixpoint", "closure"),
         default=None,
-        help="program-P intervention strategy for the convergence "
-        "benchmarks (bench_fig5's strategy axis; default: fixpoint)",
+        help="pin program P's schedule for the convergence benchmarks "
+        "(bench_fig5's strategy axis; default: chosen from the schema)",
     )
 
 
@@ -93,7 +93,7 @@ def shards_option(request):
 
 @pytest.fixture(scope="session")
 def strategy_option(request):
-    """The ``--strategy`` name, or None for the default (fixpoint)."""
+    """The ``--strategy`` name, or None to let the schema pick."""
     return request.config.getoption("--strategy")
 
 

@@ -107,13 +107,6 @@ class AdditivityCertificate:
             return "indexed"
         return "exact"
 
-    def verdict_for(self, name: str) -> AggregateVerdict:
-        """Look up the verdict for aggregate *name*."""
-        for v in self.verdicts:
-            if v.name == name:
-                return v
-        raise KeyError(name)
-
     def explain(self) -> str:
         """A readable multi-line summary."""
         lines = [

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
+from ..core.intervention import recommended_strategy_for_schema
 from ..core.numquery import NumericalQuery
 from ..core.question import UserQuestion
 from ..engine.schema import DatabaseSchema
@@ -45,6 +46,11 @@ class PlanCertificate:
     convergence: ConvergenceCertificate
     additivity: Optional[AdditivityCertificate]
     diagnostics: Tuple[Diagnostic, ...]
+    #: The program-P schedule the schema selects
+    #: (:func:`~repro.core.intervention.recommended_strategy_for_schema`
+    #: — the rule ``make_strategy`` runs); reported by ``repro analyze``
+    #: and ``/v1/analyze``.
+    recommended_strategy: str
 
     @property
     def has_errors(self) -> bool:
@@ -69,24 +75,6 @@ class PlanCertificate:
     def certified_bound(self) -> Optional[int]:
         """The concrete iteration bound, when one was derived."""
         return self.convergence.bound
-
-    @property
-    def recommended_strategy(self) -> str:
-        """The program-P evaluation schedule this plan should use.
-
-        ``"closure"`` when the schema has back-and-forth keys — they
-        are what lets the fixpoint degenerate to Θ(n) iterations
-        (Example 3.7), and exactly what the FK cascade closure index
-        (:mod:`repro.engine.closure`) precomputes.  Without any,
-        Proposition 3.5 already bounds the fixpoint at 2 iterations,
-        the closure index cannot beat it, and the linter flags the
-        combination as RS008 — so the verdict stays ``"fixpoint"``.
-        Consumed by ``Explainer(strategy="auto")``, ``repro analyze``
-        and ``/v1/analyze``.
-        """
-        return (
-            "closure" if self.convergence.back_and_forth_count else "fixpoint"
-        )
 
     def to_dict(self) -> Dict[str, object]:
         """A JSON-ready rendering (the ``/v1/analyze`` body)."""
@@ -217,4 +205,5 @@ def analyze_plan(
         convergence=convergence,
         additivity=additivity,
         diagnostics=diagnostics,
+        recommended_strategy=recommended_strategy_for_schema(schema),
     )

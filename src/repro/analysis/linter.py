@@ -14,21 +14,13 @@ code       severity  meaning
 ``RS005``  warning   foreign-key attribute used as explanation dimension
 ``RS006``  error     predicate constant outside the column's declared type
 ``RS007``  error     aggregate argument/WHERE references an unknown column
-``RS008``  warning   closure-index strategy cannot pay off on this schema
 ``RS009``  warning   cyclic FK join graph: only the n - 1 fallback bound is certified
 =========  ========  ================================================================
 
 RS004/RS005 are warnings, not errors: key columns *can* be explanation
 dimensions (the paper's count-distinct examples group by keys), but
 near-unique dimensions explode the cube and usually indicate a
-mis-specified attribute list.  RS008 fires when the schema has no
-back-and-forth foreign keys *and* a tree-shaped join graph:
-Proposition 3.5 then bounds program P at 2 iterations, so the FK
-cascade closure index (:mod:`repro.engine.closure`) has nothing to
-accelerate and the certificate's ``recommended_strategy`` stays
-``"fixpoint"`` — requesting ``strategy="closure"`` is sound (tables
-stay byte identical) but pays the index build for no iteration
-savings.  RS009 fires for cyclic join graphs
+mis-specified attribute list.  RS009 fires for cyclic join graphs
 (``require_acyclic=False`` schemas such as TPC-H): the sharp
 convergence propositions assume a join tree, so the certificate
 honestly falls back to Proposition 3.4's n − 1 bound.
@@ -73,7 +65,6 @@ RS_CODES: Tuple[Tuple[str, str, str], ...] = (
     ("RS005", "warning", "foreign-key attribute used as explanation dimension"),
     ("RS006", "error", "predicate constant outside the column's declared type"),
     ("RS007", "error", "aggregate argument/WHERE references an unknown column"),
-    ("RS008", "warning", "closure-index strategy cannot pay off on this schema"),
     ("RS009", "warning", "cyclic FK join graph: only the n - 1 fallback bound is certified"),
 )
 
@@ -315,17 +306,6 @@ def lint_plan(
         findings.extend(_lint_attribute(schema, spec))
     if query is not None:
         findings.extend(_lint_query(schema, query))
-    if not schema.back_and_forth_keys and schema.join_graph_is_tree:
-        findings.append(
-            _diag(
-                "RS008",
-                "schema has no back-and-forth foreign keys, so program P "
-                "is certified to converge within 2 iterations (Prop 3.5); "
-                "the closure-index strategy cannot apply profitably here "
-                "— recommended strategy is 'fixpoint'",
-                "schema",
-            )
-        )
     if not schema.join_graph_is_tree:
         findings.append(
             _diag(

@@ -213,7 +213,9 @@ def cmd_demo(args: argparse.Namespace) -> int:
 def cmd_intervene(args: argparse.Namespace) -> int:
     db, _, _ = _demo_setup(args.dataset, args.rows, args.scale, args.seed)
     phi = parse_explanation(args.phi)
-    result = compute_intervention(db, phi, strategy=args.intervention_strategy)
+    # The printed trace is the paper's: the fixpoint schedule's
+    # iterations are the counts of Props 3.4/3.5/3.10/3.11.
+    result = compute_intervention(db, phi, strategy="fixpoint")
     print(f"φ = {phi}")
     print(f"iterations: {result.iterations}")
     for trace in result.trace:
@@ -403,7 +405,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         max_cache_bytes=int(args.cache_mb * 1024 * 1024),
         shards=args.shards,
         refresh=args.refresh,
-        strategy=args.strategy,
     )
     server = ExplanationServer(
         service,
@@ -420,7 +421,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         print(f"  datasets: {', '.join(service.registry.names())}")
         print(f"  shards: {service.shards}")
         print(f"  refresh: {service.refresh}")
-        print(f"  strategy: {service.strategy}")
         print(
             "  endpoints: /v1/explain /v1/topk /v1/analyze /v1/mutate "
             "/v1/health /v1/stats /v1/metrics"
@@ -562,11 +562,6 @@ def build_parser() -> argparse.ArgumentParser:
     interv = sub.add_parser("intervene", help="compute Δ^φ for a predicate")
     interv.add_argument("phi", help="predicate, e.g. \"Author.name = 'JG'\"")
     interv.add_argument("--dataset", choices=DEMOS, default="running-example")
-    interv.add_argument("--strategy", dest="intervention_strategy",
-                        choices=("fixpoint", "closure", "auto"), default=None,
-                        help="program-P schedule: the Section 3 fixpoint or "
-                             "the FK cascade closure index (byte-identical "
-                             "results; default: REPRO_STRATEGY, else fixpoint)")
     add_common(interv)
     add_profile(interv)
     interv.set_defaults(func=cmd_intervene)
@@ -693,10 +688,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default=None,
                        help="cache refresh mode under mutations "
                             "(default: REPRO_REFRESH, else full)")
-    serve.add_argument("--strategy", choices=("fixpoint", "closure", "auto"),
-                       default=None,
-                       help="program-P intervention strategy for cube builds "
-                            "(default: REPRO_STRATEGY, else fixpoint)")
     serve.set_defaults(func=cmd_serve)
 
     mutate = sub.add_parser(

@@ -78,10 +78,6 @@ class ExplanationTable:
             atoms.append(AtomicPredicate(rel, a, "=", value))
         return Explanation(tuple(atoms))
 
-    def degree_of(self, row: Sequence[Value], *, by: str = MU_INTERV) -> Value:
-        """The requested degree column of a row."""
-        return tuple(row)[self.table.position(by)]
-
     def content_fingerprint(self) -> str:
         """A sha256 over the canonical content of the table *M*.
 

@@ -165,17 +165,15 @@ class Explainer:
         every shard count, so this is a pure execution knob — it does
         not enter the plan fingerprint.  Memory backend only.
     strategy:
-        Program-P evaluation schedule for the intervention-running
-        methods (``indexed``/``exact``/``naive`` and :meth:`score`):
-        ``"fixpoint"`` (the baseline loop), ``"closure"`` (FK cascade
-        closure-index probes, :mod:`repro.engine.closure`), or
-        ``"auto"`` (let the plan certificate's
-        ``recommended_strategy`` pick).  ``None`` defers to the
-        ``REPRO_STRATEGY`` environment variable, default fixpoint.
-        Like ``shards`` this is a pure execution knob — any strategy
-        yields byte-identical tables, so it does not enter the plan
-        fingerprint.  (Not to be confused with the *top-K* strategy
-        of :meth:`top`, which names Section 4.3's ranking variants.)
+        Pins program P's evaluation schedule (``"fixpoint"`` or
+        ``"closure"``) for the intervention-running methods
+        (``indexed``/``exact``/``naive`` and :meth:`score`) — a seam
+        for tests and benches.  ``None`` (the default) lets the schema
+        pick (:func:`~repro.core.intervention.make_strategy`).  Either
+        schedule yields byte-identical tables, so it does not enter
+        the plan fingerprint.  (Not to be confused with the *top-K*
+        strategy of :meth:`top`, which names Section 4.3's ranking
+        variants.)
     """
 
     def __init__(
@@ -200,13 +198,8 @@ class Explainer:
         #: to ``REPRO_SHARDS``).  An execution knob, not part of the
         #: plan fingerprint: any shard count yields identical tables.
         self.shards = shards
-        #: Intervention strategy (None defers to ``REPRO_STRATEGY``).
-        #: An execution knob like ``shards``: any strategy yields
-        #: byte-identical tables, so it is not part of the fingerprint.
-        #: Validated eagerly; ``"auto"`` resolves lazily per plan.
-        from .intervention import resolve_strategy_setting
-
-        self.strategy = resolve_strategy_setting(strategy)
+        #: Pinned program-P schedule (None: the schema picks).
+        self.strategy = strategy
         self.join_tree = JoinTree(database.schema)
         self.universal = universal_table(database, self.join_tree)
         for attr in self.attributes:
@@ -248,19 +241,6 @@ class Explainer:
         if method != AUTO_METHOD:
             return method
         return self.certificate().recommended_method
-
-    def resolve_strategy(self) -> str:
-        """The concrete intervention strategy for this explainer.
-
-        ``"auto"`` consumes the plan certificate's
-        ``recommended_strategy`` verdict (closure when back-and-forth
-        keys make the fixpoint worth skipping, fixpoint otherwise).
-        """
-        from .intervention import AUTO_STRATEGY
-
-        if self.strategy == AUTO_STRATEGY:
-            return self.certificate().recommended_strategy
-        return self.strategy
 
     def original_value(self) -> Value:
         """``Q(D)`` — the value the user is asking about."""
@@ -363,7 +343,7 @@ class Explainer:
                     self.question,
                     self.attributes,
                     universal=self.universal,
-                    strategy=self.resolve_strategy(),
+                    strategy=self.strategy,
                 ).build_table()
             else:
                 m = self._naive_table(exact=True)
@@ -375,7 +355,7 @@ class Explainer:
     def _naive_table(self, *, exact: bool) -> ExplanationTable:
         query = self.question.query
         evaluator = DegreeEvaluator(
-            self.database, self.question, strategy=self.resolve_strategy()
+            self.database, self.question, strategy=self.strategy
         )
         value_columns = [f"v_{q.name}" for q in query.aggregates]
         columns = (
@@ -463,7 +443,6 @@ class Explainer:
                 method=method,
                 support_threshold=self.support_threshold,
                 shards=self.shards,
-                strategy=self.strategy,
             )
             self._incremental = session
         for name, spec in mutations.items():
@@ -525,7 +504,7 @@ class Explainer:
     def score(self, phi: Explanation):
         """Exact degrees for one explanation (program P ground truth)."""
         return DegreeEvaluator(
-            self.database, self.question, strategy=self.resolve_strategy()
+            self.database, self.question, strategy=self.strategy
         ).score(phi)
 
 

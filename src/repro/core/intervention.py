@@ -35,16 +35,14 @@ offers two interchangeable schedules behind the
   which never exceed the fixpoint count (each round dominates one
   naive iteration) and collapse the Example 3.7 zig-zag to one.
 
-Pick a schedule explicitly (``strategy="fixpoint"|"closure"``), via
-the ``REPRO_STRATEGY`` environment variable, or let the static plan
-certificate recommend one (``strategy="auto"``, which boils down to
-:func:`recommended_strategy_for_schema`).
+The schema picks the schedule (:func:`recommended_strategy_for_schema`:
+back-and-forth keys ⇒ closure, none ⇒ fixpoint).  The ``strategy``
+keyword (``"fixpoint"|"closure"``) exists only so a test or a bench
+can pin one.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Protocol, Set, Tuple
 
@@ -61,12 +59,6 @@ from .predicates import Predicate
 
 #: The interchangeable program-P evaluation schedules.
 STRATEGIES = ("fixpoint", "closure")
-
-#: Pseudo-strategy: let the plan certificate (or, data-free, the
-#: schema's back-and-forth key count) pick the schedule.
-AUTO_STRATEGY = "auto"
-
-DEFAULT_STRATEGY = "fixpoint"
 
 #: Productive iterations per fixpoint run — makes the convergence
 #: bounds of Props 3.4/3.5/3.10/3.11 observable in ``/v1/metrics``.
@@ -486,49 +478,10 @@ def recommended_strategy_for_schema(schema: DatabaseSchema) -> str:
     Back-and-forth keys are what make the fixpoint slow (Example 3.7's
     Θ(n) zig-zag needs them); without any, Proposition 3.5 bounds the
     fixpoint at 2 iterations and the closure index cannot help — its
-    repair loop *is* those 2 iterations.  This is the data-free core
-    of :attr:`repro.analysis.analyzer.PlanCertificate.recommended_strategy`.
+    repair loop *is* those 2 iterations.  Reported as
+    :attr:`repro.analysis.analyzer.PlanCertificate.recommended_strategy`.
     """
     return "closure" if schema.back_and_forth_keys else "fixpoint"
-
-
-def resolve_strategy_setting(name: Optional[str]) -> str:
-    """The configured strategy: explicit arg, else ``REPRO_STRATEGY``,
-    else :data:`DEFAULT_STRATEGY`.  May return :data:`AUTO_STRATEGY`
-    unresolved — config layers (service, CLI) keep "auto" symbolic and
-    resolve it per plan."""
-    if name is None:
-        raw = os.environ.get("REPRO_STRATEGY", "").strip()
-        if raw and raw not in STRATEGIES and raw != AUTO_STRATEGY:
-            warnings.warn(
-                f"ignoring unknown REPRO_STRATEGY={raw!r}; choose from "
-                f"{STRATEGIES + (AUTO_STRATEGY,)}",
-                RuntimeWarning,
-            )
-            raw = ""
-        name = raw or DEFAULT_STRATEGY
-    if name != AUTO_STRATEGY and name not in STRATEGIES:
-        raise ExplanationError(
-            f"unknown intervention strategy {name!r}; choose from "
-            f"{STRATEGIES + (AUTO_STRATEGY,)}"
-        )
-    return name
-
-
-def resolve_strategy(
-    name: Optional[str], *, schema: Optional[DatabaseSchema] = None
-) -> str:
-    """The effective strategy: :func:`resolve_strategy_setting` with
-    :data:`AUTO_STRATEGY` resolved via *schema* (required then)."""
-    name = resolve_strategy_setting(name)
-    if name == AUTO_STRATEGY:
-        if schema is None:
-            raise ExplanationError(
-                "strategy 'auto' needs a schema (or a plan certificate) "
-                "to resolve against"
-            )
-        return recommended_strategy_for_schema(schema)
-    return name
 
 
 def make_strategy(
@@ -539,9 +492,19 @@ def make_strategy(
     join_tree: Optional[JoinTree] = None,
     certified_bound: Optional[int] = None,
 ) -> InterventionStrategy:
-    """Construct the resolved :class:`InterventionStrategy` for *database*."""
-    resolved = resolve_strategy(strategy, schema=database.schema)
-    cls = ClosureStrategy if resolved == "closure" else FixpointStrategy
+    """Construct the :class:`InterventionStrategy` for *database*.
+
+    ``strategy=None`` — every production caller — takes the schema's
+    schedule (:func:`recommended_strategy_for_schema`); a name pins one.
+    """
+    if strategy is None:
+        strategy = recommended_strategy_for_schema(database.schema)
+    elif strategy not in STRATEGIES:
+        raise ExplanationError(
+            f"unknown intervention strategy {strategy!r}; choose from "
+            f"{STRATEGIES}"
+        )
+    cls = ClosureStrategy if strategy == "closure" else FixpointStrategy
     return cls(
         database,
         universal=universal,

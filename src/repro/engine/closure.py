@@ -250,19 +250,6 @@ class ClosureIndex:
             ) from None
         return self._runs[self._scc_of[rid]]
 
-    def closure_rows(
-        self, relation: str, row: Row
-    ) -> Dict[str, Set[Row]]:
-        """One tuple's deletion closure as per-relation row sets."""
-        parts: Dict[str, Set[Row]] = {
-            name: set() for name in self.schema.relation_names
-        }
-        for start, stop in self.closure_runs(relation, row):
-            for rid in range(start, stop + 1):
-                name, entry = self._entries[rid]
-                parts[name].add(entry)
-        return parts
-
     def _check_fresh(self) -> None:
         if self._stale:
             raise StaleClosureIndexError(

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import combinations
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import QueryError
 from ..obs import phase
@@ -69,36 +69,6 @@ _GroupState = Union[int, List[Accumulator]]
 #: Public alias for the shard/merge API (the parallel executor passes
 #: these across process boundaries).
 GroupState = _GroupState
-
-#: A pluggable replacement for the serial base-grouping pass: given
-#: ``(table, dimensions, aggregates)`` it either returns the merged
-#: full-granularity states (plus the count-only flag) or ``None`` to
-#: decline, in which case the serial pass runs.  The partition-parallel
-#: executor (:mod:`repro.parallel`) installs one to fan the base pass
-#: out across worker processes.
-BaseStatesHook = Callable[
-    [Table, Sequence[str], Sequence[AggregateSpec]],
-    Optional[Tuple[Dict[Row, _GroupState], bool]],
-]
-
-_BASE_STATES_HOOK: Optional[BaseStatesHook] = None
-
-
-def set_parallel_base_hook(
-    hook: Optional[BaseStatesHook],
-) -> Optional[BaseStatesHook]:
-    """Install (or clear, with None) the parallel base-grouping hook.
-
-    Returns the previously installed hook so callers can restore it.
-    The hook is consulted by every cube/rollup/grouping-sets call in
-    this process; it must produce states identical to
-    :func:`base_states` on the same input.
-    """
-    global _BASE_STATES_HOOK
-    previous = _BASE_STATES_HOOK
-    _BASE_STATES_HOOK = hook
-    return previous
-
 
 def base_states(
     table: Table,
@@ -218,20 +188,6 @@ def rollup_states(
     return out
 
 
-def _base_states_via_hook(
-    table: Table,
-    dimensions: Sequence[str],
-    aggregates: Sequence[AggregateSpec],
-) -> Tuple[Dict[Row, _GroupState], bool]:
-    """Base states through the parallel hook when one is installed."""
-    hook = _BASE_STATES_HOOK
-    if hook is not None:
-        result = hook(table, dimensions, aggregates)
-        if result is not None:
-            return result
-    return base_states(table, dimensions, aggregates)
-
-
 def _masked_rollup(
     table: Table,
     dimensions: Sequence[str],
@@ -239,9 +195,8 @@ def _masked_rollup(
     masks: Sequence[Tuple[bool, ...]],
 ) -> Tuple[Dict[Row, _GroupState], bool]:
     """The single-pass columnar core shared by cube and grouping sets:
-    one base-grouping pass (possibly fanned out via the parallel hook)
-    rolled up into one entry per mask."""
-    base, count_only = _base_states_via_hook(table, dimensions, aggregates)
+    one base-grouping pass rolled up into one entry per mask."""
+    base, count_only = base_states(table, dimensions, aggregates)
     out = rollup_states(base, dimensions, aggregates, masks, count_only)
     return out, count_only
 
@@ -402,9 +357,7 @@ def cube(
     validate_cube_args(table, dimensions, aggregates)
 
     with phase("cube", rows=len(table), dims=len(dimensions)) as ph:
-        base, count_only = _base_states_via_hook(
-            table, dimensions, aggregates
-        )
+        base, count_only = base_states(table, dimensions, aggregates)
         result = cube_from_base_states(
             base, dimensions, aggregates, count_only
         )

@@ -13,8 +13,7 @@ number of *distinct* attribute keys.
 the delta's universal rows:
 
 * ``count_star`` — a plain int per key, the engine's own count-only
-  group state; delta contributions merge through
-  :func:`repro.parallel.merge_shard_states` verbatim.
+  group state.
 * ``count`` — ``[rows, nonnull]``.
 * ``count_distinct`` — ``[rows, Counter]``: a multiset of argument
   values.  The engine's set-based accumulator is *not* invertible
@@ -52,7 +51,6 @@ from typing import (
     Any,
     Dict,
     FrozenSet,
-    List,
     Mapping,
     Optional,
     Sequence,
@@ -68,7 +66,6 @@ from ..engine.table import Table
 from ..engine.types import NULL, Row, Value, is_null
 from ..engine.universal import JoinTree, universal_table
 from ..errors import IncrementalError
-from ..parallel import merge_shard_states, resolve_shard_count
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (core sits above us)
     from ..core.cube_algorithm import ExplanationTable
@@ -93,7 +90,6 @@ class DeltaApplyStats:
     delta_rows_added: int = 0
     delta_rows_removed: int = 0
     groups_touched: int = 0
-    shards: int = 1
 
 
 class _MaintainedAggregate:
@@ -170,33 +166,13 @@ class _MaintainedAggregate:
                     state[2] += value
         return states
 
-    # -- sharded contribution ---------------------------------------------
-
     def contribution(
-        self, delta_universal: Table, attributes: Sequence[str], shards: int
+        self, delta_universal: Table, attributes: Sequence[str]
     ) -> Dict[Row, _State]:
-        """The delta's own base states, shard-merged when requested.
-
-        Any row partition is valid input to the merge: the states form
-        a commutative monoid, which is exactly what the
-        conservation-checked reduction tree verifies.
-        """
-        filtered = self.query.filtered(delta_universal)
-        if shards <= 1 or len(filtered) < 2 * shards:
-            return self._states_of(filtered, attributes)
-        rows = filtered.rows()
-        chunk = (len(rows) + shards - 1) // shards
-        partials = [
-            self._states_of(
-                filtered.take(range(start, min(start + chunk, len(rows)))),
-                attributes,
-            )
-            for start in range(0, len(rows), chunk)
-        ]
-        if self.kind == "count_star":
-            spec = self.query.aggregate
-            return merge_shard_states(partials, (spec,), True)
-        return _merge_partials(partials)
+        """The delta's own base states."""
+        return self._states_of(
+            self.query.filtered(delta_universal), attributes
+        )
 
     # -- fold -------------------------------------------------------------
 
@@ -335,65 +311,6 @@ class _MaintainedAggregate:
         return sum(state[2] for state in self.states.values())
 
 
-def _merge_partials(
-    partials: Sequence[Dict[Row, _State]],
-) -> Dict[Row, _State]:
-    """Pairwise reduction over list-state partials.
-
-    Mirrors :func:`repro.parallel.merge_shard_states` (which handles
-    the count-only int form directly) for the invertible list states:
-    the merged key set must be exactly the union of the inputs and the
-    per-key row counts must add, so a broken merge surfaces as
-    :class:`~repro.errors.IncrementalError` instead of a wrong table.
-    """
-    if not partials:
-        return {}
-    pending = list(partials)
-    while len(pending) > 1:
-        merged: List[Dict[Row, _State]] = []
-        for i in range(0, len(pending) - 1, 2):
-            merged.append(_merge_pair(pending[i], pending[i + 1]))
-        if len(pending) % 2:
-            merged.append(pending[-1])
-        pending = merged
-    return pending[0]
-
-
-def _rows_of(state: _State) -> int:
-    return state if isinstance(state, int) else state[0]
-
-
-def _merge_pair(
-    dst: Dict[Row, _State], src: Dict[Row, _State]
-) -> Dict[Row, _State]:
-    expected_keys = len(dst.keys() | src.keys())
-    expected_rows = sum(_rows_of(s) for s in dst.values()) + sum(
-        _rows_of(s) for s in src.values()
-    )
-    for key, state in src.items():
-        mine = dst.get(key)
-        if mine is None:
-            dst[key] = state
-        elif isinstance(state, int):
-            dst[key] = mine + state
-        else:
-            mine[0] += state[0]
-            if isinstance(state[1], Counter):
-                mine[1].update(state[1])
-            else:
-                mine[1] += state[1]
-            if len(state) > 2:
-                mine[2] += state[2]
-    if len(dst) != expected_keys or sum(
-        _rows_of(s) for s in dst.values()
-    ) != expected_rows:
-        raise IncrementalError(
-            "delta shard merge lost or invented groups",
-            reason="conservation",
-        )
-    return dst
-
-
 class DeltaCubeBuilder:
     """Maintains the cube base states of one explanation plan.
 
@@ -414,14 +331,12 @@ class DeltaCubeBuilder:
         attributes: Sequence[str],
         *,
         support_threshold: Optional[float] = None,
-        shards: Optional[int] = None,
         universal: Optional[Table] = None,
     ) -> None:
         self.database = database
         self.question = question
         self.attributes = tuple(attributes)
         self.support_threshold = support_threshold
-        self.shards = resolve_shard_count(shards)
         self.join_tree = JoinTree(database.schema)
         self._aggregates = [
             _MaintainedAggregate(q) for q in question.query.aggregates
@@ -451,7 +366,7 @@ class DeltaCubeBuilder:
         exactness violation; the builder's states are then stale and
         must be :meth:`reset` before further use.
         """
-        stats = DeltaApplyStats(shards=self.shards)
+        stats = DeltaApplyStats()
         mutated = [
             name
             for name in self.database.relation_names
@@ -511,7 +426,7 @@ class DeltaCubeBuilder:
         touched: set = set()
         for aggregate in self._aggregates:
             contribution = aggregate.contribution(
-                delta_universal, self.attributes, self.shards
+                delta_universal, self.attributes
             )
             touched |= aggregate.fold(contribution, sign)
         return frozenset(touched)

@@ -84,7 +84,6 @@ class RefreshStats:
     delta_rows_added: int = 0
     delta_rows_removed: int = 0
     groups_touched: int = 0
-    shards: int = 1
     chain_key: str = ""
     base_fingerprint: str = ""
     fingerprint: str = ""
@@ -112,7 +111,6 @@ class IncrementalSession:
         method: str = "auto",
         support_threshold: Optional[float] = None,
         shards: Optional[int] = None,
-        strategy: Optional[str] = None,
         metrics: Optional[MetricsRegistry] = None,
         verify: Optional[str] = None,
     ) -> None:
@@ -122,11 +120,6 @@ class IncrementalSession:
         self.method = method
         self.support_threshold = support_threshold
         self.shards = shards
-        #: Intervention strategy for full rebuilds (``None`` defers to
-        #: ``REPRO_STRATEGY``).  Patching never runs program P, so this
-        #: only matters on the fallback path — where any strategy
-        #: produces a byte-identical table.
-        self.strategy = strategy
         self._metrics = metrics if metrics is not None else get_registry()
         if verify is None:
             verify = os.environ.get("REPRO_INCREMENTAL_VERIFY", "off")
@@ -168,7 +161,6 @@ class IncrementalSession:
             self.attributes,
             support_threshold=self.support_threshold,
             shards=self.shards,
-            strategy=self.strategy,
         )
 
     def _initialize(self) -> None:
@@ -194,7 +186,6 @@ class IncrementalSession:
                     self.question,
                     self.attributes,
                     support_threshold=self.support_threshold,
-                    shards=self.shards,
                     universal=explainer.universal,
                 )
                 self._table = self._builder.table()
@@ -268,7 +259,6 @@ class IncrementalSession:
         stats.delta_rows_added = applied.delta_rows_added
         stats.delta_rows_removed = applied.delta_rows_removed
         stats.groups_touched = applied.groups_touched
-        stats.shards = applied.shards
         if self.verify == "full":
             cold = self._make_explainer().explanation_table(self.method)
             if cold.content_fingerprint() != table.content_fingerprint():

@@ -22,12 +22,9 @@ from .executor import (
     MODE_INLINE,
     MODE_PROCESS,
     ShardedCubeSession,
-    install_cube_hook,
     merge_shard_states,
     resolve_shard_count,
     resolve_shard_mode,
-    sharded_base_states_hook,
-    uninstall_cube_hook,
 )
 from .planner import (
     ShardPlan,
@@ -52,14 +49,11 @@ __all__ = [
     "choose_driver_key",
     "discard_pool",
     "get_pool",
-    "install_cube_hook",
     "merge_shard_states",
     "plan_shards",
     "resolve_shard_count",
     "resolve_shard_mode",
     "run_cube_task",
     "shard_of",
-    "sharded_base_states_hook",
     "shutdown_pools",
-    "uninstall_cube_hook",
 ]

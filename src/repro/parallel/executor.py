@@ -36,12 +36,10 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..engine.aggregates import AggregateSpec
 from ..engine.cube import (
-    BaseStatesHook,
     GroupState,
     base_states,
     cube_from_base_states,
     merge_states,
-    set_parallel_base_hook,
     validate_cube_args,
 )
 from ..engine.expressions import Expression
@@ -427,54 +425,3 @@ class ShardedCubeSession:
         self._scattered = True
         results.sort(key=lambda r: r.shard)
         return results
-
-
-def sharded_base_states_hook(
-    shards: Optional[int] = None,
-    *,
-    min_rows: int = 4096,
-    mode: Optional[str] = None,
-) -> BaseStatesHook:
-    """A :func:`repro.engine.cube.set_parallel_base_hook` implementation.
-
-    Generic wiring for direct :func:`repro.engine.cube.cube` callers:
-    tables with at least *min_rows* rows are partitioned by the first
-    dimension and grouped across the pool; smaller inputs (or
-    dimensionless grand totals) decline so the serial pass runs.
-    """
-    n = resolve_shard_count(shards)
-
-    def hook(
-        table: Table,
-        dimensions: Sequence[str],
-        aggregates: Sequence[AggregateSpec],
-    ) -> Optional[Tuple[Dict[Row, GroupState], bool]]:
-        if n <= 1 or not dimensions or len(table) < min_rows:
-            return None
-        session = ShardedCubeSession(
-            table, dimensions, shards=n, mode=mode
-        )
-        try:
-            return session._fanout_states(
-                None, tuple(dimensions), tuple(aggregates)
-            )
-        except ReproError:
-            raise
-        except Exception as exc:
-            return session._degrade(exc, None, tuple(dimensions), tuple(aggregates))
-
-    return hook
-
-
-def install_cube_hook(
-    shards: Optional[int] = None, *, min_rows: int = 4096
-) -> Optional[BaseStatesHook]:
-    """Install the sharded hook process-wide; returns the previous hook."""
-    return set_parallel_base_hook(
-        sharded_base_states_hook(shards, min_rows=min_rows)
-    )
-
-
-def uninstall_cube_hook() -> Optional[BaseStatesHook]:
-    """Clear the engine's parallel hook; returns the previous hook."""
-    return set_parallel_base_hook(None)

@@ -29,7 +29,6 @@ from .cache import (
     CacheStats,
     ExplanationTableCache,
     estimate_table_bytes,
-    incremental_key,
 )
 from .client import ServiceClient, ServiceResponse
 from .coalescer import SingleFlight
@@ -76,7 +75,6 @@ __all__ = [
     "ServiceResult",
     "SingleFlight",
     "estimate_table_bytes",
-    "incremental_key",
     "rank_table",
     "ranking_payload",
 ]

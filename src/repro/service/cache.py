@@ -19,7 +19,6 @@ mirrored as ``repro_cache_*`` Prometheus series for ``/v1/metrics``.
 
 from __future__ import annotations
 
-import hashlib
 import sys
 import threading
 from collections import OrderedDict
@@ -35,19 +34,6 @@ _SIZE_OVERHEAD = 256  # flat per-entry allowance for wrapper objects
 #: new fingerprints) or ``"incremental"`` (the service patches tables
 #: in place and re-inserts them under the successor plan fingerprint).
 REFRESH_MODES = ("full", "incremental")
-
-
-def incremental_key(base_fingerprint: str, chain_key: str) -> str:
-    """The cache address of a patched table: (base plan, delta chain).
-
-    In ``refresh="incremental"`` mode a patched entry is content-equal
-    to the cold table of the *successor* plan, so the service inserts
-    it under both the successor plan fingerprint (where future
-    requests look) and this derived key (which names the patch lineage
-    for observability and invalidation).
-    """
-    text = "\x1f".join((base_fingerprint, chain_key))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def estimate_table_bytes(m: ExplanationTable) -> int:

@@ -257,9 +257,7 @@ class ExplanationService:
         metrics: Optional[MetricsRegistry] = None,
         shards: Optional[int] = None,
         refresh: Optional[str] = None,
-        strategy: Optional[str] = None,
     ) -> None:
-        from ..core.intervention import resolve_strategy_setting
         from ..parallel import resolve_shard_count
 
         self.registry = registry if registry is not None else DatasetRegistry()
@@ -280,13 +278,6 @@ class ExplanationService:
         #: Results are content-identical at any shard count, so shards
         #: never enter the cache key.
         self.shards = resolve_shard_count(shards)
-        #: Program-P intervention strategy for cube builds: explicit
-        #: arg, else the ``REPRO_STRATEGY`` environment variable, else
-        #: ``"fixpoint"``.  Kept symbolic here (``"auto"`` resolves
-        #: per plan inside the Explainer, against the certificate);
-        #: tables are byte-identical under any strategy, so it never
-        #: enters the cache key either.
-        self.strategy = resolve_strategy_setting(strategy)
         # Per-instance registry: one service per test gets clean counts;
         # the process-wide default registry (phase histograms) is merged
         # in at render time by metrics_text().
@@ -408,7 +399,6 @@ class ExplanationService:
                 support_threshold=prepared.request.support_threshold,
                 backend=backend,
                 shards=self.shards,
-                strategy=self.strategy,
             )
             return explainer.explanation_table(prepared.method)
 
@@ -474,7 +464,6 @@ class ExplanationService:
                     method=prepared.method,
                     support_threshold=prepared.request.support_threshold,
                     shards=self.shards,
-                    strategy=self.strategy,
                     metrics=self.metrics,
                 )
             except ReproError as exc:
@@ -793,7 +782,6 @@ class ExplanationService:
             "incremental": self._incremental_stats(),
             "inflight": self.flights.inflight(),
             "shards": self.shards,
-            "strategy": self.strategy,
         }
 
     def _incremental_stats(self) -> Dict[str, object]:
@@ -848,5 +836,4 @@ class ExplanationService:
             },
             "shards": self.shards,
             "refresh": self.refresh,
-            "strategy": self.strategy,
         }

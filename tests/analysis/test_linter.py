@@ -40,7 +40,7 @@ class TestAttributeCodes:
             (foreign_key("B", "aid", "A", "id"),),
         )
         findings = lint_plan(schema, None, ["x"])
-        assert codes(findings) == ["RS002", "RS008"]
+        assert codes(findings) == ["RS002"]
         assert "ambiguous" in findings[0].message
 
     def test_rs003_duplicate_reported_once(self):
@@ -72,8 +72,7 @@ class TestQueryCodes:
             "q1", ["q1 := count(*) WHERE T.year = 'nineteen'"]
         )
         findings = lint_plan(typed_schema(), query, ["T.name"])
-        # Single-table schema: the RS008 strategy note rides along.
-        assert codes(findings) == ["RS006", "RS008"]
+        assert codes(findings) == ["RS006"]
         assert "can never hold" in findings[0].message
 
     def test_rs006_accepts_matching_type(self):
@@ -81,19 +80,19 @@ class TestQueryCodes:
             "q1", ["q1 := count(*) WHERE T.year = 1984"]
         )
         findings = lint_plan(typed_schema(), query, ["T.name"])
-        assert codes(findings) == ["RS008"]
+        assert codes(findings) == []
 
     def test_rs007_unknown_aggregate_argument(self):
         query = parse_numerical_query("q1", ["q1 := sum(T.nope)"])
         findings = lint_plan(typed_schema(), query, ["T.name"])
-        assert codes(findings) == ["RS007", "RS008"]
+        assert codes(findings) == ["RS007"]
 
     def test_rs007_unknown_where_column(self):
         query = parse_numerical_query(
             "q1", ["q1 := count(*) WHERE T.ghost = 1"]
         )
         findings = lint_plan(typed_schema(), query, ["T.name"])
-        assert codes(findings) == ["RS007", "RS008"]
+        assert codes(findings) == ["RS007"]
         assert "ghost" in findings[0].message
 
     def test_clean_query(self):
@@ -105,20 +104,6 @@ class TestQueryCodes:
             ],
         )
         assert lint_plan(rex.schema(), query, ["Author.inst"]) == ()
-
-
-class TestStrategyCodes:
-    def test_rs008_without_back_and_forth_keys(self):
-        (finding,) = lint_plan(typed_schema(), None, ["T.name"])
-        assert finding.code == "RS008"
-        assert finding.severity == "warning"
-        assert finding.subject == "schema"
-        assert "closure" in finding.message
-
-    def test_rs008_silent_with_back_and_forth_keys(self):
-        # The running example declares back-and-forth keys, so the
-        # closure index applies and RS008 must not fire.
-        assert lint_plan(rex.schema(), None, ["Author.inst"]) == ()
 
 
 class TestOrderingAndShape:

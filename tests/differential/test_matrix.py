@@ -22,9 +22,13 @@ separately.
 
 import pytest
 
+from repro.analysis import analyze_plan
 from repro.core.cube_algorithm import MU_AGGR, MU_INTERV
 from repro.core.explainer import METHODS, Explainer
+from repro.core.intervention import STRATEGIES, make_strategy
 from repro.core.topk import top_k_explanations
+from repro.datasets import chains
+from repro.errors import ExplanationError
 
 from conftest import DATASETS, SQL_BACKENDS, require_backend
 
@@ -148,9 +152,10 @@ class TestShardDifferential:
 
 
 class TestStrategyDifferential:
-    """The intervention strategy is a pure execution knob like shards:
-    closure-index tables must be fingerprint-identical to the fixpoint
-    baseline for every program-P method, on every bundled dataset."""
+    """Program P's schedule never changes the answer: tables built with
+    either schedule pinned must be fingerprint-identical to the
+    schema-chosen default for every program-P method, on every bundled
+    dataset."""
 
     @pytest.mark.parametrize("method", ("cube", "indexed"))
     @pytest.mark.parametrize("dataset", DATASETS)
@@ -163,26 +168,32 @@ class TestStrategyDifferential:
             if (dataset, method) == ("dblp-small", "cube")
             else {}
         )
-        closure = Explainer(
-            db, question, list(attributes), strategy="closure"
-        ).explanation_table(method, **kwargs)
-        assert (
-            closure.content_fingerprint()
-            == tables(dataset, method).content_fingerprint()
-        ), f"strategy=closure diverges from fixpoint on {dataset}/{method}"
+        for strategy in STRATEGIES:
+            pinned = Explainer(
+                db, question, list(attributes), strategy=strategy
+            ).explanation_table(method, **kwargs)
+            assert (
+                pinned.content_fingerprint()
+                == tables(dataset, method).content_fingerprint()
+            ), f"strategy={strategy} diverges on {dataset}/{method}"
 
-    @pytest.mark.parametrize("dataset", DATASETS)
-    def test_auto_strategy_matches_certificate(
-        self, workloads, dataset
-    ):
-        db, question, attributes = workloads(dataset)
-        explainer = Explainer(
-            db, question, list(attributes), strategy="auto"
-        )
-        resolved = explainer.resolve_strategy()
-        assert resolved == explainer.certificate().recommended_strategy
+    @pytest.mark.parametrize("dataset", DATASETS + ("chains",))
+    def test_auto_strategy_matches_certificate(self, workloads, dataset):
+        """The schema picks the schedule, the certificate reports the
+        same pick, and there is no ``"auto"`` name to ask for."""
+        if dataset == "chains":
+            db, _ = chains.example_37(3)
+        else:
+            db, _, _ = workloads(dataset)
         expected = "closure" if db.schema.back_and_forth_keys else "fixpoint"
-        assert resolved == expected
+        certificate = analyze_plan(db.schema, None, ())
+        assert (
+            make_strategy(db).name
+            == expected
+            == certificate.recommended_strategy
+        )
+        with pytest.raises(ExplanationError):
+            make_strategy(db, strategy="auto")
 
 
 class TestAutoResolution:

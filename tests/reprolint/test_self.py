@@ -57,7 +57,7 @@ def test_rendered_rs_table_matches_linter_docstring():
         sys.path.pop(0)
     assert linter.render_code_table("rst") in (linter.__doc__ or "")
     declared = {code for code, _, _ in linter.RS_CODES}
-    assert declared == {f"RS00{i}" for i in range(1, 10)}
+    assert declared == {f"RS00{i}" for i in (1, 2, 3, 4, 5, 6, 7, 9)}
 
 
 def test_layering_and_quarantine_hold_over_tests():

@@ -9,6 +9,7 @@ origin counts, ``/v1/stats`` incremental block).
 
 import pytest
 
+from repro.engine.closure import ClosureIndex
 from repro.service.errors import BadRequestError
 from repro.service import (
     BackgroundServer,
@@ -217,31 +218,44 @@ class TestIncrementalServing:
         assert "patched" in out
 
     def test_closure_strategy_fresh_after_mutate(self):
-        # PR-8 regression: a closure-strategy service caches a cascade
-        # closure index per dataset version.  POST /v1/mutate must
-        # invalidate it — a stale index would either raise or serve
-        # pre-mutation deltas.  The served table after the mutation has
-        # to match a cold fixpoint service over the same mutated state.
-        warm_service = ExplanationService(
-            refresh="incremental", strategy="closure"
-        )
+        # PR-8 regression: program P over DBLP (back-and-forth keys, so
+        # the closure schedule) caches a cascade closure index per
+        # database version.  POST /v1/mutate must invalidate it — a
+        # stale index would either raise or serve pre-mutation deltas.
+        # The served table after the mutation has to match a cold
+        # service over the same mutated state.
+        params = {"scale": 0.1, "seed": 2014}
+        explain = {"dataset": "dblp", "params": params, "method": "indexed"}
+        warm_service = _incremental_service()
         with BackgroundServer(warm_service) as bg:
             client = bg.client()
-            first = client.explain(**EXPLAIN)
-            victims = _birth_rows(warm_service, 5)
+            first = client.explain(**explain)
+            db = warm_service.registry.resolve("dblp", params).database
+            index = ClosureIndex.for_database(db)  # the one `first` built
+            # New co-authorships for the top-ranked institution add
+            # cascade edges the old index lacks, so its degree moves.
+            authored = db.relation("Authored").rows()
+            links = [
+                [author[0], pub[0]]
+                for author in db.relation("Author").row_list()
+                if author[2] == "bell-labs.com"
+                for pub in db.relation("Publication").row_list()[:20]
+                if (author[0], pub[0]) not in authored
+            ]
             client.mutate(
-                dataset="natality",
-                params=PARAMS,
-                mutations=[{"relation": "Birth", "delete": victims}],
+                dataset="dblp",
+                params=params,
+                mutations=[{"relation": "Authored", "insert": links}],
             )
-            warm = client.explain(**EXPLAIN)
+            assert index.stale
+            warm = client.explain(**explain)
             assert warm.data["fingerprint"] != first.data["fingerprint"]
 
         cold_service = ExplanationService(refresh="full")
-        db = cold_service.registry.resolve("natality", PARAMS).database
-        db.relation("Birth").delete_many([tuple(row) for row in victims])
+        db = cold_service.registry.resolve("dblp", params).database
+        db.relation("Authored").insert_many([tuple(row) for row in links])
         with BackgroundServer(cold_service) as bg:
-            cold = bg.client().explain(**EXPLAIN)
+            cold = bg.client().explain(**explain)
         comparable = (
             "q_original",
             "original_value",
@@ -252,13 +266,6 @@ class TestIncrementalServing:
         )
         for key in comparable:
             assert warm.data[key] == cold.data[key], key
-
-    def test_strategy_exposed_in_stats_and_health(self):
-        service = ExplanationService(strategy="closure")
-        with BackgroundServer(service) as bg:
-            client = bg.client()
-            assert client.stats()["strategy"] == "closure"
-            assert client.health()["strategy"] == "closure"
 
     def test_full_mode_has_no_sessions(self):
         service = ExplanationService(refresh="full")
