@@ -10,11 +10,12 @@ Two workloads, mirroring the paper's datasets:
 
 * **Natality / Q_Race** (count aggregates, additive cube path) — the
   pure delta path: warm refresh is O(touched groups + changed rows)
-  against a cold rebuild that re-scans all of ``Birth``.  The ≥10×
-  gate applies here on the full preset; the small preset only smoke-
-  checks that warm beats cold, because at 4 000 rows the cold rebuild
-  is already near the per-refresh emission floor (the final cube
-  rollup + outer join is O(distinct keys), independent of row count).
+  against a cold rebuild that re-scans all of ``Birth``.  The ratio is
+  reported, not gated (≈10× on the full preset; at the small preset's
+  4 000 rows the cold rebuild is already near the per-refresh emission
+  floor — the final cube rollup + outer join is O(distinct keys),
+  independent of row count).  The regression watch for refresh cost
+  is ``benchmarks/e2e`` mutate-refresh.
 * **DBLP / count-distinct window ratio** — exercises the footnote-11
   data-condition recertification, which re-checks the distinct-value
   conditions in O(n) per refresh.  Warm still wins, but the ratio is
@@ -40,16 +41,12 @@ PRESETS = {
         "dblp_scale": 0.25,
         "batch": 50,
         "rounds": 3,
-        # Emission floor dominates at this scale; just require warm
-        # to beat cold with margin.
-        "natality_gate": 1.5,
     },
     "full": {
         "natality_rows": 40_000,
         "dblp_scale": 1.0,
         "batch": 50,
         "rounds": 5,
-        "natality_gate": 10.0,
     },
 }
 
@@ -112,7 +109,7 @@ def _warm_vs_cold(db, question, attrs, mutated, *, batch, rounds, shards, seed):
 
 
 class TestIncrementalNatality:
-    """Additive count path: the ≥10x warm-update gate (full preset)."""
+    """Additive count path: patched == cold at every shard count."""
 
     def test_warm_refresh_beats_cold_rebuild(
         self, benchmark, preset, shards_option, json_record
@@ -169,14 +166,9 @@ class TestIncrementalNatality:
             series,
             unit="",
         )
-        for shards, (warm, cold, identical) in results.items():
+        for shards, (_, _, identical) in results.items():
             assert identical, (
                 f"shards={shards}: patched table differs from cold rebuild"
-            )
-            ratio = cold / max(warm, 1e-9)
-            assert ratio >= cfg["natality_gate"], (
-                f"shards={shards}: warm refresh only {ratio:.1f}x faster "
-                f"than cold (gate {cfg['natality_gate']}x)"
             )
 
 

@@ -35,15 +35,6 @@ Commands
         python -m repro analyze chain --chain-p 4
         python -m repro analyze --all --strict --json
 
-``bench matrix``
-    Sweep dataset × question × method × strategy × backend × shards,
-    cross-check that every cell of the same (dataset, question,
-    resolved method) group agrees on table and ranking fingerprints,
-    and write the per-cell report (wall time, fingerprints,
-    certificate verdicts, phase breakdown) to BENCH_matrix.json::
-
-        python -m repro bench matrix --preset small
-
 ``sql``
     Print the SQL script of Algorithm 1, or program P as datalog, for
     one of the built-in schemas::
@@ -71,6 +62,7 @@ the normal output.  See ``docs/observability.md``.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from typing import Optional, Sequence
 
@@ -86,15 +78,16 @@ from .core import (
     render_ranking,
 )
 from .backends import backend_names
+from .core.explainer import AUTO_METHOD
 from .core.sqlgen import DIALECTS, algorithm1_script, program_p_datalog
-from .datasets import dblp, geodblp, natality, running_example, tpch
+from .datasets.catalog import BUNDLED
 from .engine import Col, Comparison, Const, conj, count_star
 from .engine.csvio import load_table
 from .engine.database import Database
 from .engine.schema import single_table_schema
 from .errors import ReproError
 
-DEMOS = ("running-example", "natality", "dblp", "geodblp", "tpch")
+DEMOS = tuple(BUNDLED)
 
 #: Commands that accept ``--profile`` (set in ``build_parser``).
 PROFILED_COMMANDS = ("demo", "intervene", "explain", "ask", "report")
@@ -149,35 +142,25 @@ ANALYZE_DATASETS = DEMOS + ("chain",)
 
 
 def _demo_setup(name: str, rows: int, scale: float, seed: int):
-    """(database, question, attributes) for one named demo."""
-    if name == "natality":
-        db = natality.generate(rows=rows, seed=seed)
-        return db, natality.q_race_question(), natality.default_attributes("race")
-    if name == "dblp":
-        db = dblp.generate(scale=scale, seed=seed)
-        return db, dblp.bump_question(), dblp.default_attributes()
-    if name == "geodblp":
-        db = geodblp.generate(scale=scale, seed=seed)
-        return db, geodblp.uk_question(), geodblp.default_attributes()
-    if name == "tpch":
-        # --scale multiplies the canonical miniature sf 0.01, so the
-        # default invocation matches the bench/test workload exactly.
-        db = tpch.generate(sf=0.01 * scale, seed=seed)
-        return db, tpch.default_question(), tpch.default_attributes()
-    if name == "running-example":
-        from .engine import count_distinct
-        from .core import single_query
+    """(database, question, attributes) for one named demo.
 
-        db = running_example.database()
-        q = single_query(
-            AggregateQuery(
-                "q",
-                count_distinct("Publication.pubid", "q"),
-                Comparison("=", Col("Publication.venue"), Const("SIGMOD")),
-            )
-        )
-        return db, UserQuestion.high(q), ["Author.name", "Publication.year"]
-    raise ReproError(f"unknown demo {name!r}; choose from {DEMOS}")
+    Maps the CLI's size flags onto whichever of them the bundled
+    loader takes.  ``--scale`` multiplies tpch's canonical miniature
+    sf 0.01, so the default invocation is the test workload exactly.
+    """
+    loader = BUNDLED[name]
+    flags = {"rows": rows, "scale": scale, "sf": 0.01 * scale, "seed": seed}
+    accepted = inspect.signature(loader).parameters
+    return loader(**{k: v for k, v in flags.items() if k in accepted})
+
+
+def _csv_database(path: str, pk: str) -> Database:
+    """A single-table database ``T`` over a headed CSV file."""
+    table = load_table(path)
+    if pk not in table.columns:
+        raise ReproError(f"primary key column {pk!r} not in CSV header")
+    schema = single_table_schema("T", list(table.columns), [pk])
+    return Database(schema, {"T": table.rows()})
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
@@ -187,22 +170,20 @@ def cmd_demo(args: argparse.Namespace) -> int:
     print(f"dataset: {db}")
     explainer = Explainer(db, question, attributes, backend=args.backend)
     print(f"Q(D) = {explainer.original_value()}")
-    # SQL backends implement only Algorithm 1 ("cube"); in memory the
-    # certificate picks the fastest *sound* method for this question.
-    if args.backend != "memory":
-        method = "cube"
-        if not explainer.certificate().additivity.all_exact_cube:
-            print(
-                "note: the certificate flags this query as not "
-                "intervention-additive; cube degrees are the Algorithm-1 "
-                "approximation (the memory backend's 'auto' method is exact)"
-            )
-            explainer.seed_table(
-                "cube",
-                explainer.explanation_table("cube", check_additivity=False),
-            )
-    else:
-        method = explainer.resolve_method("auto")
+    method = explainer.resolve_method(AUTO_METHOD)
+    if (
+        args.backend != "memory"
+        and not explainer.certificate().additivity.all_exact_cube
+    ):
+        print(
+            "note: the certificate flags this query as not "
+            "intervention-additive; cube degrees are the Algorithm-1 "
+            "approximation (the memory backend's 'auto' method is exact)"
+        )
+        explainer.seed_table(
+            "cube",
+            explainer.explanation_table("cube", check_additivity=False),
+        )
     ranking = explainer.top(
         args.top, method=method, by=args.by, strategy=args.strategy
     )
@@ -246,12 +227,7 @@ def _parse_filter(text: str, relation: str):
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
-    table = load_table(args.csv)
-    if args.pk not in table.columns:
-        raise ReproError(f"primary key column {args.pk!r} not in CSV header")
-    schema = single_table_schema("T", list(table.columns), [args.pk])
-    db = Database(schema, {"T": table.rows()})
-
+    db = _csv_database(args.csv, args.pk)
     q1 = AggregateQuery(
         "q1", count_star("q1"), _parse_filter(args.numerator, "T")
     )
@@ -265,7 +241,8 @@ def cmd_explain(args: argparse.Namespace) -> int:
         db, question, attributes,
         support_threshold=args.support, backend=args.backend,
     )
-    print(f"rows: {len(table)}   Q(D) = {explainer.original_value():.4f}")
+    rows = len(db.relation("T"))
+    print(f"rows: {rows}   Q(D) = {explainer.original_value():.4f}")
     print(render_ranking(explainer.top(args.top, strategy=args.strategy)))
     return 0
 
@@ -292,7 +269,7 @@ def _analyze_setup(name: str, args: argparse.Namespace):
         # The chain relations are all keys, so any explanation dimension
         # draws a PK/FK lint warning — which is itself instructive.
         return db, None, ("R3.a", "R3.b")
-    if name not in DEMOS:
+    if name not in BUNDLED:
         raise ReproError(
             f"unknown dataset {name!r}; choose from {ANALYZE_DATASETS}"
         )
@@ -338,11 +315,7 @@ def cmd_ask(args: argparse.Namespace) -> int:
     if args.csv is not None:
         if args.pk is None:
             raise ReproError("--csv requires --pk")
-        table = load_table(args.csv)
-        if args.pk not in table.columns:
-            raise ReproError(f"primary key column {args.pk!r} not in CSV header")
-        schema = single_table_schema("T", list(table.columns), [args.pk])
-        db = Database(schema, {"T": table.rows()})
+        db = _csv_database(args.csv, args.pk)
     else:
         db, _, _ = _demo_setup(args.dataset, args.rows, args.scale, args.seed)
     question = parse_question(args.dir, args.expr, args.agg)
@@ -354,16 +327,11 @@ def cmd_ask(args: argparse.Namespace) -> int:
     print(f"Q(D) = {explainer.original_value()}")
     report = explainer.additivity_report()
     print(report.explain())
-    if args.method is not None:
-        method = args.method
-    elif args.backend != "memory":
-        # SQL backends implement only Algorithm 1 ("cube").
-        method = "cube"
-    else:
-        # The static plan certificate picks the fastest sound method
-        # (cube when every aggregate is exact-cube, indexed when all
-        # are count-family, exact otherwise).
-        method = explainer.resolve_method("auto")
+    # Without --method the certificate picks the fastest sound method
+    # (cube when every aggregate is exact-cube, indexed when all are
+    # count-family, exact otherwise); an explicit one is checked by
+    # the build, after it is echoed.
+    method = args.method or explainer.resolve_method(AUTO_METHOD)
     print(f"method: {method}")
     print(render_ranking(explainer.top(args.top, method=method)))
     return 0
@@ -481,21 +449,6 @@ def cmd_mutate(args: argparse.Namespace) -> int:
         print(line)
     if response.warning:
         print(f"  warning: {response.warning}")
-    return 0
-
-
-def cmd_bench_matrix(args: argparse.Namespace) -> int:
-    from .bench import run_matrix, write_matrix
-
-    progress = None if args.quiet else lambda msg: print(msg, flush=True)
-    report = run_matrix(args.preset, progress=progress)
-    write_matrix(report, args.out)
-    cells = report["cells"]
-    print(
-        f"bench matrix ({args.preset}): {len(cells)} cells, "
-        f"{len(report['skipped'])} skipped, "
-        f"{len(report['groups'])} fingerprint groups -> {args.out}"
-    )
     return 0
 
 
@@ -710,33 +663,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print the raw response payload")
     mutate.set_defaults(func=cmd_mutate)
 
-    bench = sub.add_parser(
-        "bench", help="reproducibility benchmarks (see benchmarks/)"
-    )
-    bench_sub = bench.add_subparsers(dest="bench_command", required=True)
-    matrix = bench_sub.add_parser(
-        "matrix",
-        help="sweep dataset x question x method x strategy x backend x "
-        "shards and cross-check fingerprint agreement",
-    )
-    matrix.add_argument(
-        "--preset",
-        choices=("small", "full"),
-        default="small",
-        help="axis sizes: 'small' is the CI smoke matrix (memory+sqlite, "
-        "auto method); 'full' adds duckdb and the exact/indexed methods",
-    )
-    matrix.add_argument(
-        "--out",
-        default="BENCH_matrix.json",
-        metavar="PATH",
-        help="report path (default: BENCH_matrix.json)",
-    )
-    matrix.add_argument(
-        "--quiet", action="store_true", help="suppress per-cell progress"
-    )
-    matrix.set_defaults(func=cmd_bench_matrix)
-
     sql = sub.add_parser("sql", help="print SQL / datalog renderings")
     sql.add_argument("dataset", choices=DEMOS)
     sql.add_argument("--datalog", action="store_true",
@@ -747,24 +673,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    profiling = bool(getattr(args, "profile", False))
-    if profiling:
-        from .obs import get_tracer
-
-        get_tracer().reset()
-        get_tracer().enable()
+def _run(args: argparse.Namespace) -> int:
     try:
         return args.func(args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        if profiling:
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if not getattr(args, "profile", False):
+        return _run(args)
+    from .obs import TraceRecorder
+
+    with TraceRecorder():
+        try:
+            return _run(args)
+        finally:
             _print_profile()
-            get_tracer().disable()
 
 
 if __name__ == "__main__":  # pragma: no cover

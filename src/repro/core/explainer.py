@@ -13,7 +13,7 @@ Three evaluation methods build the explanation table *M*:
 * ``"naive"`` — the Figure 12 'No Cube' baseline: iterate over every
   candidate explanation and evaluate each ``q_j(D_φ)`` by filtering
   the universal table, deriving intervention degrees by the same
-  additive identity.
+  additive identity (so the same additivity check applies).
 * ``"exact"`` — ground truth: per candidate, run program P and
   re-evaluate Q on the residual database.  Correct even for
   non-additive queries; slowest.
@@ -32,6 +32,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
+    Callable,
     Dict,
     Iterable,
     List,
@@ -89,6 +90,32 @@ def backend_key(backend: object) -> str:
         return backend
     name = getattr(backend, "name", "")
     return name or repr(backend)
+
+
+def resolve_method(
+    method: str, backend: object, recommended: Callable[[], str]
+) -> str:
+    """The one method × backend rule: a concrete, runnable method name.
+
+    :data:`AUTO_METHOD` means ``"cube"`` on a SQL backend (they
+    implement only Algorithm 1) and the plan certificate's pick —
+    ``recommended()``, called only then, so an explicit method costs no
+    analysis — in memory.  Unknown names and non-cube methods on a SQL
+    backend raise :class:`~repro.errors.ExplanationError`.
+    """
+    in_memory = backend_key(backend) == "memory"
+    if method == AUTO_METHOD:
+        method = recommended() if in_memory else "cube"
+    if method not in METHODS:
+        raise ExplanationError(
+            f"unknown method {method!r}; choose from {METHODS}"
+        )
+    if method != "cube" and not in_memory:
+        raise ExplanationError(
+            f"method {method!r} runs only on the in-memory engine; "
+            "SQL backends implement the 'cube' method"
+        )
+    return method
 
 
 @dataclass(frozen=True)
@@ -237,10 +264,13 @@ class Explainer:
         return self._certificate
 
     def resolve_method(self, method: str) -> str:
-        """Map :data:`AUTO_METHOD` to a concrete method via the certificate."""
-        if method != AUTO_METHOD:
-            return method
-        return self.certificate().recommended_method
+        """*method* validated for this backend, :data:`AUTO_METHOD`
+        resolved (:func:`resolve_method`)."""
+        return resolve_method(
+            method,
+            self.backend,
+            lambda: self.certificate().recommended_method,
+        )
 
     def original_value(self) -> Value:
         """``Q(D)`` — the value the user is asking about."""
@@ -258,10 +288,6 @@ class Explainer:
         :meth:`seed_table`.
         """
         method = self.resolve_method(method)
-        if method not in METHODS:
-            raise ExplanationError(
-                f"unknown method {method!r}; choose from {METHODS}"
-            )
         return ExplanationPlan(
             database_fingerprint=self.database.content_fingerprint(),
             question=question_key(self.question),
@@ -282,10 +308,6 @@ class Explainer:
         does exactly that.
         """
         method = self.resolve_method(method)
-        if method not in METHODS:
-            raise ExplanationError(
-                f"unknown method {method!r}; choose from {METHODS}"
-            )
         self._tables[method] = table
 
     def explanation_table(
@@ -302,15 +324,6 @@ class Explainer:
         bypass the cache when set.
         """
         method = self.resolve_method(method)
-        if method not in METHODS:
-            raise ExplanationError(
-                f"unknown method {method!r}; choose from {METHODS}"
-            )
-        if method != "cube" and backend_key(self.backend) != "memory":
-            raise ExplanationError(
-                f"method {method!r} runs only on the in-memory engine; "
-                f"SQL backends implement the 'cube' method"
-            )
         cacheable = check_additivity and use_fastpath
         if cacheable and method in self._tables:
             return self._tables[method]
@@ -334,6 +347,9 @@ class Explainer:
                     shards=self.shards,
                 )
             elif method == "naive":
+                # Same additive identity as the cube, same precondition.
+                if check_additivity:
+                    self.certificate().additivity.raise_if_not_additive()
                 m = self._naive_table(exact=False)
             elif method == "indexed":
                 from .iterative import IndexedInterventionEvaluator

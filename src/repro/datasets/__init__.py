@@ -14,7 +14,12 @@ Each module reproduces one of the paper's data sources:
   counts (Figures 7–11);
 * :mod:`~repro.datasets.tpch` — a miniature TPC-H with the real
   (cyclic) eight-table foreign-key graph and planted regional/part
-  phenomena, the workload pack behind ``repro bench matrix``.
+  phenomena: seven questions over 3–6-table joins, the workhorse of
+  ``tests/differential`` and ``benchmarks/e2e``.
+
+:mod:`~repro.datasets.catalog` is the one table of ready-to-ask
+workloads over them: the CLI's datasets and the service registry's
+built-ins.
 """
 
 from . import chains, dblp, geodblp, natality, running_example, tpch

@@ -645,7 +645,7 @@ def france_surge_question(*, epsilon: float = 0.0001) -> UserQuestion:
 
 
 #: question name -> (builder, explanation attributes, planted top).
-#: The bench matrix and the golden tests iterate this registry.
+#: The golden and differential tests iterate this registry.
 QUESTIONS: Dict[
     str, Tuple[Callable[..., UserQuestion], Tuple[str, ...], str]
 ] = {

@@ -296,6 +296,19 @@ class MetricsRegistry:
                 out[f"{family.name}{label_text}"] = instrument.value
         return out
 
+    def series(self, name: str) -> Dict[LabelKey, float]:
+        """Current values of one counter or gauge family, by label set.
+
+        Keys are the series' sorted ``(label, value)`` pairs (``()``
+        for the unlabelled series), so ``dict(key)["reason"]`` reads a
+        label back without parsing rendered names.  A family nothing
+        has registered yet reads as empty.
+        """
+        with self._lock:
+            family = self._families.get(name)
+            items = list(family.series.items()) if family is not None else []
+        return {key: instrument.value for key, instrument in items}
+
     def _iter_series(self) -> Iterator[Tuple[_Family, LabelKey, Instrument]]:
         with self._lock:
             families = [

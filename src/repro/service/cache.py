@@ -12,9 +12,10 @@ backend), so repeated questions skip cube construction entirely.
 Eviction is LRU under two simultaneous budgets — an entry count and a
 byte budget (tables are measured once at insertion time by
 :func:`estimate_table_bytes`).  All operations are thread-safe; the
-hit/miss/eviction counters feed the server's ``/v1/stats`` endpoint
-and, when a :class:`~repro.obs.MetricsRegistry` is supplied, are
-mirrored as ``repro_cache_*`` Prometheus series for ``/v1/metrics``.
+hit/miss/eviction counts are ``repro_cache_*`` series in a
+:class:`~repro.obs.MetricsRegistry` (the service's, or the cache's own
+when none is supplied), which :meth:`~ExplanationTableCache.stats`,
+``/v1/stats`` and ``/v1/metrics`` all read.
 """
 
 from __future__ import annotations
@@ -121,37 +122,34 @@ class ExplanationTableCache:
             OrderedDict()
         )
         self._current_bytes = 0
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
-        self._metrics = metrics
-        if metrics is not None:
-            self._m_hits = metrics.counter(
-                "repro_cache_hits_total", help="Explanation-table cache hits."
-            )
-            self._m_misses = metrics.counter(
-                "repro_cache_misses_total",
-                help="Explanation-table cache misses.",
-            )
-            self._m_evictions = metrics.counter(
-                "repro_cache_evictions_total",
-                help="Explanation-table cache LRU/byte-budget evictions.",
-            )
-            self._m_entries = metrics.gauge(
-                "repro_cache_entries", help="Cached explanation tables."
-            )
-            self._m_bytes = metrics.gauge(
-                "repro_cache_bytes",
-                help="Estimated resident bytes of cached tables.",
-            )
-            self._m_built = metrics.gauge(
-                "repro_cache_built_entries",
-                help="Cached tables that were built cold.",
-            )
-            self._m_patched = metrics.gauge(
-                "repro_cache_patched_entries",
-                help="Cached tables that were patched incrementally.",
-            )
+        if metrics is None:
+            metrics = MetricsRegistry()
+        self._m_hits = metrics.counter(
+            "repro_cache_hits_total", help="Explanation-table cache hits."
+        )
+        self._m_misses = metrics.counter(
+            "repro_cache_misses_total",
+            help="Explanation-table cache misses.",
+        )
+        self._m_evictions = metrics.counter(
+            "repro_cache_evictions_total",
+            help="Explanation-table cache LRU/byte-budget evictions.",
+        )
+        self._m_entries = metrics.gauge(
+            "repro_cache_entries", help="Cached explanation tables."
+        )
+        self._m_bytes = metrics.gauge(
+            "repro_cache_bytes",
+            help="Estimated resident bytes of cached tables.",
+        )
+        self._m_built = metrics.gauge(
+            "repro_cache_built_entries",
+            help="Cached tables that were built cold.",
+        )
+        self._m_patched = metrics.gauge(
+            "repro_cache_patched_entries",
+            help="Cached tables that were patched incrementally.",
+        )
 
     def _origin_counts_locked(self) -> Tuple[int, int]:
         built = sum(
@@ -160,12 +158,11 @@ class ExplanationTableCache:
         return built, len(self._entries) - built
 
     def _sync_occupancy_locked(self) -> None:
-        if self._metrics is not None:
-            self._m_entries.set(len(self._entries))
-            self._m_bytes.set(self._current_bytes)
-            built, patched = self._origin_counts_locked()
-            self._m_built.set(built)
-            self._m_patched.set(patched)
+        self._m_entries.set(len(self._entries))
+        self._m_bytes.set(self._current_bytes)
+        built, patched = self._origin_counts_locked()
+        self._m_built.set(built)
+        self._m_patched.set(patched)
 
     # -- lookup -----------------------------------------------------------
 
@@ -174,14 +171,10 @@ class ExplanationTableCache:
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
-                self._misses += 1
-                if self._metrics is not None:
-                    self._m_misses.inc()
+                self._m_misses.inc()
                 return None
             self._entries.move_to_end(key)
-            self._hits += 1
-            if self._metrics is not None:
-                self._m_hits.inc()
+            self._m_hits.inc()
             return entry[0]
 
     def peek(self, key: str) -> Optional[ExplanationTable]:
@@ -239,9 +232,7 @@ class ExplanationTableCache:
         ):
             _, (_, size, _) = self._entries.popitem(last=False)
             self._current_bytes -= size
-            self._evictions += 1
-            if self._metrics is not None:
-                self._m_evictions.inc()
+            self._m_evictions.inc()
 
     def invalidate(self, key: str) -> bool:
         """Drop one entry; returns True when it was present."""
@@ -267,9 +258,9 @@ class ExplanationTableCache:
         with self._lock:
             built, patched = self._origin_counts_locked()
             return CacheStats(
-                hits=self._hits,
-                misses=self._misses,
-                evictions=self._evictions,
+                hits=int(self._m_hits.value),
+                misses=int(self._m_misses.value),
+                evictions=int(self._m_evictions.value),
                 entries=len(self._entries),
                 current_bytes=self._current_bytes,
                 max_entries=self.max_entries,

@@ -21,7 +21,7 @@ import threading
 from concurrent.futures import Future
 from typing import Callable, Dict, Optional, Tuple, TypeVar
 
-from ..obs import Counter, Gauge, MetricsRegistry
+from ..obs import MetricsRegistry
 
 T = TypeVar("T")
 
@@ -32,24 +32,22 @@ class SingleFlight:
     def __init__(self, *, metrics: Optional[MetricsRegistry] = None) -> None:
         self._lock = threading.Lock()
         self._inflight: Dict[str, "Future[T]"] = {}
-        self._m_leaders: Optional[Counter] = None
-        self._m_waiters: Optional[Counter] = None
-        self._m_gauge: Optional[Gauge] = None
-        if metrics is not None:
-            self._m_leaders = metrics.counter(
-                "repro_singleflight_total",
-                labels={"outcome": "leader"},
-                help="Single-flight calls by outcome.",
-            )
-            self._m_waiters = metrics.counter(
-                "repro_singleflight_total",
-                labels={"outcome": "coalesced"},
-                help="Single-flight calls by outcome.",
-            )
-            self._m_gauge = metrics.gauge(
-                "repro_inflight_builds",
-                help="Keys with a computation currently in flight.",
-            )
+        if metrics is None:
+            metrics = MetricsRegistry()
+        self._m_leaders = metrics.counter(
+            "repro_singleflight_total",
+            labels={"outcome": "leader"},
+            help="Single-flight calls by outcome.",
+        )
+        self._m_waiters = metrics.counter(
+            "repro_singleflight_total",
+            labels={"outcome": "coalesced"},
+            help="Single-flight calls by outcome.",
+        )
+        self._m_gauge = metrics.gauge(
+            "repro_inflight_builds",
+            help="Keys with a computation currently in flight.",
+        )
 
     def do(
         self,
@@ -72,14 +70,11 @@ class SingleFlight:
                 leader = True
             else:
                 leader = False
-            if self._m_gauge is not None:
-                self._m_gauge.set(len(self._inflight))
+            self._m_gauge.set(len(self._inflight))
         if not leader:
-            if self._m_waiters is not None:
-                self._m_waiters.inc()
+            self._m_waiters.inc()
             return future.result(timeout=timeout), False
-        if self._m_leaders is not None:
-            self._m_leaders.inc()
+        self._m_leaders.inc()
         try:
             result = fn()
         except BaseException as exc:
@@ -93,8 +88,7 @@ class SingleFlight:
     def _release(self, key: str) -> None:
         with self._lock:
             self._inflight.pop(key, None)
-            if self._m_gauge is not None:
-                self._m_gauge.set(len(self._inflight))
+            self._m_gauge.set(len(self._inflight))
 
     def inflight(self) -> int:
         """Number of keys currently being computed."""

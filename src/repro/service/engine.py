@@ -16,16 +16,15 @@ request flows through:
    build (single-flight); everyone shares the result;
 5. **rank** — the Section 4.3 top-K strategies scan the table.
 
-Every counter the ``/v1/stats`` endpoint reports lives here — backed
-by a per-service :class:`~repro.obs.MetricsRegistry` also rendered at
-``/v1/metrics`` — so the "50 concurrent identical requests → one
-computation" property is directly observable.
+Every count the ``/v1/stats`` endpoint reports is read back from the
+per-service :class:`~repro.obs.MetricsRegistry` that ``/v1/metrics``
+renders — one store, two views — so the "50 concurrent identical
+requests → one computation" property is directly observable.
 """
 
 from __future__ import annotations
 
 import os
-import re
 import threading
 import time
 from dataclasses import dataclass, field
@@ -45,23 +44,18 @@ from ..core.cube_algorithm import (
     add_hybrid_column,
 )
 from ..core.explainer import (
-    AUTO_METHOD,
     Explainer,
     ExplanationPlan,
     backend_key,
     question_key,
+    resolve_method,
 )
 from ..core.parsing import parse_question
 from ..core.question import UserQuestion
 from ..core.topk import RankedExplanation, top_k_explanations
 from ..errors import ExplanationError, ReproError
 from ..incremental import IncrementalSession
-from ..obs import (
-    Counter as MetricCounter,
-    MetricsRegistry,
-    get_registry,
-    render_prometheus,
-)
+from ..obs import MetricsRegistry, get_registry, render_prometheus
 from .cache import REFRESH_MODES, ExplanationTableCache
 from .coalescer import SingleFlight
 from .errors import BadRequestError, ServiceError
@@ -115,61 +109,6 @@ def rank_table(
     return top_k_explanations(
         m, k, by=column, strategy=strategy, minimality=minimality
     )
-
-
-#: Dotted-name group -> Prometheus counter family.  A closed table, not
-#: an f-string: metric families must be statically enumerable (RL007) —
-#: a dynamically minted family never shows up in dashboards or in the
-#: cross-check that every referenced family is registered.
-_EVENT_FAMILIES: Dict[str, str] = {
-    "requests": "repro_requests_total",
-    "compute": "repro_compute_total",
-    "mutate": "repro_mutate_total",
-}
-
-
-class Counters:
-    """Dotted-name counter facade over a :class:`MetricsRegistry`.
-
-    The service historically counts events under dotted names
-    (``"requests.topk"``, ``"compute.tables_built"``) surfaced by
-    ``/v1/stats``.  Each dotted name maps onto one of the closed set of
-    counter families in ``_EVENT_FAMILIES`` — ``"<group>.<kind>"``
-    becomes ``repro_<group>_total{kind="<kind>"}`` — so the same
-    increments feed both the legacy nested-stats payload and
-    ``/v1/metrics``.  Counting under an unknown group is a programming
-    error and raises ``KeyError`` rather than minting a family.
-    """
-
-    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self._lock = threading.Lock()
-        self._by_name: Dict[str, MetricCounter] = {}
-
-    def _counter(self, name: str) -> MetricCounter:
-        counter = self._by_name.get(name)
-        if counter is None:
-            group, _, rest = name.partition(".")
-            counter = self.registry.counter(
-                _EVENT_FAMILIES[group],
-                labels={"kind": rest or group},
-                help=f"Service {group} events by kind.",
-            )
-            with self._lock:
-                counter = self._by_name.setdefault(name, counter)
-        return counter
-
-    def inc(self, name: str, n: int = 1) -> None:
-        self._counter(name).inc(n)
-
-    def get(self, name: str) -> int:
-        counter = self._by_name.get(name)
-        return int(counter.value) if counter is not None else 0
-
-    def snapshot(self) -> Dict[str, int]:
-        with self._lock:
-            named = dict(self._by_name)
-        return {name: int(c.value) for name, c in named.items()}
 
 
 def _timings_block(
@@ -293,13 +232,26 @@ class ExplanationService:
             )
         )
         self.flights = SingleFlight(metrics=self.metrics)
-        self.counters = Counters(self.metrics)
         # Incremental sessions keyed by plan template (dataset, question,
         # attributes, method, support); _mutate_lock serializes writes so
         # one refresh sees one consistent net delta.
         self._sessions: Dict[tuple, _TrackedSession] = {}
         self._sessions_lock = threading.Lock()
         self._mutate_lock = threading.Lock()
+
+    def _count_compute(self, kind: str) -> None:
+        self.metrics.counter(
+            "repro_compute_total",
+            labels={"kind": kind},
+            help="Service compute events by kind.",
+        ).inc()
+
+    def _count_mutate(self, kind: str, n: int) -> None:
+        self.metrics.counter(
+            "repro_mutate_total",
+            labels={"kind": kind},
+            help="Service mutate events by kind.",
+        ).inc(n)
 
     # -- resolution ---------------------------------------------------------
 
@@ -330,29 +282,26 @@ class ExplanationService:
                 f"dataset {dataset.name!r} has no default attributes; "
                 "supply an 'attributes' list"
             )
-        method = request.method
         certificate = None
-        if method == AUTO_METHOD:
-            if request.backend != "memory":
-                # SQL backends implement only Algorithm 1.
-                method = "cube"
-            else:
-                certificate = self._certificate_for(
-                    dataset, question, attributes
-                )
-                method = certificate.recommended_method
-        if method != "cube" and request.backend != "memory":
-            raise BadRequestError(
-                f"method {method!r} runs only on the in-memory "
-                "engine; SQL backends implement the 'cube' method"
+
+        def recommended() -> str:
+            nonlocal certificate
+            certificate = self._certificate_for(dataset, question, attributes)
+            return certificate.recommended_method
+
+        try:
+            method = resolve_method(
+                request.method, request.backend, recommended
             )
+        except ExplanationError as exc:
+            raise BadRequestError(str(exc)) from exc
         try:
             backend_impl, warning = get_backend_with_fallback(request.backend)
         except ExplanationError as exc:
             raise BadRequestError(str(exc), kind="unknown_backend") from exc
         backend_name = backend_key(backend_impl)
         if warning:
-            self.counters.inc("compute.fallbacks")
+            self._count_compute("fallbacks")
         plan = ExplanationPlan(
             database_fingerprint=dataset.fingerprint,
             question=question_key(question),
@@ -378,7 +327,7 @@ class ExplanationService:
         """Run the static analyzer for one resolved request (data-aware)."""
         from ..analysis import analyze_plan
 
-        self.counters.inc("compute.analyses")
+        self._count_compute("analyses")
         return analyze_plan(
             dataset.database.schema,
             question,
@@ -410,7 +359,7 @@ class ExplanationService:
             if prepared.backend_name != "memory":
                 # Graceful degradation: a DBMS-side failure must not take
                 # the request down when the reference engine can answer.
-                self.counters.inc("compute.fallbacks")
+                self._count_compute("fallbacks")
                 warnings_out.append(
                     f"backend {prepared.backend_name!r} failed "
                     f"({type(exc).__name__}: {exc}); fell back to 'memory'"
@@ -521,16 +470,12 @@ class ExplanationService:
                     self._build_table(prepared, runtime_warnings),
                     "built",
                 )
-            self.counters.inc("compute.tables_built")
+            self._count_compute("tables_built")
             self.cache.put(key, table, origin=origin)
             return table
 
         table, leader = self.flights.do(key, compute)
-        if leader:
-            status = "miss"
-        else:
-            status = "coalesced"
-            self.counters.inc("compute.coalesced_waits")
+        status = "miss" if leader else "coalesced"
         warnings = prepared.static_warnings + tuple(runtime_warnings)
         return prepared, table, status, warnings
 
@@ -661,9 +606,9 @@ class ExplanationService:
                         str(exc), kind=_kind_of(exc)
                     ) from exc
                 touched.append(spec.relation)
-            self.counters.inc("mutate.batches", len(request.mutations))
-            self.counters.inc("mutate.rows_inserted", inserted)
-            self.counters.inc("mutate.rows_deleted", deleted)
+            self._count_mutate("batches", len(request.mutations))
+            self._count_mutate("rows_inserted", inserted)
+            self._count_mutate("rows_deleted", deleted)
             # Refresh sessions BEFORE computing the new fingerprint:
             # each session's log checkpoint rebases incrementally and
             # primes the database fingerprint memo, so the call below
@@ -734,7 +679,7 @@ class ExplanationService:
                 table,
                 origin=origin,
             )
-            self.counters.inc("mutate.refreshes")
+            self._count_mutate("refreshes", 1)
             if stats.strategy == "rebuilt":
                 warnings_out.append(
                     "incremental refresh fell back to full recompute "
@@ -766,18 +711,27 @@ class ExplanationService:
 
     # -- introspection ---------------------------------------------------------
 
-    def stats_payload(self) -> Dict[str, object]:
-        """The ``/v1/stats`` body: requests, cache, compute counters."""
-        flat = self.counters.snapshot()
-        nested: Dict[str, Dict[str, int]] = {"requests": {}, "compute": {}}
-        for name, value in sorted(flat.items()):
-            group, _, rest = name.partition(".")
-            nested.setdefault(group, {})[rest or group] = value
-        for default in ("tables_built", "coalesced_waits", "fallbacks"):
-            nested["compute"].setdefault(default, 0)
+    def _by_label(self, family: str, label: str) -> Dict[str, int]:
+        """One registry family as ``{label value: count}``."""
         return {
-            "requests": nested["requests"],
-            "compute": nested["compute"],
+            dict(key)[label]: int(value)
+            for key, value in sorted(self.metrics.series(family).items())
+        }
+
+    def stats_payload(self) -> Dict[str, object]:
+        """The ``/v1/stats`` body: a JSON view of the metrics registry.
+
+        Every count is read back from the series ``/v1/metrics``
+        renders, so the two endpoints can never disagree.
+        """
+        compute = {"tables_built": 0, "fallbacks": 0}
+        compute.update(self._by_label("repro_compute_total", "kind"))
+        compute["coalesced_waits"] = self._by_label(
+            "repro_singleflight_total", "outcome"
+        )["coalesced"]
+        return {
+            "requests": self._by_label("repro_requests_total", "kind"),
+            "compute": compute,
             "cache": self.cache.stats().to_dict(),
             "incremental": self._incremental_stats(),
             "inflight": self.flights.inflight(),
@@ -785,21 +739,9 @@ class ExplanationService:
         }
 
     def _incremental_stats(self) -> Dict[str, object]:
-        """The ``incremental`` block of ``/v1/stats``.
-
-        Patch/fallback totals are read back from the metrics registry —
-        the sessions increment ``repro_incremental_*`` counters there —
-        so the JSON stats and ``/v1/metrics`` can never disagree.
-        """
-        patches = 0
-        fallbacks: Dict[str, int] = {}
-        for name, value in self.metrics.snapshot().items():
-            if name == "repro_incremental_patches_total":
-                patches = int(value)
-            elif name.startswith("repro_incremental_fallbacks_total"):
-                match = re.search(r'reason="([^"]*)"', name)
-                reason = match.group(1) if match else "unknown"
-                fallbacks[reason] = fallbacks.get(reason, 0) + int(value)
+        """The ``incremental`` block of ``/v1/stats`` (the sessions
+        increment ``repro_incremental_*`` counters in the registry)."""
+        patches = self.metrics.series("repro_incremental_patches_total")
         with self._sessions_lock:
             sessions = len(self._sessions)
             patchable = sum(
@@ -809,8 +751,10 @@ class ExplanationService:
             "mode": self.refresh,
             "sessions": sessions,
             "patchable_sessions": patchable,
-            "patches": patches,
-            "fallbacks": fallbacks,
+            "patches": int(patches.get((), 0)),
+            "fallbacks": self._by_label(
+                "repro_incremental_fallbacks_total", "reason"
+            ),
         }
 
     def metrics_text(self) -> str:

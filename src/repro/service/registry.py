@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from ..core.question import UserQuestion
+from ..datasets.catalog import BUNDLED
 from ..engine.database import Database
 from .errors import BadRequestError, NotFoundError
 
@@ -45,60 +46,6 @@ class ResolvedDataset:
         return self.database.content_fingerprint()
 
 
-def _load_running_example():
-    from ..core import UserQuestion, single_query
-    from ..core.numquery import AggregateQuery
-    from ..datasets import running_example
-    from ..engine import Col, Comparison, Const, count_distinct
-
-    db = running_example.database()
-    q = single_query(
-        AggregateQuery(
-            "q",
-            count_distinct("Publication.pubid", "q"),
-            Comparison("=", Col("Publication.venue"), Const("SIGMOD")),
-        )
-    )
-    return db, UserQuestion.high(q), ("Author.name", "Publication.year")
-
-
-def _load_natality(rows: int = 20_000, seed: int = 2014):
-    from ..datasets import natality
-
-    db = natality.generate(rows=rows, seed=seed)
-    return db, natality.q_race_question(), natality.default_attributes("race")
-
-
-def _load_dblp(scale: float = 1.0, seed: int = 2014):
-    from ..datasets import dblp
-
-    db = dblp.generate(scale=scale, seed=seed)
-    return db, dblp.bump_question(), dblp.default_attributes()
-
-
-def _load_geodblp(scale: float = 1.0, seed: int = 2014):
-    from ..datasets import geodblp
-
-    db = geodblp.generate(scale=scale, seed=seed)
-    return db, geodblp.uk_question(), geodblp.default_attributes()
-
-
-def _load_tpch(sf: float = 0.01, seed: int = 2014):
-    from ..datasets import tpch
-
-    db = tpch.generate(sf=sf, seed=seed)
-    return db, tpch.default_question(), tpch.default_attributes()
-
-
-_BUILTIN_LOADERS: Dict[str, DatasetLoader] = {
-    "running-example": _load_running_example,
-    "natality": _load_natality,
-    "dblp": _load_dblp,
-    "geodblp": _load_geodblp,
-    "tpch": _load_tpch,
-}
-
-
 class DatasetRegistry:
     """Thread-safe name → dataset resolution with per-params memoization."""
 
@@ -109,7 +56,7 @@ class DatasetRegistry:
             Tuple[str, Tuple[Tuple[str, object], ...]], ResolvedDataset
         ] = {}
         if with_builtins:
-            self._loaders.update(_BUILTIN_LOADERS)
+            self._loaders.update(BUNDLED)
 
     def names(self) -> Tuple[str, ...]:
         """All registered dataset names."""

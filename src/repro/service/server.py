@@ -117,6 +117,13 @@ class ExplanationServer:
     def url(self) -> str:
         return f"http://{self.host}:{self.port}"
 
+    def _count(self, kind: str) -> None:
+        self.service.metrics.counter(
+            "repro_requests_total",
+            labels={"kind": kind},
+            help="Service requests events by kind.",
+        ).inc()
+
     # -- connection handling ----------------------------------------------------
 
     async def _handle_connection(
@@ -217,7 +224,7 @@ class ExplanationServer:
                 exc = NotFoundError(
                     f"no such endpoint: {path}", kind="unknown_endpoint"
                 )
-            self.service.counters.inc("requests.errors")
+            self._count("errors")
             return exc.status, _error_payload(exc), {}
         data: Optional[dict] = None
         if method == "POST":
@@ -226,7 +233,7 @@ class ExplanationServer:
             try:
                 data = json.loads(body.decode("utf-8")) if body else {}
             except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-                self.service.counters.inc("requests.errors")
+                self._count("errors")
                 err = BadRequestError(
                     f"request body is not valid JSON: {exc}", kind="bad_json"
                 )
@@ -240,12 +247,12 @@ class ExplanationServer:
         try:
             return await handler(data)
         except ServiceError as exc:
-            self.service.counters.inc("requests.errors")
+            self._count("errors")
             if isinstance(exc, RequestTimeoutError):
-                self.service.counters.inc("requests.timeouts")
+                self._count("timeouts")
             return exc.status, _error_payload(exc), {}
         except Exception as exc:  # noqa: BLE001 - last-resort containment
-            self.service.counters.inc("requests.errors")
+            self._count("errors")
             print(
                 f"repro.service: internal error handling {path}: "
                 f"{type(exc).__name__}: {exc}",
@@ -259,17 +266,17 @@ class ExplanationServer:
     # -- handlers -------------------------------------------------------------
 
     async def _handle_health(self, _body) -> Tuple[int, dict, Dict[str, str]]:
-        self.service.counters.inc("requests.health")
+        self._count("health")
         return 200, self.service.health_payload(), {}
 
     async def _handle_stats(self, _body) -> Tuple[int, dict, Dict[str, str]]:
-        self.service.counters.inc("requests.stats")
+        self._count("stats")
         return 200, self.service.stats_payload(), {}
 
     async def _handle_metrics(
         self, _body
     ) -> Tuple[int, str, Dict[str, str]]:
-        self.service.counters.inc("requests.metrics")
+        self._count("metrics")
         return (
             200,
             self.service.metrics_text(),
@@ -277,7 +284,7 @@ class ExplanationServer:
         )
 
     async def _handle_explain(self, body) -> Tuple[int, dict, Dict[str, str]]:
-        self.service.counters.inc("requests.explain")
+        self._count("explain")
         request = ServiceRequest.from_dict(body)
         result = await self._run_service_call(
             lambda: self.service.explain(request), request
@@ -285,7 +292,7 @@ class ExplanationServer:
         return 200, result.payload, _result_headers(result)
 
     async def _handle_topk(self, body) -> Tuple[int, dict, Dict[str, str]]:
-        self.service.counters.inc("requests.topk")
+        self._count("topk")
         request = ServiceRequest.from_dict(body)
         result = await self._run_service_call(
             lambda: self.service.topk(request), request
@@ -293,7 +300,7 @@ class ExplanationServer:
         return 200, result.payload, _result_headers(result)
 
     async def _handle_analyze(self, body) -> Tuple[int, dict, Dict[str, str]]:
-        self.service.counters.inc("requests.analyze")
+        self._count("analyze")
         request = ServiceRequest.from_dict(body)
         result = await self._run_service_call(
             lambda: self.service.analyze(request), request
@@ -301,7 +308,7 @@ class ExplanationServer:
         return 200, result.payload, _result_headers(result)
 
     async def _handle_mutate(self, body) -> Tuple[int, dict, Dict[str, str]]:
-        self.service.counters.inc("requests.mutate")
+        self._count("mutate")
         request = MutateRequest.from_dict(body)
         result = await self._run_service_call(
             lambda: self.service.mutate(request), None
@@ -358,7 +365,7 @@ class ExplanationServer:
     async def _respond_error(
         self, writer: asyncio.StreamWriter, exc: ServiceError
     ) -> None:
-        self.service.counters.inc("requests.errors")
+        self._count("errors")
         try:
             await self._respond(writer, exc.status, _error_payload(exc), {})
         except (ConnectionError, asyncio.TimeoutError):

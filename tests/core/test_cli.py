@@ -386,21 +386,3 @@ class TestAnalyze:
         assert "cyclic" in out
         assert "recommended method: cube" in out
 
-
-class TestBenchMatrix:
-    def test_small_preset_end_to_end(self, tmp_path, capsys):
-        out_path = tmp_path / "BENCH_matrix.json"
-        assert main(
-            ["bench", "matrix", "--preset", "small", "--quiet",
-             "--out", str(out_path)]
-        ) == 0
-        import json
-
-        report = json.loads(out_path.read_text())
-        assert report["preset"] == "small"
-        assert len(report["cells"]) >= 48
-        # Every (dataset, question, resolved method) group agreed on
-        # both fingerprints — run_matrix raises otherwise — and the
-        # summary line says where the report went.
-        assert report["groups"]
-        assert "BENCH_matrix.json" in capsys.readouterr().out

@@ -6,11 +6,11 @@ from repro.core.explainer import Explainer, render_ranking
 from repro.core.numquery import AggregateQuery, single_query
 from repro.core.predicates import parse_explanation
 from repro.core.question import UserQuestion
-from repro.datasets import natality
+from repro.datasets import dblp, natality
 from repro.datasets import running_example as rex
 from repro.engine.aggregates import count_distinct
 from repro.engine.expressions import Col, Comparison, Const
-from repro.errors import ExplanationError, QueryError
+from repro.errors import ExplanationError, NotAdditiveError, QueryError
 
 
 def sigmod_question():
@@ -88,6 +88,21 @@ class TestMethods:
         for key in shared:
             assert maps["cube"][key] == pytest.approx(maps["exact"][key])
             assert maps["naive"][key] == pytest.approx(maps["exact"][key])
+
+    def test_naive_checks_additivity_like_the_cube(self):
+        """``naive`` derives mu_interv through the additive identity, so
+        on the non-additive DBLP bump question (footnote 11) it must
+        refuse exactly as ``cube`` does — not return wrong degrees."""
+        ex = Explainer(
+            dblp.generate(scale=0.1, seed=2014),
+            dblp.bump_question(),
+            dblp.default_attributes(),
+        )
+        for method in ("cube", "naive"):
+            with pytest.raises(NotAdditiveError):
+                ex.explanation_table(method)
+        unchecked = ex.explanation_table("naive", check_additivity=False)
+        assert len(unchecked) > 1
 
 
 class TestTop:

@@ -30,7 +30,12 @@ from repro.core.topk import top_k_explanations
 from repro.datasets import chains
 from repro.errors import ExplanationError
 
-from conftest import DATASETS, SQL_BACKENDS, require_backend
+from conftest import (
+    DATASETS,
+    EXECUTION_DATASETS,
+    SQL_BACKENDS,
+    require_backend,
+)
 
 pytestmark = pytest.mark.differential
 
@@ -62,7 +67,7 @@ def ranking_key(m, by, k=5):
 
 class TestBackendDifferential:
     @pytest.mark.parametrize("backend", SQL_BACKENDS)
-    @pytest.mark.parametrize("dataset", DATASETS)
+    @pytest.mark.parametrize("dataset", EXECUTION_DATASETS)
     def test_fingerprints_byte_identical(self, tables, dataset, backend):
         require_backend(backend)
         reference = tables(dataset, "cube", "memory")
@@ -73,7 +78,7 @@ class TestBackendDifferential:
 
     @pytest.mark.parametrize("by", (MU_INTERV, MU_AGGR))
     @pytest.mark.parametrize("backend", SQL_BACKENDS)
-    @pytest.mark.parametrize("dataset", DATASETS)
+    @pytest.mark.parametrize("dataset", EXECUTION_DATASETS)
     def test_topk_rankings_identical(self, tables, dataset, backend, by):
         require_backend(backend)
         reference = tables(dataset, "cube", "memory")
@@ -133,7 +138,7 @@ class TestShardDifferential:
     own suite under tests/parallel/)."""
 
     @pytest.mark.parametrize("shards", (2, 3, 7))
-    @pytest.mark.parametrize("dataset", DATASETS)
+    @pytest.mark.parametrize("dataset", EXECUTION_DATASETS)
     def test_sharded_cube_fingerprint_identical(
         self, tables, workloads, dataset, shards, monkeypatch
     ):
@@ -197,7 +202,7 @@ class TestStrategyDifferential:
 
 
 class TestAutoResolution:
-    @pytest.mark.parametrize("dataset", DATASETS)
+    @pytest.mark.parametrize("dataset", EXECUTION_DATASETS)
     def test_auto_matches_certificate_recommendation(
         self, tables, workloads, dataset
     ):

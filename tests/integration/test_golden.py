@@ -77,7 +77,7 @@ def compute_rankings():
     ]
 
     # One golden per planted TPC-H question at the canonical instance
-    # (sf 0.01, seed 2014) — the same workloads the bench matrix runs.
+    # (sf 0.01, seed 2014) — the same workloads tests/differential sweeps.
     from repro.datasets import tpch
 
     db = tpch.generate(sf=0.01, seed=2014)

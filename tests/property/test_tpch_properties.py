@@ -14,8 +14,8 @@ on:
   factor.
 * **Prefix stability** — row counts are monotone non-decreasing in the
   scale factor for a fixed seed: growing ``sf`` adds entities, it
-  never reshuffles the ones already emitted.  This is what makes the
-  scale axis of the bench matrix an *extension* sweep rather than five
+  never reshuffles the ones already emitted.  This is what makes a
+  sweep over the scale factor an *extension* sweep rather than several
   unrelated databases.
 """
 

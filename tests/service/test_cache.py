@@ -120,7 +120,7 @@ class TestFingerprintInvalidation:
         assert mutated.cache_status == "miss"
         assert mutated.payload["fingerprint"] != first.payload["fingerprint"]
         assert mutated.payload["table_size"] >= first.payload["table_size"]
-        assert service.counters.get("compute.tables_built") == 2
+        assert service.stats_payload()["compute"]["tables_built"] == 2
 
 
 # -- cached == fresh property ------------------------------------------------

@@ -7,9 +7,12 @@ identical to a cold service), and the observability surface (cache
 origin counts, ``/v1/stats`` incremental block).
 """
 
+import re
+
 import pytest
 
 from repro.engine.closure import ClosureIndex
+from repro.obs import get_registry, render_prometheus
 from repro.service.errors import BadRequestError
 from repro.service import (
     BackgroundServer,
@@ -185,6 +188,81 @@ class TestIncrementalServing:
             cache = stats["cache"]
             assert cache["built_entries"] >= 1
             assert cache["patched_entries"] >= 1
+
+    def test_stats_is_a_view_of_the_metrics_registry(self):
+        """After a mixed explain/topk/analyze/mutate/error sequence,
+        every count in ``/v1/stats`` equals the series ``/v1/metrics``
+        renders — there is one counter store, not two."""
+        service = _incremental_service()
+        with BackgroundServer(service) as bg:
+            client = bg.client()
+            client.explain(**EXPLAIN)
+            client.topk(**EXPLAIN, k=3)
+            client.analyze(**EXPLAIN)
+            client.mutate(
+                dataset="natality",
+                params=PARAMS,
+                mutations=[
+                    {"relation": "Birth", "delete": _birth_rows(service, 2)}
+                ],
+            )
+            client.explain(**EXPLAIN)
+            assert not client.topk(dataset="nope", raise_on_error=False).ok
+            assert not client.request("GET", "/v1/nope").ok
+            stats = client.stats()
+            text = client.request("GET", "/v1/metrics").data
+
+        # Drop the process-wide registry appended after the service's
+        # own: sessions other tests ran repeat repro_incremental_* there.
+        text = text.removesuffix(render_prometheus(get_registry()))
+        series = {}
+        for line in text.splitlines():
+            if line and not line.startswith("#"):
+                name, _, value = line.rpartition(" ")
+                family, _, labels = name.partition("{")
+                pairs = frozenset(re.findall(r'(\w+)="([^"]*)"', labels))
+                series[family, pairs] = float(value)
+
+        def by(family, label):
+            return {
+                dict(pairs)[label]: value
+                for (name, pairs), value in series.items()
+                if name == family
+            }
+
+        # The /v1/metrics request itself came after the stats snapshot.
+        assert by("repro_requests_total", "kind") == {
+            **stats["requests"],
+            "metrics": 1,
+        }
+        assert stats["requests"]["errors"] == 2
+        assert stats["compute"] == {
+            "fallbacks": 0,
+            **by("repro_compute_total", "kind"),
+            "coalesced_waits": by("repro_singleflight_total", "outcome")[
+                "coalesced"
+            ],
+        }
+        assert stats["compute"]["tables_built"] == 1
+        for key, family in {
+            "hits": "repro_cache_hits_total",
+            "misses": "repro_cache_misses_total",
+            "evictions": "repro_cache_evictions_total",
+            "entries": "repro_cache_entries",
+            "current_bytes": "repro_cache_bytes",
+            "built_entries": "repro_cache_built_entries",
+            "patched_entries": "repro_cache_patched_entries",
+        }.items():
+            assert stats["cache"][key] == series[family, frozenset()], key
+        incremental = stats["incremental"]
+        assert incremental["patches"] == 1
+        assert incremental["patches"] == series[
+            "repro_incremental_patches_total", frozenset()
+        ]
+        assert incremental["fallbacks"] == by(
+            "repro_incremental_fallbacks_total", "reason"
+        )
+        assert stats["inflight"] == series["repro_inflight_builds", frozenset()]
 
     def test_cli_mutate_subcommand(self, capsys):
         import json

@@ -25,7 +25,6 @@ LAYERS: Dict[str, int] = {
     "analysis": 4,
     "backends": 5,
     "datasets": 5,
-    "bench": 6,
     "service": 6,
 }
 
@@ -46,7 +45,6 @@ ORACLE_ALLOWLIST: Set[str] = {
     "tests/core/test_cube_algorithm.py",
     # The speedup benchmarks time the fast paths *against* the oracles;
     # like the parity tests, measuring them is what quarantine is for.
-    "benchmarks/bench_columnar.py",
     "benchmarks/bench_example41_cube.py",
 }
 
