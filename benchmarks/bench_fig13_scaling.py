@@ -5,14 +5,8 @@ aggregates) over the same four attributes — Q_Marital costs more
 because Algorithm 1 builds and joins twice as many cubes;
 (b) number of attributes vs time on a fixed instance — the candidate
 space (and hence cube size) grows multiplicatively.
-
-The module also owns the sharding scaling axis (``--shards N``, see
-docs/sharding.md): the warm partition-parallel grouping pass vs the
-same pass serially, on a distinct-heavy cube.  Speedup gates only
-fire when the machine has at least as many cores as shards.
 """
 
-import os
 import time
 
 from conftest import print_series
@@ -82,112 +76,6 @@ def test_fig13b_attributes_vs_time(benchmark, natality_db):
     benchmark.extra_info["series"] = series
     times = [t for _, t in series]
     assert times[-1] > times[0], "more attributes => more time"
-
-
-SHARD_ROWS = {"small": 20_000, "full": 60_000}
-# Speedup floors, keyed by shard count; only asserted when the host has
-# at least that many cores (the gate would be meaningless otherwise).
-SHARD_SPEEDUP_GATES = {2: 1.3, 4: 2.0}
-SHARD_REPEATS = 3
-
-
-def _canon(table):
-    return sorted(tuple(map(repr, r)) for r in table.rows())
-
-
-def _warm_cube_seconds(session, attrs, aggs):
-    """Mean seconds per warm cube call (scatter + pool spin-up excluded)."""
-    result = session.cube(None, attrs, aggs)
-    start = time.perf_counter()
-    for _ in range(SHARD_REPEATS):
-        session.cube(None, attrs, aggs)
-    return result, (time.perf_counter() - start) / SHARD_REPEATS
-
-
-def test_fig13_shard_scaling(benchmark, preset, shards_option, json_record):
-    """Serial vs sharded grouping pass on a count(distinct) cube.
-
-    Times the *warm* path — the pool is up and the slices are resident,
-    which is the hot-question serving regime sharding targets — and
-    checks the sharded cube is content-identical to the serial one.
-    """
-    from repro.engine.aggregates import count_distinct
-    from repro.engine.universal import universal_table
-    from repro.parallel import ShardedCubeSession, shutdown_pools
-
-    rows = SHARD_ROWS[preset]
-    u = universal_table(natality.generate(rows=rows, seed=9))
-    attrs = tuple(FOUR_ATTRS)
-    aggs = (count_distinct("Birth.bid", "value"),)
-    if shards_option:
-        axis = (1, shards_option)
-    else:
-        axis = (1, 2) if preset == "small" else (1, 2, 4)
-
-    def sweep():
-        out = []
-        for n in axis:
-            session = ShardedCubeSession(
-                u, attrs, shards=n, driver_key="Birth.bid"
-            )
-            cube, seconds = _warm_cube_seconds(session, attrs, aggs)
-            out.append((n, seconds, _canon(cube)))
-        return out
-
-    try:
-        measured = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    finally:
-        shutdown_pools()
-
-    series = [(n, seconds) for n, seconds, _ in measured]
-    print_series(
-        f"shard scaling ({rows} rows, count distinct, warm)",
-        series,
-        unit="s",
-    )
-    benchmark.extra_info["shards"] = list(axis)
-    benchmark.extra_info["series"] = series
-    benchmark.extra_info["rows"] = rows
-    benchmark.extra_info["cpus"] = os.cpu_count()
-    json_record(
-        "fig13_shard_scaling",
-        preset=preset,
-        rows=rows,
-        cpus=os.cpu_count(),
-        series=series,
-    )
-
-    # TraceRecorder bridge: ship the sharded phase breakdown
-    # (shard.plan + cube.sharded wall clock) into BENCH_*.json too.
-    from repro.obs import TraceRecorder
-
-    top = axis[-1]
-    traced = ShardedCubeSession(
-        u, attrs, shards=top, driver_key="Birth.bid", mode="inline"
-    )
-    with TraceRecorder() as rec:
-        traced.cube(None, attrs, aggs)
-    phases = rec.aggregate()
-    assert phases["shard.plan"]["count"] == 1
-    assert phases["cube.sharded"]["count"] == 1
-    json_record("fig13_shard_phases", shards=top, **rec.breakdown())
-
-    # Sharding never changes the cube, only who computes it.
-    serial_canon = measured[0][2]
-    for n, _, canon in measured[1:]:
-        assert canon == serial_canon, f"{n}-shard cube diverged from serial"
-
-    serial_seconds = series[0][1]
-    cores = os.cpu_count() or 1
-    for n, seconds in series[1:]:
-        gate = SHARD_SPEEDUP_GATES.get(n)
-        if gate is None or cores < n:
-            continue
-        speedup = serial_seconds / seconds
-        assert speedup >= gate, (
-            f"{n} shards: {speedup:.2f}x < required {gate}x "
-            f"(serial {serial_seconds:.4f}s, sharded {seconds:.4f}s)"
-        )
 
 
 def test_fig13_candidate_counts(benchmark, natality_db):

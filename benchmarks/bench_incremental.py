@@ -4,7 +4,7 @@ The acceptance property of :mod:`repro.incremental`: once a session has
 seeded its delta-cube state, refreshing after a small mutation batch
 must be far cheaper than rebuilding the explanation table from scratch,
 while producing a *content-identical* table (same
-``content_fingerprint()``) at every shard count.
+``content_fingerprint()``).
 
 Two workloads, mirroring the paper's datasets:
 
@@ -82,11 +82,9 @@ def _measure_cycle(session, relation, victims):
     return [t_del, t_ins]
 
 
-def _warm_vs_cold(db, question, attrs, mutated, *, batch, rounds, shards, seed):
+def _warm_vs_cold(db, question, attrs, mutated, *, batch, rounds, seed):
     """min warm refresh vs cold rebuild on the mutated database."""
-    session = IncrementalSession(
-        db, question, attrs, method="cube", shards=shards
-    )
+    session = IncrementalSession(db, question, attrs, method="cube")
     try:
         session.table()
         rng = random.Random(seed)
@@ -109,67 +107,54 @@ def _warm_vs_cold(db, question, attrs, mutated, *, batch, rounds, shards, seed):
 
 
 class TestIncrementalNatality:
-    """Additive count path: patched == cold at every shard count."""
+    """Additive count path: patched == cold."""
 
     def test_warm_refresh_beats_cold_rebuild(
-        self, benchmark, preset, shards_option, json_record
+        self, benchmark, preset, json_record
     ):
         cfg = PRESETS[preset]
         db = natality.generate(rows=cfg["natality_rows"], seed=2014)
         question = natality.q_race_question()
         attrs = natality.default_attributes()
-        shard_axis = (
-            (shards_option,) if shards_option is not None else (1, 2)
-        )
 
         def measure():
-            return {
-                shards: _warm_vs_cold(
-                    db,
-                    question,
-                    attrs,
-                    "Birth",
-                    batch=cfg["batch"],
-                    rounds=cfg["rounds"],
-                    shards=shards,
-                    seed=7,
-                )
-                for shards in shard_axis
-            }
-
-        results = benchmark.pedantic(measure, rounds=1, iterations=1)
-
-        series = []
-        for shards, (warm, cold, identical) in results.items():
-            ratio = cold / max(warm, 1e-9)
-            series += [
-                (f"shards={shards} warm (best)", warm),
-                (f"shards={shards} cold", cold),
-                (f"shards={shards} speedup", ratio),
-            ]
-            benchmark.extra_info[f"shards{shards}_warm_s"] = warm
-            benchmark.extra_info[f"shards{shards}_cold_s"] = cold
-            benchmark.extra_info[f"shards{shards}_speedup"] = ratio
-            json_record(
-                "incremental_natality",
-                preset=preset,
-                rows=cfg["natality_rows"],
-                shards=shards,
-                warm_s=warm,
-                cold_s=cold,
-                speedup=ratio,
-                identical=identical,
+            return _warm_vs_cold(
+                db,
+                question,
+                attrs,
+                "Birth",
+                batch=cfg["batch"],
+                rounds=cfg["rounds"],
+                seed=7,
             )
+
+        warm, cold, identical = benchmark.pedantic(
+            measure, rounds=1, iterations=1
+        )
+        ratio = cold / max(warm, 1e-9)
         print_series(
             f"Incremental refresh vs cold rebuild "
             f"(natality {cfg['natality_rows']} rows, Q_Race)",
-            series,
+            [
+                ("warm (best)", warm),
+                ("cold", cold),
+                ("speedup", ratio),
+            ],
             unit="",
         )
-        for shards, (_, _, identical) in results.items():
-            assert identical, (
-                f"shards={shards}: patched table differs from cold rebuild"
-            )
+        benchmark.extra_info["warm_s"] = warm
+        benchmark.extra_info["cold_s"] = cold
+        benchmark.extra_info["speedup"] = ratio
+        json_record(
+            "incremental_natality",
+            preset=preset,
+            rows=cfg["natality_rows"],
+            warm_s=warm,
+            cold_s=cold,
+            speedup=ratio,
+            identical=identical,
+        )
+        assert identical, "patched table differs from cold rebuild"
 
 
 class TestIncrementalDblp:
@@ -190,7 +175,6 @@ class TestIncrementalDblp:
                 "Authored",
                 batch=20,
                 rounds=cfg["rounds"],
-                shards=1,
                 seed=11,
             )
 

@@ -45,15 +45,6 @@ def pytest_addoption(parser):
         "'small'; default 'full')",
     )
     parser.addoption(
-        "--shards",
-        action="store",
-        type=int,
-        default=None,
-        metavar="N",
-        help="shard count for partition-parallel benchmarks "
-        "(bench_fig13_scaling's shard axis; default: serial vs 2 shards)",
-    )
-    parser.addoption(
         "--strategy",
         action="store",
         choices=("fixpoint", "closure"),
@@ -83,12 +74,6 @@ def pytest_sessionfinish(session, exitstatus):
 def preset(request):
     """The ``--preset`` workload size ('small' or 'full')."""
     return request.config.getoption("--preset")
-
-
-@pytest.fixture(scope="session")
-def shards_option(request):
-    """The ``--shards`` count, or None for the default shard axis."""
-    return request.config.getoption("--shards")
 
 
 @pytest.fixture(scope="session")

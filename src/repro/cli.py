@@ -371,7 +371,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     service = ExplanationService(
         max_cache_entries=args.cache_entries,
         max_cache_bytes=int(args.cache_mb * 1024 * 1024),
-        shards=args.shards,
         refresh=args.refresh,
     )
     server = ExplanationServer(
@@ -387,7 +386,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         await server.start()
         print(f"repro explanation service listening on {server.url}")
         print(f"  datasets: {', '.join(service.registry.names())}")
-        print(f"  shards: {service.shards}")
         print(f"  refresh: {service.refresh}")
         print(
             "  endpoints: /v1/explain /v1/topk /v1/analyze /v1/mutate "
@@ -634,9 +632,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="cache byte budget in MiB")
     serve.add_argument("--max-request-kb", type=float, default=1024.0,
                        help="request body size limit in KiB")
-    serve.add_argument("--shards", type=int, default=None,
-                       help="worker processes per cube build "
-                            "(default: REPRO_SHARDS, else 1 = serial)")
     serve.add_argument("--refresh", choices=("full", "incremental"),
                        default=None,
                        help="cache refresh mode under mutations "

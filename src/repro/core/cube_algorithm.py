@@ -133,7 +133,6 @@ def build_explanation_table(
     use_fastpath: bool = True,
     backend: object = "memory",
     certificate: Optional["AdditivityCertificate"] = None,
-    shards: Optional[int] = None,
 ) -> ExplanationTable:
     """Run Algorithm 1 and return the materialized table *M*.
 
@@ -156,14 +155,6 @@ def build_explanation_table(
     algorithm into a real DBMS — see :mod:`repro.backends`), or any
     :class:`~repro.backends.ExecutionBackend` instance.
     ``use_fastpath`` only applies to the in-memory path.
-
-    ``shards`` (default: the ``REPRO_SHARDS`` environment variable,
-    else 1) spreads each per-aggregate cube across worker processes
-    via :mod:`repro.parallel`: the universal table is partitioned once
-    by a driver key and every aggregate's cube is computed as a merge
-    of per-shard partial states — content-identical to serial
-    execution at any shard count.  Sharding applies only to the
-    in-memory path.
     """
     if backend != "memory":
         from ..backends import MemoryBackend, get_backend
@@ -196,8 +187,6 @@ def build_explanation_table(
     # Step 2: one cube per aggregate query, over its filtered input.
     from ..engine import fastpath
 
-    shard_session = _shard_session(u, attributes, query, shards)
-
     cubes: List[Table] = []
     value_columns: List[str] = []
     for q in query.aggregates:
@@ -207,16 +196,12 @@ def build_explanation_table(
             spec = type(q.aggregate)(
                 q.aggregate.kind, q.aggregate.argument, alias
             )
-            if shard_session is not None:
-                c = shard_session.cube(q.where, attributes, (spec,))
-                cube_ph.annotate(sharded=shard_session.shards)
+            source = q.filtered(u)
+            if use_fastpath and fastpath.supports((spec,)):
+                c = fastpath.cube_numpy(source, attributes, (spec,))
             else:
-                source = q.filtered(u)
-                if use_fastpath and fastpath.supports((spec,)):
-                    c = fastpath.cube_numpy(source, attributes, (spec,))
-                else:
-                    c = cube(source, attributes, (spec,))
-                cube_ph.annotate(rows_in=len(source))
+                c = cube(source, attributes, (spec,))
+            cube_ph.annotate(rows_in=len(source))
             c = dummy_rewrite(c, attributes)
             cube_ph.annotate(groups=len(c))
             cubes.append(c)
@@ -233,49 +218,6 @@ def build_explanation_table(
             q_original,
             support_threshold=support_threshold,
         )
-
-
-def _shard_session(
-    u: Table,
-    attributes: Sequence[str],
-    query: NumericalQuery,
-    shards: Optional[int],
-):
-    """A :class:`~repro.parallel.ShardedCubeSession` when sharding applies.
-
-    Returns ``None`` (serial execution) when the resolved shard count
-    is 1.  The session scatters the universal table once, projected
-    down to the columns any aggregate's cube will touch; the driver key
-    prefers a shared ``count(distinct X)`` argument so per-shard
-    distinct-sets stay disjoint.
-    """
-    from ..parallel import (
-        ShardedCubeSession,
-        choose_driver_key,
-        resolve_shard_count,
-    )
-
-    n = resolve_shard_count(shards)
-    if n <= 1:
-        return None
-    needed: Dict[str, None] = dict.fromkeys(attributes)
-    arguments: List[Optional[str]] = []
-    for q in query.aggregates:
-        arguments.append(q.aggregate.argument)
-        if q.aggregate.argument is not None:
-            needed.setdefault(q.aggregate.argument)
-        if q.where is not None:
-            for c in q.where.columns():
-                needed.setdefault(c)
-    driver = choose_driver_key(tuple(attributes), arguments)
-    needed.setdefault(driver)
-    return ShardedCubeSession(
-        u,
-        tuple(attributes),
-        shards=n,
-        driver_key=driver,
-        columns=tuple(needed),
-    )
 
 
 def finalize_explanation_table(

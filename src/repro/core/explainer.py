@@ -184,13 +184,6 @@ class Explainer:
         backends run Algorithm 1 inside a real DBMS and produce the
         same rankings as the in-memory engine; the other methods
         (``naive``/``exact``/``indexed``) are memory-only.
-    shards:
-        Partition-parallel cube execution: spread each cube build
-        over this many worker processes (:mod:`repro.parallel`).
-        ``None`` defers to the ``REPRO_SHARDS`` environment variable;
-        1 runs serially.  The resulting table is content-identical at
-        every shard count, so this is a pure execution knob — it does
-        not enter the plan fingerprint.  Memory backend only.
     strategy:
         Pins program P's evaluation schedule (``"fixpoint"`` or
         ``"closure"``) for the intervention-running methods
@@ -211,7 +204,6 @@ class Explainer:
         *,
         support_threshold: Optional[float] = None,
         backend: object = "memory",
-        shards: Optional[int] = None,
         strategy: Optional[str] = None,
     ) -> None:
         if not attributes:
@@ -221,10 +213,6 @@ class Explainer:
         self.attributes = tuple(attributes)
         self.support_threshold = support_threshold
         self.backend = backend
-        #: Shard count for partition-parallel cube builds (None defers
-        #: to ``REPRO_SHARDS``).  An execution knob, not part of the
-        #: plan fingerprint: any shard count yields identical tables.
-        self.shards = shards
         #: Pinned program-P schedule (None: the schema picks).
         self.strategy = strategy
         self.join_tree = JoinTree(database.schema)
@@ -344,7 +332,6 @@ class Explainer:
                     use_fastpath=use_fastpath,
                     backend=self.backend,
                     certificate=self.certificate().additivity,
-                    shards=self.shards,
                 )
             elif method == "naive":
                 # Same additive identity as the cube, same precondition.
@@ -458,7 +445,6 @@ class Explainer:
                 self.attributes,
                 method=method,
                 support_threshold=self.support_threshold,
-                shards=self.shards,
             )
             self._incremental = session
         for name, spec in mutations.items():

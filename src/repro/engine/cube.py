@@ -66,9 +66,6 @@ def rollup_sets(dimensions: Sequence[str]) -> List[Tuple[str, ...]]:
 # path, a list of accumulators otherwise.
 _GroupState = Union[int, List[Accumulator]]
 
-#: Public alias for the shard/merge API (the parallel executor passes
-#: these across process boundaries).
-GroupState = _GroupState
 
 def base_states(
     table: Table,
@@ -77,14 +74,13 @@ def base_states(
 ) -> Tuple[Dict[Row, _GroupState], bool]:
     """Full-granularity partial states: one entry per distinct key.
 
-    The shardable half of the cube: groups the table once at full
+    The first half of the cube: groups the table once at full
     dimension granularity (a ``Counter`` over the zipped dimension
     columns when every aggregate is COUNT(*)) and rejects NULL
-    dimension values.  Because every state supports ``merge``
-    (integer addition / :meth:`Accumulator.merge`), the states of any
-    row partition of *table* combine via :func:`merge_states` into
-    exactly the states of the whole table — which is what makes
-    partition-parallel cube execution exact rather than approximate.
+    dimension values.  Every state supports ``merge`` (integer
+    addition / :meth:`Accumulator.merge`), which is what lets
+    :func:`rollup_states` derive every coarser grouping set from these
+    states without rescanning *table*.
     Returns the state map and whether the fast count path was taken.
     """
     dims = list(dimensions)
@@ -109,37 +105,6 @@ def base_states(
             base = accumulate_groups(table, groups, aggregates)
         base_ph.annotate(groups=len(base), count_only=count_only)
     return base, count_only
-
-
-def merge_states(
-    dst: Dict[Row, _GroupState],
-    src: Dict[Row, _GroupState],
-    aggregates: Sequence[AggregateSpec],
-    count_only: bool,
-) -> None:
-    """Fold the base states *src* into *dst* in place.
-
-    Keys present in both merge via integer addition (count-only path)
-    or :meth:`Accumulator.merge`; keys only in *src* are adopted, so
-    *dst* takes ownership of their accumulator objects.  The operation
-    is associative and commutative up to dict ordering — the property
-    the parallel reduction tree relies on.
-    """
-    if count_only:
-        for key, count in src.items():
-            existing = dst.get(key)
-            if existing is None:
-                dst[key] = count
-            else:
-                dst[key] = existing + count  # type: ignore[operator]
-    else:
-        for key, parts in src.items():
-            accs = dst.get(key)
-            if accs is None:
-                dst[key] = parts
-            else:
-                for acc, part in zip(accs, parts):  # type: ignore[arg-type]
-                    acc.merge(part)
 
 
 def rollup_states(
@@ -211,10 +176,10 @@ def cube_from_base_states(
 
     The second half of :func:`cube`: roll the states up into all
     ``2^d`` grouping sets, add the always-present grand-total row, and
-    emit the result table.  The parallel executor feeds this with
-    states merged across shards; running the *identical* rollup/emit
-    code is what keeps sharded results byte-identical in content to
-    serial ones.
+    emit the result table.  The incremental delta builder feeds this
+    with the states it maintains under writes; running the *identical*
+    rollup/emit code is what keeps patched tables byte-identical in
+    content to cold ones.
     """
     masks = [
         tuple(d in s for d in dimensions)
@@ -331,8 +296,7 @@ def validate_cube_args(
 
     Raises :class:`~repro.errors.QueryError` for duplicate dimensions,
     unknown columns, duplicate aggregate aliases, or aliases clashing
-    with dimensions.  Exposed so the partition-parallel executor can
-    validate before scattering work to the pool.
+    with dimensions.
     """
     if len(set(dimensions)) != len(dimensions):
         raise QueryError(f"duplicate cube dimensions: {dimensions}")

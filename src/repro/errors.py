@@ -60,17 +60,6 @@ class NotAdditiveError(ExplanationError):
     """
 
 
-class ShardError(ReproError):
-    """The partition-parallel executor produced an inconsistent state.
-
-    Raised when a shard plan violates its invariants (a lost or
-    duplicated row) or when the associativity-checked reduction tree
-    detects that merging partial cube states lost or invented groups.
-    Infrastructure failures (a crashed worker, a timeout) do *not*
-    raise this — they degrade gracefully to serial execution.
-    """
-
-
 class IncrementalError(ReproError):
     """An incremental patch cannot be applied exactly.
 

@@ -8,14 +8,13 @@ this package keeps them warm under writes.  Three pieces:
   <repro.engine.relation.Relation.subscribe>` API.
 * :class:`DeltaCubeBuilder` — invertible per-key cube states that
   fold a net delta in time proportional to the delta's universal
-  rows, sharing the conservation-checked merge algebra of
-  :mod:`repro.parallel`.
+  rows, with conservation-checked retraction.
 * :class:`IncrementalSession` — the patched-state lifecycle: refresh,
   verification, and graceful fallback to full recompute (warning +
   ``repro_incremental_fallbacks_total{reason}``) on any non-additive
   plan or exactness violation.
 
-Layering: ``engine < parallel < incremental < core`` — this package
+Layering: ``engine < incremental < core`` — this package
 is stdlib-only and imports :mod:`repro.core` / :mod:`repro.analysis`
 only inside functions (table finalization, certification, cold
 fallback builds).  See ``docs/incremental.md`` for the delta

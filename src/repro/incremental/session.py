@@ -110,7 +110,6 @@ class IncrementalSession:
         *,
         method: str = "auto",
         support_threshold: Optional[float] = None,
-        shards: Optional[int] = None,
         metrics: Optional[MetricsRegistry] = None,
         verify: Optional[str] = None,
     ) -> None:
@@ -119,7 +118,6 @@ class IncrementalSession:
         self.attributes = tuple(attributes)
         self.method = method
         self.support_threshold = support_threshold
-        self.shards = shards
         self._metrics = metrics if metrics is not None else get_registry()
         if verify is None:
             verify = os.environ.get("REPRO_INCREMENTAL_VERIFY", "off")
@@ -160,7 +158,6 @@ class IncrementalSession:
             self.question,
             self.attributes,
             support_threshold=self.support_threshold,
-            shards=self.shards,
         )
 
     def _initialize(self) -> None:

@@ -24,15 +24,15 @@ reproduction into that serving system, with stdlib-only dependencies:
 Start a server with ``python -m repro serve``; see ``docs/service.md``.
 """
 
-from .cache import (
-    REFRESH_MODES,
-    CacheStats,
-    ExplanationTableCache,
-    estimate_table_bytes,
-)
+from .cache import CacheStats, ExplanationTableCache, estimate_table_bytes
 from .client import ServiceClient, ServiceResponse
 from .coalescer import SingleFlight
-from .engine import ExplanationService, ServiceResult, rank_table
+from .engine import (
+    REFRESH_MODES,
+    ExplanationService,
+    ServiceResult,
+    rank_table,
+)
 from .errors import (
     BadRequestError,
     ClientError,

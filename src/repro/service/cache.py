@@ -31,11 +31,6 @@ from ..obs import MetricsRegistry
 
 _SIZE_OVERHEAD = 256  # flat per-entry allowance for wrapper objects
 
-#: Valid cache refresh modes: ``"full"`` (mutations age entries out via
-#: new fingerprints) or ``"incremental"`` (the service patches tables
-#: in place and re-inserts them under the successor plan fingerprint).
-REFRESH_MODES = ("full", "incremental")
-
 
 def estimate_table_bytes(m: ExplanationTable) -> int:
     """An upper-ish estimate of the resident size of a table *M*.
@@ -101,22 +96,13 @@ class ExplanationTableCache:
         max_entries: int = 256,
         max_bytes: int = 256 * 1024 * 1024,
         metrics: Optional[MetricsRegistry] = None,
-        refresh: str = "full",
     ) -> None:
         if max_entries < 1:
             raise ValueError("max_entries must be >= 1")
         if max_bytes < 1:
             raise ValueError("max_bytes must be >= 1")
-        if refresh not in REFRESH_MODES:
-            raise ValueError(
-                f"refresh must be one of {REFRESH_MODES}, got {refresh!r}"
-            )
         self.max_entries = max_entries
         self.max_bytes = max_bytes
-        #: How entries follow database mutations: ``"full"`` entries
-        #: are immutable and age out; ``"incremental"`` entries may be
-        #: patched copies inserted by the service's mutate path.
-        self.refresh = refresh
         self._lock = threading.RLock()
         self._entries: "OrderedDict[str, Tuple[ExplanationTable, int, str]]" = (
             OrderedDict()

@@ -56,7 +56,7 @@ from ..core.topk import RankedExplanation, top_k_explanations
 from ..errors import ExplanationError, ReproError
 from ..incremental import IncrementalSession
 from ..obs import MetricsRegistry, get_registry, render_prometheus
-from .cache import REFRESH_MODES, ExplanationTableCache
+from .cache import ExplanationTableCache
 from .coalescer import SingleFlight
 from .errors import BadRequestError, ServiceError
 from .protocol import (
@@ -66,6 +66,11 @@ from .protocol import (
     ranking_payload,
 )
 from .registry import DatasetRegistry, ResolvedDataset
+
+#: Valid refresh modes: ``"full"`` (mutations age cached tables out via
+#: new fingerprints) or ``"incremental"`` (the service patches tables
+#: in place and re-inserts them under the successor plan fingerprint).
+REFRESH_MODES = ("full", "incremental")
 
 
 def _kind_of(exc: BaseException) -> str:
@@ -162,6 +167,11 @@ class _TrackedSession:
     The template re-derives the successor plan fingerprint after each
     mutation (only ``database_fingerprint`` changes), so patched tables
     land in the cache exactly where the next request will look.
+
+    A session lives only as long as the cache holds its table
+    (``cached_key``) and the registry still serves the database it was
+    built over; the service closes and drops it otherwise, so live
+    sessions are bounded by the cache and never outlive their dataset.
     """
 
     session: IncrementalSession
@@ -170,6 +180,8 @@ class _TrackedSession:
     attributes: Tuple[str, ...]
     method: str
     support_threshold: Optional[float]
+    #: Cache key the session's current table was last stored under.
+    cached_key: str = ""
     lock: threading.Lock = field(default_factory=threading.Lock)
 
     def plan_fingerprint(self, database_fingerprint: str) -> str:
@@ -194,11 +206,8 @@ class ExplanationService:
         max_cache_entries: int = 256,
         max_cache_bytes: int = 256 * 1024 * 1024,
         metrics: Optional[MetricsRegistry] = None,
-        shards: Optional[int] = None,
         refresh: Optional[str] = None,
     ) -> None:
-        from ..parallel import resolve_shard_count
-
         self.registry = registry if registry is not None else DatasetRegistry()
         #: How cached tables follow database mutations: explicit arg,
         #: else the ``REPRO_REFRESH`` environment variable, else
@@ -212,11 +221,6 @@ class ExplanationService:
                 f"refresh must be one of {REFRESH_MODES}, got {refresh!r}"
             )
         self.refresh = refresh
-        #: Shard count for cube builds: explicit arg, else the
-        #: ``REPRO_SHARDS`` environment variable, else 1 (serial).
-        #: Results are content-identical at any shard count, so shards
-        #: never enter the cache key.
-        self.shards = resolve_shard_count(shards)
         # Per-instance registry: one service per test gets clean counts;
         # the process-wide default registry (phase histograms) is merged
         # in at render time by metrics_text().
@@ -228,7 +232,6 @@ class ExplanationService:
                 max_entries=max_cache_entries,
                 max_bytes=max_cache_bytes,
                 metrics=self.metrics,
-                refresh=self.refresh,
             )
         )
         self.flights = SingleFlight(metrics=self.metrics)
@@ -347,7 +350,6 @@ class ExplanationService:
                 prepared.attributes,
                 support_threshold=prepared.request.support_threshold,
                 backend=backend,
-                shards=self.shards,
             )
             return explainer.explanation_table(prepared.method)
 
@@ -397,27 +399,64 @@ class ExplanationService:
             and prepared.backend_name == "memory"
         )
 
+    def _session_valid(
+        self, tracked: _TrackedSession, database: object
+    ) -> bool:
+        """Whether *tracked* may still serve reads/patches of *database*."""
+        return (
+            tracked.session.database is database
+            and tracked.cached_key in self.cache
+        )
+
+    def _drop_session(self, key: tuple, tracked: _TrackedSession) -> None:
+        with self._sessions_lock:
+            if self._sessions.get(key) is tracked:
+                del self._sessions[key]
+        tracked.session.close()
+
+    def _prune_sessions(self) -> None:
+        """Drop every session whose table the cache has evicted.
+
+        Run after each insertion on the incremental path: the cache is
+        bounded, so the sessions (and their relation subscriptions) are
+        too.  Timing never affects answers — tables are addressed by
+        content — only which plans the next mutate keeps warm.
+        """
+        with self._sessions_lock:
+            stale = [
+                (key, tracked)
+                for key, tracked in self._sessions.items()
+                if tracked.cached_key not in self.cache
+            ]
+        for key, tracked in stale:
+            self._drop_session(key, tracked)
+
     def _incremental_table(
         self, prepared: PreparedRequest, warnings_out: List[str]
-    ) -> Tuple[ExplanationTable, str]:
-        """(table, origin) from a new-or-existing incremental session."""
+    ) -> ExplanationTable:
+        """The table from a new-or-existing incremental session, cached
+        under the request's plan fingerprint."""
         key = self._session_key(prepared)
+        database = prepared.dataset.database
         with self._sessions_lock:
             tracked = self._sessions.get(key)
-        if tracked is None:
+        if tracked is not None and not self._session_valid(tracked, database):
+            self._drop_session(key, tracked)
+            tracked = None
+        fresh = tracked is None
+        if fresh:
             try:
                 session = IncrementalSession(
-                    prepared.dataset.database,
+                    database,
                     prepared.question,
                     prepared.attributes,
                     method=prepared.method,
                     support_threshold=prepared.request.support_threshold,
-                    shards=self.shards,
                     metrics=self.metrics,
                 )
             except ReproError as exc:
                 raise BadRequestError(str(exc), kind=_kind_of(exc)) from exc
-            candidate = _TrackedSession(
+            tracked = _TrackedSession(
                 session=session,
                 dataset_key=(
                     prepared.dataset.name,
@@ -428,23 +467,31 @@ class ExplanationService:
                 method=prepared.method,
                 support_threshold=prepared.request.support_threshold,
             )
-            with self._sessions_lock:
-                tracked = self._sessions.setdefault(key, candidate)
-            if tracked is not candidate:
-                session.close()  # lost a registration race
         with tracked.lock:
             try:
                 table = tracked.session.table()
             except ReproError as exc:
                 raise BadRequestError(str(exc), kind=_kind_of(exc)) from exc
             stats = tracked.session.last_stats
-        origin = "patched" if stats and stats.strategy == "patched" else "built"
+            origin = (
+                "patched" if stats and stats.strategy == "patched" else "built"
+            )
+            self.cache.put(prepared.fingerprint, table, origin=origin)
+            tracked.cached_key = prepared.fingerprint
         if stats is not None and stats.strategy == "rebuilt":
             warnings_out.append(
                 "incremental refresh fell back to full recompute "
                 f"(reason: {stats.reason})"
             )
-        return table, origin
+        if fresh:
+            # Registered only now that its table is cached, so a
+            # concurrent prune never sees a session without one.
+            with self._sessions_lock:
+                registered = self._sessions.setdefault(key, tracked)
+            if registered is not tracked:
+                tracked.session.close()  # lost a registration race
+        self._prune_sessions()
+        return table
 
     def table_for(
         self, request: ServiceRequest
@@ -462,16 +509,11 @@ class ExplanationService:
             if existing is not None:
                 return existing
             if self._incremental_eligible(prepared):
-                table, origin = self._incremental_table(
-                    prepared, runtime_warnings
-                )
+                table = self._incremental_table(prepared, runtime_warnings)
             else:
-                table, origin = (
-                    self._build_table(prepared, runtime_warnings),
-                    "built",
-                )
+                table = self._build_table(prepared, runtime_warnings)
+                self.cache.put(key, table)
             self._count_compute("tables_built")
-            self.cache.put(key, table, origin=origin)
             return table
 
         table, leader = self.flights.do(key, compute)
@@ -641,11 +683,19 @@ class ExplanationService:
             tuple(sorted(dict(dataset.params).items())),
         )
         with self._sessions_lock:
-            live = [
+            serving = [
                 (key, tracked)
                 for key, tracked in self._sessions.items()
                 if tracked.dataset_key == dataset_key
             ]
+        # Validity is decided for all of them up front: the re-caching
+        # below may evict a later session's predecessor table.
+        live = []
+        for key, tracked in serving:
+            if self._session_valid(tracked, dataset.database):
+                live.append((key, tracked))
+            else:
+                self._drop_session(key, tracked)
         patched: List[Dict[str, object]] = []
         for key, tracked in live:
             entry: Dict[str, object] = {
@@ -662,10 +712,7 @@ class ExplanationService:
                 # verdict flip made a cube plan non-additive).  The
                 # mutation stands; the session is dropped and the next
                 # request surfaces the error through the normal path.
-                with self._sessions_lock:
-                    if self._sessions.get(key) is tracked:
-                        del self._sessions[key]
-                tracked.session.close()
+                self._drop_session(key, tracked)
                 entry["error"] = {"kind": _kind_of(exc), "message": str(exc)}
                 warnings_out.append(
                     f"incremental refresh failed for plan "
@@ -674,11 +721,8 @@ class ExplanationService:
                 patched.append(entry)
                 continue
             origin = "patched" if stats.strategy == "patched" else "built"
-            self.cache.put(
-                tracked.plan_fingerprint(stats.fingerprint),
-                table,
-                origin=origin,
-            )
+            tracked.cached_key = tracked.plan_fingerprint(stats.fingerprint)
+            self.cache.put(tracked.cached_key, table, origin=origin)
             self._count_mutate("refreshes", 1)
             if stats.strategy == "rebuilt":
                 warnings_out.append(
@@ -687,6 +731,7 @@ class ExplanationService:
                 )
             entry.update(stats.to_dict())
             patched.append(entry)
+        self._prune_sessions()
         return patched
 
     def _base_payload(
@@ -735,7 +780,6 @@ class ExplanationService:
             "cache": self.cache.stats().to_dict(),
             "incremental": self._incremental_stats(),
             "inflight": self.flights.inflight(),
-            "shards": self.shards,
         }
 
     def _incremental_stats(self) -> Dict[str, object]:
@@ -778,6 +822,5 @@ class ExplanationService:
             "backends": {
                 name: name in available for name in backend_names()
             },
-            "shards": self.shards,
             "refresh": self.refresh,
         }

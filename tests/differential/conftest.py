@@ -34,9 +34,9 @@ DATASETS = (
     "tpch-small",
 )
 
-#: The execution-knob differentials (backend, shard count, auto
-#: resolution) additionally sweep the six other TPC-H questions and
-#: natality's Q_Marital.  The method and strategy differentials stay on
+#: The execution-knob differentials (backend, auto resolution)
+#: additionally sweep the six other TPC-H questions and natality's
+#: Q_Marital.  The method and strategy differentials stay on
 #: DATASETS: the indexed evaluator is count-family only, and
 #: ``brand-revenue`` is the sum question the exact-vs-cube NULL-vs-0
 #: seam (docs/datasets.md) keeps out of the *method* comparison —

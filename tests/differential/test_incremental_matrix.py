@@ -61,21 +61,3 @@ class TestIncrementalDifferential:
                 s.table().content_fingerprint()
                 == cold.explanation_table("auto").content_fingerprint()
             ), f"{dataset}: {stats.strategy} table diverged from cold rebuild"
-
-    def test_sharded_refresh_matches_serial(self, dataset, workloads):
-        db, question, attributes = workloads(dataset)
-        serial_db, sharded_db = db.copy(), db.copy()
-        tables = {}
-        for shards, instance in ((1, serial_db), (2, sharded_db)):
-            with IncrementalSession(
-                instance, question, attributes, method="auto", shards=shards
-            ) as s:
-                s.table()
-                _mutate(instance, MUTATED[dataset])
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", RuntimeWarning)
-                    s.refresh()
-                tables[shards] = s.table().content_fingerprint()
-        assert tables[1] == tables[2], (
-            f"{dataset}: sharded incremental refresh diverged from serial"
-        )

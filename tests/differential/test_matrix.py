@@ -130,32 +130,6 @@ class TestMethodDifferential:
         )
 
 
-class TestShardDifferential:
-    """Partition-parallel execution is a pure execution knob: the cube
-    table must be fingerprint-identical at every shard count.  Inline
-    mode runs the full partition/merge pipeline in-process, so the
-    matrix stays cheap and deterministic (process-pool behavior has its
-    own suite under tests/parallel/)."""
-
-    @pytest.mark.parametrize("shards", (2, 3, 7))
-    @pytest.mark.parametrize("dataset", EXECUTION_DATASETS)
-    def test_sharded_cube_fingerprint_identical(
-        self, tables, workloads, dataset, shards, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_SHARD_MODE", "inline")
-        db, question, attributes = workloads(dataset)
-        kwargs = (
-            {"check_additivity": False} if dataset == "dblp-small" else {}
-        )
-        sharded = Explainer(
-            db, question, list(attributes), shards=shards
-        ).explanation_table("cube", **kwargs)
-        assert (
-            sharded.content_fingerprint()
-            == tables(dataset, "cube").content_fingerprint()
-        ), f"shards={shards} diverges from serial on {dataset}"
-
-
 class TestStrategyDifferential:
     """Program P's schedule never changes the answer: tables built with
     either schedule pinned must be fingerprint-identical to the

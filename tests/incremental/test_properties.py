@@ -3,9 +3,8 @@
 For arbitrary interleaved insert/delete batches against the natality
 ``Birth`` relation, the incrementally patched explanation table must be
 content-identical (same ``content_fingerprint()``) to a cold rebuild on
-the mutated instance — at every shard count.  This is the end-to-end
-exactness property the conservation checks and the sequential delta
-rule exist to guarantee.
+the mutated instance.  This is the end-to-end exactness property the
+conservation checks and the sequential delta rule exist to guarantee.
 """
 
 import pytest
@@ -52,7 +51,6 @@ def mutation_scripts(draw, pool_size):
     return draw(st.lists(batch, min_size=1, max_size=4))
 
 
-@pytest.mark.parametrize("shards", [1, 2])
 class TestRandomBatchesIdentical:
     @settings(
         max_examples=15,
@@ -60,12 +58,12 @@ class TestRandomBatchesIdentical:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(data=st.data())
-    def test_patched_equals_cold_rebuild(self, shards, base_rows, data):
+    def test_patched_equals_cold_rebuild(self, base_rows, data):
         script = data.draw(mutation_scripts(len(base_rows)))
         db, question, attributes = _fresh_workload()
         birth = db.relation("Birth")
         with IncrementalSession(
-            db, question, attributes, method="cube", shards=shards
+            db, question, attributes, method="cube"
         ) as session:
             session.table()
             for delete_idx, insert_idx in script:

@@ -68,21 +68,6 @@ class TestPatchedPath:
                 == _cold_table(db, question, attributes).content_fingerprint()
             )
 
-    def test_sharded_patch_identical(self, workload):
-        db, question, attributes = workload
-        with IncrementalSession(
-            db, question, attributes, method="cube", shards=2
-        ) as s:
-            s.table()
-            victims = _sample(db, "Birth", 25)
-            db.relation("Birth").delete_many(victims)
-            stats = s.refresh()
-            assert stats.strategy == "patched"
-            assert (
-                s.table().content_fingerprint()
-                == _cold_table(db, question, attributes).content_fingerprint()
-            )
-
     def test_noop_refresh(self, workload):
         db, question, attributes = workload
         with IncrementalSession(db, question, attributes, method="cube") as s:

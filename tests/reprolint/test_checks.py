@@ -213,81 +213,6 @@ class TestRL004CacheStaleness:
         assert result.active == []
 
 
-class TestRL005SpawnSafety:
-    def test_pool_without_mp_context_and_lambda_submit(self, lint):
-        result = lint(
-            {
-                "src/repro/parallel/bad.py": """\
-                from concurrent.futures import ProcessPoolExecutor
-
-                def go():
-                    pool = ProcessPoolExecutor(4)
-                    return pool.submit(lambda: 1)
-                """
-            },
-            select={"RL005"},
-        )
-        messages = [f.message for f in only(result, "RL005")]
-        assert any("mp_context" in m for m in messages)
-        assert any("lambda submitted" in m for m in messages)
-
-    def test_unfrozen_dataclass_in_worker_module(self, lint):
-        result = lint(
-            {
-                "src/repro/parallel/driver.py": """\
-                from concurrent.futures import ProcessPoolExecutor
-                from repro.parallel.work import run_task
-
-                def go(pool):
-                    return pool.submit(run_task, 1)
-                """,
-                "src/repro/parallel/work.py": """\
-                from dataclasses import dataclass
-
-                @dataclass
-                class Task:
-                    x: int
-
-                def run_task(x):
-                    return Task(x)
-                """,
-            },
-            select={"RL005"},
-        )
-        (finding,) = only(result, "RL005")
-        assert finding.path == "src/repro/parallel/work.py"
-        assert "frozen=True" in finding.message
-
-    def test_frozen_worker_payloads_pass(self, lint):
-        result = lint(
-            {
-                "src/repro/parallel/driver.py": """\
-                import multiprocessing
-                from concurrent.futures import ProcessPoolExecutor
-                from repro.parallel.work import run_task
-
-                def go():
-                    pool = ProcessPoolExecutor(
-                        4, mp_context=multiprocessing.get_context("spawn")
-                    )
-                    return pool.submit(run_task, 1)
-                """,
-                "src/repro/parallel/work.py": """\
-                from dataclasses import dataclass
-
-                @dataclass(frozen=True)
-                class Task:
-                    x: int
-
-                def run_task(x):
-                    return Task(x)
-                """,
-            },
-            select={"RL005"},
-        )
-        assert result.active == []
-
-
 class TestRL006SqlHygiene:
     def test_fstring_sql_outside_sqlgen(self, lint):
         result = lint(

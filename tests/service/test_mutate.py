@@ -11,6 +11,8 @@ import re
 
 import pytest
 
+from repro.core.explainer import Explainer
+from repro.datasets import natality
 from repro.engine.closure import ClosureIndex
 from repro.obs import get_registry, render_prometheus
 from repro.service.errors import BadRequestError
@@ -19,6 +21,8 @@ from repro.service import (
     ExplanationService,
     MutateRequest,
     MutationSpec,
+    ServiceRequest,
+    ranking_payload,
 )
 
 ROWS = 400
@@ -362,3 +366,78 @@ class TestIncrementalServing:
             # Stale entry is simply not hit under the new fingerprint.
             again = client.explain(**EXPLAIN)
             assert again.cache_status == "miss"
+
+
+class TestSessionLifetime:
+    """A tracked session serves only the database it was built over,
+    and only while the cache still holds its table."""
+
+    def test_reregistered_dataset_serves_the_new_database(self):
+        service = _incremental_service()
+        question = natality.q_race_question()
+        attributes = natality.default_attributes("race")
+        request = ServiceRequest.from_dict({"dataset": "mine", "k": 3})
+        served = {}
+        for seed in (1, 2):
+            db = natality.generate(rows=2000, seed=seed)
+            service.registry.register_database(
+                "mine", db, question=question, attributes=attributes
+            )
+            result = service.topk(request)
+            assert result.cache_status == "miss"
+            cold = Explainer(db, question, attributes).top(3)
+            assert result.payload["ranking"] == ranking_payload(cold), seed
+            served[seed] = result.payload["ranking"]
+        assert served[1] != served[2]
+        # The first database's session went with it.
+        assert service.stats_payload()["incremental"]["sessions"] == 1
+
+    def test_sessions_are_bounded_by_the_cache(self):
+        service = ExplanationService(
+            refresh="incremental", max_cache_entries=2
+        )
+        wide = natality.wide_attributes()  # twelve single-attribute plans
+        for attribute in wide:
+            service.topk(
+                ServiceRequest.from_dict(
+                    {
+                        "dataset": "natality",
+                        "params": PARAMS,
+                        "attributes": [attribute],
+                    }
+                )
+            )
+        assert len(service.cache) == 2
+        assert service.stats_payload()["incremental"]["sessions"] <= 2
+        birth = service.registry.resolve("natality", PARAMS).database.relation(
+            "Birth"
+        )
+        assert len(birth._subscribers) <= 2
+        body = service.mutate(
+            MutateRequest.from_dict(
+                {
+                    "dataset": "natality",
+                    "params": PARAMS,
+                    "mutations": [
+                        {
+                            "relation": "Birth",
+                            "delete": _birth_rows(service, 2),
+                        }
+                    ],
+                }
+            )
+        ).payload
+        assert 1 <= len(body["patched"]) <= 2
+        assert all(p["strategy"] == "patched" for p in body["patched"])
+        # The plans still cached are the ones kept warm: reading the
+        # last-built one after the mutate is a hit.
+        again = service.topk(
+            ServiceRequest.from_dict(
+                {
+                    "dataset": "natality",
+                    "params": PARAMS,
+                    "attributes": [wide[-1]],
+                }
+            )
+        )
+        assert again.cache_status == "hit"

@@ -7,7 +7,6 @@ from . import (  # noqa: F401
     rl002_stdlib,
     rl003_notify,
     rl004_cache,
-    rl005_spawn,
     rl006_sql,
     rl007_metrics,
     rl008_codes,

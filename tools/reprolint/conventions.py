@@ -19,7 +19,6 @@ from typing import Dict, FrozenSet, Set, Tuple
 LAYERS: Dict[str, int] = {
     "obs": -1,
     "engine": 0,
-    "parallel": 1,
     "incremental": 2,
     "core": 3,
     "analysis": 4,
@@ -89,11 +88,6 @@ CACHE_NAME_FRAGMENTS: Tuple[str, ...] = ("cache", "cached", "memo", "memoized")
 #: Name fragment whose presence in a guard expression counts as a
 #: mutation-version check.
 VERSION_FRAGMENT = "version"
-
-# -- RL005: spawn safety -----------------------------------------------------
-
-#: Importing these names marks a module as a process-pool *driver*.
-SPAWN_POOL_NAMES: Set[str] = {"ProcessPoolExecutor"}
 
 # -- RL006: SQL hygiene ------------------------------------------------------
 
