@@ -633,9 +633,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-request-kb", type=float, default=1024.0,
                        help="request body size limit in KiB")
     serve.add_argument("--refresh", choices=("full", "incremental"),
-                       default=None,
+                       default="full",
                        help="cache refresh mode under mutations "
-                            "(default: REPRO_REFRESH, else full)")
+                            "(default: full)")
     serve.set_defaults(func=cmd_serve)
 
     mutate = sub.add_parser(

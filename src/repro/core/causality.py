@@ -181,11 +181,15 @@ class DataCausalGraph:
             source = database.relation(fk.source)
             target = database.relation(fk.target)
             src_pos = source.schema.indexes_of(fk.source_attrs)
-            tgt_index = target.index_on(list(fk.target_attrs))
+            tgt = Table.from_relation(target)
+            tgt_rows = tgt.rows()
+            tgt_index = tgt.index_positions(fk.target_attrs)
             for tj in source:
                 key = tuple(tj[i] for i in src_pos)
-                for ti in tgt_index.get(key, ()):
-                    graph._add_edge((fk.source, tj), (fk.target, ti), dotted=True)
+                for i in tgt_index.get(key, ()):
+                    graph._add_edge(
+                        (fk.source, tj), (fk.target, tgt_rows[i]), dotted=True
+                    )
         return graph
 
     # -- path analysis --------------------------------------------------------

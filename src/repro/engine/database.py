@@ -15,7 +15,7 @@ from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple
 from ..errors import IntegrityError, SchemaError
 from .relation import Relation
 from .schema import DatabaseSchema
-from .types import Row, Value, is_dummy, is_null
+from .types import Row, Value
 
 
 class Database:
@@ -79,7 +79,10 @@ class Database:
         service-layer result cache (:mod:`repro.service`).  The digest
         is memoized against the relations' mutation counters, so
         repeated calls are cheap and any mutation (insert, delete,
-        clear, or swapping a relation object) invalidates it.
+        clear, or swapping a relation object) invalidates it.  Each
+        relation keeps its sorted row digests current across writes
+        (:meth:`Relation.row_digests`), so only the first call hashes
+        every row.
         """
         token = tuple(
             (name, id(rel), rel.version, len(rel))
@@ -88,29 +91,6 @@ class Database:
         cached = getattr(self, "_fingerprint_cache", None)
         if cached is not None and cached[0] == token:
             return cached[1]
-        digest = self.fingerprint_from_digests(
-            {
-                name: (_row_digest(row) for row in self.relations[name].row_list())
-                for name in self.relation_names
-            }
-        )
-        self._fingerprint_cache = (token, digest)
-        return digest
-
-    def fingerprint_from_digests(
-        self, digests: Mapping[str, Iterable[bytes]]
-    ) -> str:
-        """The content fingerprint, given per-relation row digests.
-
-        ``digests`` maps every relation name to an iterable of
-        :func:`_row_digest` values (one per stored row, multiplicity
-        preserved).  Sorting the per-row digests keeps the result
-        independent of storage order, so this produces exactly the
-        hash :meth:`content_fingerprint` would compute from the rows
-        themselves — callers that maintain digests incrementally (the
-        incremental mutation log) can rebase in O(changed rows) and
-        :meth:`prime_fingerprint` the memo with the result.
-        """
         h = hashlib.sha256()
         h.update(str(self.schema).encode("utf-8"))
         for fk in self.schema.foreign_keys:
@@ -118,26 +98,11 @@ class Database:
         for name in self.relation_names:
             h.update(b"\x00R")
             h.update(name.encode("utf-8"))
-            # sorted() is near-linear when the caller hands us an
-            # already-sorted list (the mutation log does); one joined
-            # update call keeps the hashing itself at C speed.
-            h.update(b"".join(sorted(digests[name])))
-        return h.hexdigest()
-
-    def prime_fingerprint(self, digest: str) -> None:
-        """Seed the fingerprint memo with an externally computed digest.
-
-        The caller asserts ``digest`` equals what
-        :meth:`content_fingerprint` would return for the current
-        contents; subsequent calls then return it without re-hashing
-        every row.  Used by the incremental mutation log, which tracks
-        row digests as mutations arrive.
-        """
-        token = tuple(
-            (name, id(rel), rel.version, len(rel))
-            for name, rel in ((n, self.relations[n]) for n in self.relation_names)
-        )
+            # One joined update keeps the hashing itself at C speed.
+            h.update(b"".join(self.relations[name].row_digests()))
+        digest = h.hexdigest()
         self._fingerprint_cache = (token, digest)
+        return digest
 
     # -- integrity --------------------------------------------------------
 
@@ -180,27 +145,6 @@ class Database:
         for name, rel in self.relations.items():
             residual.relations[name] = rel.without(delta.rows_for(name))
         return residual
-
-
-def _fingerprint_value(value: Value) -> str:
-    """A canonical text form of one engine value for hashing."""
-    if is_null(value):
-        return "n:"
-    if is_dummy(value):
-        return "d:"
-    if isinstance(value, bool):
-        return f"b:{value}"
-    if isinstance(value, int):
-        return f"i:{value}"
-    if isinstance(value, float):
-        return f"f:{value!r}"
-    return f"s:{value}"
-
-
-def _row_digest(row: Row) -> bytes:
-    """A fixed-width order-independent-safe digest of one row."""
-    text = "\x1f".join(_fingerprint_value(v) for v in row)
-    return hashlib.sha256(text.encode("utf-8")).digest()
 
 
 class Delta:

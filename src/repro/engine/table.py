@@ -41,7 +41,7 @@ from typing import (
 from ..errors import QueryError
 from .columnstore import ColumnStore
 from .expressions import Environment, Expression
-from .relation import Relation
+from .relation import JoinIndexes, Relation
 from .types import Row, Value, is_null, sort_key
 
 
@@ -53,7 +53,7 @@ class Table:
     joins qualify clashing names with the source prefix.
     """
 
-    __slots__ = ("columns", "_positions", "_rows", "_store")
+    __slots__ = ("columns", "_positions", "_rows", "_store", "_index_cache")
 
     def __init__(self, columns: Sequence[str], rows: Iterable[Sequence[Value]] = ()):
         self.columns: Tuple[str, ...] = tuple(columns)
@@ -73,6 +73,8 @@ class Table:
             checked.append(row)
         self._rows: Optional[List[Row]] = checked
         self._store: Optional[ColumnStore] = None
+        # Set only on from_relation views: the snapshot's join indexes.
+        self._index_cache: Optional[JoinIndexes] = None  # reprolint: disable=RL004 (keyed by the immutable snapshot: a mutation builds a new snapshot with a new dict)
 
     # -- construction ----------------------------------------------------
 
@@ -95,6 +97,7 @@ class Table:
         table._positions = {c: i for i, c in enumerate(table.columns)}
         table._rows = rows
         table._store = store
+        table._index_cache = None
         return table
 
     @classmethod
@@ -142,9 +145,9 @@ class Table:
         With ``qualify=True`` column names become ``Relation.attr``,
         which is the convention used throughout the explanation
         pipeline (universal-relation columns are always qualified).
-        The table shares the relation's version-cached row list and
-        column arrays (zero copy); a later mutation of the relation
-        rebuilds those caches, so the table keeps its snapshot.
+        The table shares the relation's version-cached row list, column
+        arrays and join indexes (zero copy); a later mutation of the
+        relation builds a new snapshot, so the table keeps its own.
         """
         if qualify:
             cols = [
@@ -152,13 +155,14 @@ class Table:
             ]
         else:
             cols = list(relation.schema.attribute_names)
-        return cls._trusted(
+        rows, column_arrays, indexes = relation._columnar_snapshot()
+        table = cls._trusted(
             cols,
-            rows=relation.row_list(),
-            store=ColumnStore.from_columns(
-                relation.column_arrays(), len(relation)
-            ),
+            rows=rows,
+            store=ColumnStore.from_columns(column_arrays, len(rows)),
         )
+        table._index_cache = indexes
+        return table
 
     @classmethod
     def empty(cls, columns: Sequence[str]) -> "Table":
@@ -373,34 +377,29 @@ class Table:
         """Rows as a set (for containment checks)."""
         return set(self.rows())
 
-    def index_on(self, columns: Sequence[str]) -> Dict[Row, List[Row]]:
-        """Hash index over *columns*; rows with NULL keys excluded."""
-        pos = self.positions(columns)
-        index: Dict[Row, List[Row]] = {}
-        for row in self.rows():
-            key = tuple(row[i] for i in pos)
-            if any(is_null(v) for v in key):
-                continue
-            index.setdefault(key, []).append(row)
-        return index
-
     def index_positions(self, columns: Sequence[str]) -> Dict[Row, List[int]]:
-        """Hash index mapping key tuples to *row positions*.
+        """Hash index mapping key tuples to *row positions* (read-only).
 
-        The columnar counterpart of :meth:`index_on`: build once from
-        column slices, gather matching rows by position afterwards.
-        Rows with NULL keys are excluded (they never equi-join).
+        Built once from column slices; callers gather matching rows by
+        position afterwards.  Rows with NULL keys are excluded (they
+        never equi-join).  On a :meth:`from_relation` view the index is
+        the relation snapshot's, shared by every view of that version.
         """
         pos = self.positions(columns)
-        index: Dict[Row, List[int]] = {}
+        cache = self._index_cache
+        if cache is not None and pos in cache:
+            return cache[pos]
         if not pos:
             n = len(self)
             return {(): list(range(n))} if n else {}
+        index: Dict[Row, List[int]] = {}
         cols = [self.store().column(i) for i in pos]
         for i, key in enumerate(zip(*cols)):
             if any(is_null(v) for v in key):
                 continue
             index.setdefault(key, []).append(i)
+        if cache is not None:
+            cache[pos] = index
         return index
 
     def column_values(self, column: str, distinct: bool = True) -> List[Value]:

@@ -10,9 +10,6 @@ is the bridge between writes and incremental maintenance:
 * :meth:`MutationLog.net_delta` collapses the batch sequence into one
   disjoint (inserted, deleted) pair per relation — the input shape the
   :class:`~repro.incremental.delta.DeltaCubeBuilder` consumes.
-* :meth:`MutationLog.chain_key` is a stable digest of (base
-  fingerprint, ordered batches): the *(base fingerprint, delta chain)*
-  identity under which patched cache entries are addressed.
 * :meth:`MutationLog.checkpoint` rebases the log after a successful
   refresh, so the next delta chain starts from the patched state.
 
@@ -24,37 +21,14 @@ the conservation checks in the delta builder lean on.
 
 from __future__ import annotations
 
-import bisect
-import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Set, Tuple
 
-from ..engine.database import Database, _row_digest
+from ..engine.database import Database
 from ..engine.relation import Relation
-from ..engine.types import Row, Value, is_null
+from ..engine.types import Row
 
 __all__ = ["MutationBatch", "MutationLog"]
-
-
-def _canonical_value(value: Value) -> str:
-    """A canonical text form of one engine value for hashing."""
-    if is_null(value):
-        return "n:"
-    if isinstance(value, bool):
-        return f"b:{value}"
-    if isinstance(value, int):
-        return f"i:{value}"
-    if isinstance(value, float):
-        return f"f:{value!r}"
-    return f"s:{value}"
-
-
-def _canonical_row(row: Row) -> str:
-    return "\x1f".join(_canonical_value(v) for v in row)
-
-
-def _canonical_rows(rows: Tuple[Row, ...]) -> str:
-    return "\x1e".join(sorted(_canonical_row(r) for r in rows))
 
 
 @dataclass(frozen=True)
@@ -72,16 +46,6 @@ class MutationBatch:
     inserted: Tuple[Row, ...] = field(default_factory=tuple)
     deleted: Tuple[Row, ...] = field(default_factory=tuple)
 
-    def canonical(self) -> str:
-        """A stable text rendering used by :meth:`MutationLog.chain_key`."""
-        return "\x1d".join(
-            (
-                self.relation,
-                "+" + _canonical_rows(self.inserted),
-                "-" + _canonical_rows(self.deleted),
-            )
-        )
-
 
 class MutationLog:
     """An ordered record of mutations against one database.
@@ -98,19 +62,6 @@ class MutationLog:
         self._seq = 0
         self._attached = False
         self._base_fingerprint = database.content_fingerprint()
-        # Per-relation sorted list of row digests, kept in lockstep
-        # with the relations via _record (bisect insert/remove per
-        # mutated row).  Checkpointing rebases the fingerprint from
-        # these lists in O(changed rows + hash) instead of re-hashing
-        # every row of the database — the difference between a warm
-        # refresh and a fingerprint-dominated one at natality scale.
-        self._digests: Dict[str, List[bytes]] = {
-            name: sorted(
-                _row_digest(row)
-                for row in database.relations[name].row_list()
-            )
-            for name in database.relation_names
-        }
         if attach:
             self.attach()
 
@@ -146,14 +97,6 @@ class MutationLog:
         self._batches.append(
             MutationBatch(self._seq, relation.name, inserted, deleted)
         )
-        digests = self._digests[relation.name]
-        for row in deleted:
-            digest = _row_digest(row)
-            index = bisect.bisect_left(digests, digest)
-            if index < len(digests) and digests[index] == digest:
-                del digests[index]
-        for row in inserted:
-            bisect.insort(digests, _row_digest(row))
 
     # -- inspection ------------------------------------------------------
 
@@ -213,20 +156,6 @@ class MutationLog:
             if ins or dels
         }
 
-    def chain_key(self) -> str:
-        """SHA-256 digest of (base fingerprint, ordered delta chain).
-
-        Two logs with the same base state and the same mutation
-        sequence produce the same key; this is the cache identity for
-        incrementally patched explanation tables.
-        """
-        h = hashlib.sha256()
-        h.update(self._base_fingerprint.encode("utf-8"))
-        for batch in self._batches:
-            h.update(b"\x1c")
-            h.update(batch.canonical().encode("utf-8"))
-        return h.hexdigest()
-
     # -- rebasing --------------------------------------------------------
 
     def checkpoint(self) -> str:
@@ -234,15 +163,9 @@ class MutationLog:
 
         Returns the new base fingerprint.  Called after a successful
         refresh (patch or full rebuild), so subsequent mutations start
-        a fresh delta chain.  The fingerprint is rebased from the
-        maintained digest counters — O(changed rows), not O(database) —
-        and primed into the database's own memo so the next
-        :meth:`~repro.engine.database.Database.content_fingerprint`
-        call is free.
+        a fresh delta chain.  The relations keep their row digests
+        current, so the fingerprint read hashes no row twice.
         """
         self._batches.clear()
-        self._base_fingerprint = self.database.fingerprint_from_digests(
-            self._digests
-        )
-        self.database.prime_fingerprint(self._base_fingerprint)
+        self._base_fingerprint = self.database.content_fingerprint()
         return self._base_fingerprint

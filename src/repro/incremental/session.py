@@ -84,7 +84,6 @@ class RefreshStats:
     delta_rows_added: int = 0
     delta_rows_removed: int = 0
     groups_touched: int = 0
-    chain_key: str = ""
     base_fingerprint: str = ""
     fingerprint: str = ""
 
@@ -233,7 +232,6 @@ class IncrementalSession:
             batches=len(self.log),
             rows_inserted=self.log.rows_inserted(),
             rows_deleted=self.log.rows_deleted(),
-            chain_key=self.log.chain_key(),
             base_fingerprint=self.log.base_fingerprint,
         )
         if self.log.is_empty:

@@ -24,7 +24,6 @@ requests → one computation" property is directly observable.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -206,16 +205,13 @@ class ExplanationService:
         max_cache_entries: int = 256,
         max_cache_bytes: int = 256 * 1024 * 1024,
         metrics: Optional[MetricsRegistry] = None,
-        refresh: Optional[str] = None,
+        refresh: str = "full",
     ) -> None:
         self.registry = registry if registry is not None else DatasetRegistry()
-        #: How cached tables follow database mutations: explicit arg,
-        #: else the ``REPRO_REFRESH`` environment variable, else
-        #: ``"full"``.  Under ``"incremental"`` the service keeps an
+        #: How cached tables follow database mutations.  Under
+        #: ``"incremental"`` the service keeps an
         #: :class:`~repro.incremental.IncrementalSession` per built
         #: cube plan and ``mutate()`` patches tables in place.
-        if refresh is None:
-            refresh = os.environ.get("REPRO_REFRESH", "full") or "full"
         if refresh not in REFRESH_MODES:
             raise ValueError(
                 f"refresh must be one of {REFRESH_MODES}, got {refresh!r}"
@@ -651,12 +647,8 @@ class ExplanationService:
             self._count_mutate("batches", len(request.mutations))
             self._count_mutate("rows_inserted", inserted)
             self._count_mutate("rows_deleted", deleted)
-            # Refresh sessions BEFORE computing the new fingerprint:
-            # each session's log checkpoint rebases incrementally and
-            # primes the database fingerprint memo, so the call below
-            # is O(1) instead of a full content re-hash.
-            patched = self._refresh_sessions(dataset, warnings_out)
             new_fingerprint = database.content_fingerprint()
+            patched = self._refresh_sessions(dataset, warnings_out)
         payload: Dict[str, object] = {
             "dataset": dataset.name,
             "params": dict(dataset.params),

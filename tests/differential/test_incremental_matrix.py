@@ -8,9 +8,9 @@ mutated instance.  This is the incremental analogue of the rebuild-
 determinism claim that underpins service cache keying: a session must
 never serve a table a from-scratch computation would not produce.
 
-The CI differential-matrix job additionally runs the *service*
-differential suite under ``REPRO_REFRESH=incremental``, exercising the
-same guarantee through ``/v1/explain`` + ``/v1/mutate``.
+``tests/service/test_mutate.py`` checks the same guarantee through
+``/v1/explain`` + ``/v1/mutate`` on a ``refresh="incremental"``
+service.
 """
 
 import warnings

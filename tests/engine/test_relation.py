@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.engine.expressions import Col
 from repro.engine.relation import Relation
 from repro.engine.schema import make_schema
+from repro.engine.table import Table
 from repro.engine.types import NULL
 from repro.errors import IntegrityError
 
@@ -77,24 +79,25 @@ class TestLookups:
         rel.insert_many([("A1", "a", "x"), ("A2", "b", "y")])
         assert rel.pk_values() == {("A1",), ("A2",)}
 
-    def test_index_on(self, rel):
+    def test_join_index(self, rel):
         rel.insert_many(
             [("A1", "a", "x"), ("A2", "b", "x"), ("A3", "c", "y")]
         )
-        index = rel.index_on(["inst"])
+        view = Table.from_relation(rel)
+        index = view.index_positions(["inst"])
         assert set(index) == {("x",), ("y",)}
-        assert len(index[("x",)]) == 2
+        assert sorted(view.rows()[i][0] for i in index[("x",)]) == ["A1", "A2"]
 
     def test_index_excludes_null_keys(self, rel):
         rel.insert_many([("A1", "a", NULL), ("A2", "b", "y")])
-        index = rel.index_on(["inst"])
+        index = Table.from_relation(rel).index_positions(["inst"])
         assert set(index) == {("y",)}
 
     def test_index_cache_invalidated_on_mutation(self, rel):
         rel.insert(("A1", "a", "x"))
-        index1 = rel.index_on(["inst"])
+        index1 = Table.from_relation(rel).index_positions(["inst"])
         rel.insert(("A2", "b", "x"))
-        index2 = rel.index_on(["inst"])
+        index2 = Table.from_relation(rel).index_positions(["inst"])
         assert len(index2[("x",)]) == 2
         assert index1 is not index2
 
@@ -145,8 +148,6 @@ class TestColumnarViews:
         # Tables adopt the snapshot lists zero-copy; mutating the
         # relation afterwards must produce *new* lists, leaving any
         # previously built Table unchanged.
-        from repro.engine.table import Table
-
         rel.insert(("A1", "a", "x"))
         t = Table.from_relation(rel)
         rel.insert(("A2", "b", "y"))
@@ -155,17 +156,50 @@ class TestColumnarViews:
         t2 = Table.from_relation(rel)
         assert len(t2) == 2
 
-    def test_secondary_index_invalidated_alongside_column_views(self, rel):
+    def test_join_index_invalidated_alongside_column_views(self, rel):
         # Reading column views must not defeat the mutation-counter
-        # invalidation of index_on caches (and vice versa).
+        # invalidation of the snapshot's join indexes (and vice versa).
         rel.insert(("A1", "a", "x"))
         rel.column_arrays()
-        index1 = rel.index_on(["inst"])
+        index1 = Table.from_relation(rel).index_positions(["inst"])
         rel.insert(("A2", "b", "x"))
         rel.column_arrays()
-        index2 = rel.index_on(["inst"])
+        index2 = Table.from_relation(rel).index_positions(["inst"])
         assert index1 is not index2
         assert len(index2[("x",)]) == 2
+
+    def test_join_index_shared_per_version(self, rel):
+        rel.insert_many([("A1", "a", "x"), ("A2", "b", "x")])
+        old = Table.from_relation(rel)
+        assert old.index_positions(["inst"]) is Table.from_relation(
+            rel
+        ).index_positions(["inst"])
+        # Qualified and unqualified views of one version share one
+        # index: the cache is keyed by column positions.
+        assert old.index_positions(["inst"]) is Table.from_relation(
+            rel, qualify=True
+        ).index_positions(["Author.inst"])
+        rel.delete(("A1", "a", "x"))
+        rel.insert(("A3", "c", "x"))
+        new = Table.from_relation(rel)
+        assert new.index_positions(["inst"]) is not old.index_positions(["inst"])
+        # The pre-mutation view still indexes its own rows.
+        for view, ids in ((old, ["A1", "A2"]), (new, ["A2", "A3"])):
+            rows = view.rows()
+            positions = view.index_positions(["inst"])[("x",)]
+            assert sorted(rows[i][0] for i in positions) == ids
+
+    def test_derived_tables_do_not_share_join_index(self, rel):
+        rel.insert_many([("A1", "a", "x"), ("A2", "b", "y")])
+        view = Table.from_relation(rel)
+        shared = view.index_positions(["inst"])
+        taken = view.take(shared[("y",)])
+        filtered = view.filter(Col("inst").eq("y"))
+        for derived in (taken, filtered):
+            index = derived.index_positions(["inst"])
+            assert index is not shared
+            assert index == {("y",): [0]}
+        assert view.index_positions(["inst"]) is shared
 
     def test_copy_gets_fresh_snapshot(self, rel):
         rel.insert(("A1", "a", "x"))

@@ -125,13 +125,13 @@ class TestAccessors:
         envs = list(table.iter_environments())
         assert len(envs) == 3 and all("year" in e for e in envs)
 
-    def test_index_on(self, table):
-        index = table.index_on(["year"])
-        assert len(index[(2001,)]) == 2
+    def test_index_positions(self, table):
+        index = table.index_positions(["year"])
+        assert index[(2001,)] == [0, 1]
 
     def test_index_skips_null(self):
         t = Table(["a"], [(NULL,), (1,)])
-        assert set(t.index_on(["a"])) == {(1,)}
+        assert set(t.index_positions(["a"])) == {(1,)}
 
     def test_column_values_distinct_nonnull(self):
         t = Table(["a"], [(1,), (1,), (NULL,), (2,)])

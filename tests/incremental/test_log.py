@@ -3,6 +3,7 @@
 import pytest
 
 from repro.datasets import running_example as rex
+from repro.engine.database import Database
 from repro.incremental import MutationLog
 
 
@@ -74,19 +75,10 @@ class TestNetDelta:
             assert deleted == frozenset({victim})
 
 
-class TestChainKey:
-    def test_same_mutations_same_key(self):
-        db_a, db_b = rex.database(), rex.database()
-        with MutationLog(db_a) as log_a, MutationLog(db_b) as log_b:
-            db_a.relation("Author").insert(NEW_AUTHOR)
-            db_b.relation("Author").insert(NEW_AUTHOR)
-            assert log_a.chain_key() == log_b.chain_key()
-
-    def test_key_changes_with_mutations(self, db):
-        with MutationLog(db) as log:
-            base_key = log.chain_key()
-            db.relation("Author").insert(NEW_AUTHOR)
-            assert log.chain_key() != base_key
+def _fresh_fingerprint(db):
+    """The fingerprint of a database rebuilt from *db*'s current rows."""
+    rows = {name: rel.rows() for name, rel in db.relations.items()}
+    return Database(db.schema, rows).content_fingerprint()
 
 
 class TestCheckpoint:
@@ -105,16 +97,18 @@ class TestCheckpoint:
             victim = _some_row(db, "Authored")
             db.relation("Author").insert(NEW_AUTHOR)
             db.relation("Authored").delete(victim)
-            incremental = log.checkpoint()
-            db._fingerprint_cache = None  # drop the primed memo
-            assert incremental == db.content_fingerprint()
+            assert log.checkpoint() == _fresh_fingerprint(db)
 
-    def test_checkpoint_primes_database_memo(self, db):
+    def test_successive_checkpoints_match_fresh_database(self, db):
         with MutationLog(db) as log:
             db.relation("Author").insert(NEW_AUTHOR)
-            fingerprint = log.checkpoint()
-            assert db._fingerprint_cache[1] == fingerprint
-            assert db.content_fingerprint() == fingerprint
+            first = log.checkpoint()
+            assert first == db.content_fingerprint() == _fresh_fingerprint(db)
+            db.relation("Author").delete(NEW_AUTHOR)
+            db.relation("Authored").clear()
+            second = log.checkpoint()
+            assert second != first
+            assert second == log.base_fingerprint == _fresh_fingerprint(db)
 
     def test_fingerprint_survives_partial_insert_many(self, db):
         """Digests stay consistent when insert_many fails mid-batch."""
@@ -125,6 +119,4 @@ class TestCheckpoint:
         with MutationLog(db) as log:
             with pytest.raises(IntegrityError):
                 db.relation("Author").insert_many([NEW_AUTHOR, conflicting])
-            incremental = log.checkpoint()
-            db._fingerprint_cache = None
-            assert incremental == db.content_fingerprint()
+            assert log.checkpoint() == _fresh_fingerprint(db)

@@ -441,3 +441,47 @@ class TestSessionLifetime:
             )
         )
         assert again.cache_status == "hit"
+
+
+class TestSharedJoinIndexes:
+    def test_lineitem_mutate_keeps_other_relations_join_indexes(self):
+        """A refresh joins the delta against the live relations' own
+        join indexes: a Lineitem-only write rebuilds none of them."""
+        service = _incremental_service()
+        params = {"sf": 0.01}
+        read = ServiceRequest.from_dict(
+            {
+                "dataset": "tpch",
+                "params": params,
+                "attributes": ["Nation.name", "Orders.priority", "Part.brand"],
+                "k": 5,
+            }
+        )
+        assert service.topk(read).cache_status == "miss"
+        db = service.registry.resolve("tpch", params).database
+
+        def join_indexes(name):
+            return dict(db.relation(name)._columnar_snapshot()[2])
+
+        before = {name: join_indexes(name) for name in ("Orders", "Partsupp")}
+        assert all(before.values())
+        victims = db.relation("Lineitem").sorted_rows()[:3]
+        body = service.mutate(
+            MutateRequest.from_dict(
+                {
+                    "dataset": "tpch",
+                    "params": params,
+                    "mutations": [
+                        {
+                            "relation": "Lineitem",
+                            "delete": [list(row) for row in victims],
+                        }
+                    ],
+                }
+            )
+        ).payload
+        assert [p["strategy"] for p in body["patched"]] == ["patched"]
+        for name, indexes in before.items():
+            after = join_indexes(name)
+            assert all(after[key] is index for key, index in indexes.items())
+        assert service.topk(read).cache_status == "hit"
