@@ -25,8 +25,8 @@ contemplates.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from ..engine.cube import cube, dummy_rewrite
 from ..engine.joins import full_outer_join_many
@@ -62,6 +62,14 @@ class ExplanationTable:
     attributes: Tuple[str, ...]
     aggregate_names: Tuple[str, ...]
     q_original: Dict[str, Value]
+    #: Rankings derived from this table: :mod:`repro.core.topk`'s
+    #: best-first orders and dominance flags, and the last
+    #: :func:`add_hybrid_column` result.  Keyed by an immutable *M*, so
+    #: nothing invalidates them: a refresh emits a new table with its own
+    #: memo, and ``dataclasses.replace(m)`` starts empty.
+    _memo: Dict[object, Any] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def explanation_of(self, row: Sequence[Value]) -> Explanation:
         """The candidate explanation a table row denotes.
@@ -308,7 +316,14 @@ def add_hybrid_column(
     can blow up to 10⁶ while intervention degrees stay near Q(D)), so
     the hybrid combines *ranks* rather than raw scores:
     ``mu_hybrid = −(weight·rank_interv + (1−weight)·rank_aggr)``, with
-    rank 1 = best.  Rows whose either degree is undefined get NULL.
+    rank 1 = best and tied degrees sharing the lowest rank of their tie
+    (SQL ``RANK()``), so the hybrid is a function of the two degree
+    columns alone, not of *M*'s row order.  Rows whose either degree is
+    undefined get NULL.
+
+    The last result is kept on *m* (one slot, keyed by the weight), so
+    re-ranking one cached table by the same hybrid reuses its table and
+    that table's rankings.
     """
     from ..engine.types import is_missing, sort_key
 
@@ -316,37 +331,42 @@ def add_hybrid_column(
         raise ExplanationError(f"hybrid weight must be in [0, 1], got {weight}")
     if m.table.has_column(MU_HYBRID):
         return m
-    def ranks(column: List[Value]) -> Dict[int, int]:
-        scored = [
-            (idx, value)
-            for idx, value in enumerate(column)
-            if not is_missing(value)
-        ]
-        scored.sort(key=lambda iv: sort_key(iv[1]), reverse=True)
-        return {idx: rank for rank, (idx, _) in enumerate(scored, start=1)}
+    # 1 and 1.0 render differently in the column, so the type is keyed too.
+    key = (type(weight), weight)
+    slot = m._memo.get(MU_HYBRID)
+    if slot is not None and slot[0] == key:
+        return slot[1]
 
-    interv_ranks = ranks(m.table.column(MU_INTERV))
-    aggr_ranks = ranks(m.table.column(MU_AGGR))
-    hybrid_col: List[Value] = []
-    for idx in range(len(m.table)):
-        if idx in interv_ranks and idx in aggr_ranks:
-            hybrid: Value = -(
-                weight * interv_ranks[idx] + (1 - weight) * aggr_ranks[idx]
-            )
-        else:
-            hybrid = NULL
-        hybrid_col.append(hybrid)
+    def ranks(column: List[Value]) -> List[Optional[int]]:
+        first_rank: Dict[Tuple, int] = {}
+        degrees = sorted(
+            (sort_key(v) for v in column if not is_missing(v)), reverse=True
+        )
+        for rank, degree in enumerate(degrees, start=1):
+            first_rank.setdefault(degree, rank)
+        return [
+            None if is_missing(v) else first_rank[sort_key(v)] for v in column
+        ]
+
+    hybrid_col: List[Value] = [
+        NULL if ri is None or ra is None else -(weight * ri + (1 - weight) * ra)
+        for ri, ra in zip(
+            ranks(m.table.column(MU_INTERV)), ranks(m.table.column(MU_AGGR))
+        )
+    ]
     table = Table.from_columns(
         list(m.table.columns) + [MU_HYBRID],
         m.table.column_arrays() + [hybrid_col],
         nrows=len(m.table),
     )
-    return ExplanationTable(
+    hybrid = ExplanationTable(
         table=table,
         attributes=m.attributes,
         aggregate_names=m.aggregate_names,
         q_original=m.q_original,
     )
+    m._memo[MU_HYBRID] = (key, hybrid)
+    return hybrid
 
 
 def _fill_missing_values(

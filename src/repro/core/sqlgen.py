@@ -382,7 +382,7 @@ def topk_select(
     Renders the Section 4.3 No-Minimal ranking — the exact order of
     :func:`repro.core.topk.top_k_no_minimal` — as ``ROW_NUMBER() OVER``
     so a DBMS holding *M* can answer top-K without shipping the table
-    back.  The ORDER BY replicates the in-memory ``_rank_key``:
+    back.  The ORDER BY replicates the in-memory best-first order:
 
     1. degree descending (rows with an undefined degree are filtered);
     2. the condition count — ascending under ``minimality="general"``

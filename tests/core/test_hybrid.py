@@ -1,6 +1,12 @@
 """Tests for the hybrid degree column and hybrid ranking."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.cube_algorithm import (
     MU_AGGR,
@@ -10,10 +16,13 @@ from repro.core.cube_algorithm import (
     add_hybrid_column,
 )
 from repro.core.explainer import Explainer
+from repro.core.topk import STRATEGIES
 from repro.datasets import natality
 from repro.engine.table import Table
 from repro.engine.types import NULL, is_null
 from repro.errors import ExplanationError
+
+ROOT = Path(__file__).resolve().parents[2]
 
 
 def make_m(rows):
@@ -70,6 +79,51 @@ class TestAddHybridColumn:
         m = add_hybrid_column(make_m([("x", 1.0, 1.0)]))
         assert add_hybrid_column(m) is m
 
+    def test_tied_degrees_share_the_lowest_rank(self):
+        # interv ranks (SQL RANK()): x, y tie at 1, z is 3.
+        m = add_hybrid_column(
+            make_m([("x", 2.0, 1.0), ("y", 2.0, 1.0), ("z", 1.0, 1.0)]),
+            weight=1.0,
+        )
+        pos = m.table.position(MU_HYBRID)
+        rows = {r[0]: r[pos] for r in m.table.rows()}
+        assert rows == {"x": -1.0, "y": -1.0, "z": -3.0}
+
+    @settings(max_examples=200)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.sampled_from([NULL, 0, 1, 2.5, 3]),
+                st.sampled_from([NULL, -1, 0, 1.0, 7]),
+            ),
+            max_size=12,
+        ),
+        weight=st.floats(0.0, 1.0),
+        data=st.data(),
+    )
+    def test_hybrid_ignores_row_order(self, rows, weight, data):
+        """μ_hybrid is a function of the two degree columns alone:
+        permuting *M*'s rows permutes it with them."""
+        named = [(f"r{i}", mi, ma) for i, (mi, ma) in enumerate(rows)]
+        shuffled = data.draw(st.permutations(named))
+
+        def hybrid_by_name(triples):
+            m = add_hybrid_column(make_m(triples), weight=weight)
+            pos = m.table.position(MU_HYBRID)
+            return {r[0]: repr(r[pos]) for r in m.table.rows()}
+
+        assert hybrid_by_name(named) == hybrid_by_name(shuffled)
+
+    def test_last_weight_is_reused(self):
+        base = make_m([("x", 1.0, 10.0), ("y", 2.0, 5.0)])
+        half = add_hybrid_column(base, weight=0.5)
+        assert add_hybrid_column(base, weight=0.5) is half
+        assert add_hybrid_column(base, weight=0.25) is not half
+        # 1 and 1.0 render differently, so they are two hybrids.
+        assert add_hybrid_column(base, weight=1) is not add_hybrid_column(
+            base, weight=1.0
+        )
+
     def test_scale_invariance(self):
         """The rank hybrid ignores the raw magnitudes — the reason it
         exists (aggravation ratios can be 10^6 while intervention
@@ -100,20 +154,65 @@ class TestExplainerHybrid:
         assert degrees == sorted(degrees, reverse=True)
 
     def test_hybrid_weight_extremes_match_components(self):
-        """weight=1 ranks purely by intervention rank; equal-degree
-        ties may break differently than the intervention ranking's
-        generality tie-break, so compare the underlying μ_interv
-        values rather than explanation identities."""
+        """weight=1 is a strictly decreasing function of μ_interv's
+        rank and tied degrees share a rank, so it ranks exactly as
+        intervention does — ties, dominance and all — under every
+        strategy (weight=0 likewise for aggravation)."""
         db = natality.generate(rows=2000, seed=4)
         explainer = Explainer(
             db,
             natality.q_race_question(),
             ["Birth.marital", "Birth.tobacco"],
         )
-        m = explainer.explanation_table("cube")
-        interv_pos = m.table.position(MU_INTERV)
-        hybrid_1 = explainer.top(3, by="hybrid", hybrid_weight=1.0)
-        interv = explainer.top(3, by="intervention", strategy="no_minimal")
-        hybrid_degrees = sorted(r.row[interv_pos] for r in hybrid_1)
-        interv_degrees = sorted(r.degree for r in interv)
-        assert hybrid_degrees == pytest.approx(interv_degrees)
+        for weight, by in ((1.0, "intervention"), (0.0, "aggravation")):
+            for strategy in STRATEGIES:
+                hybrid = explainer.top(
+                    5, by="hybrid", hybrid_weight=weight, strategy=strategy
+                )
+                component = explainer.top(5, by=by, strategy=strategy)
+                assert [r.explanation for r in hybrid] == [
+                    r.explanation for r in component
+                ]
+
+
+#: Hybrid rankings of the bundled datasets whose *M* row order depends
+#: on string hashing.
+_HYBRID_RANKINGS = """
+from repro.core.explainer import Explainer
+from repro.core.topk import STRATEGIES
+from repro.datasets.catalog import BUNDLED
+
+for name in ("running-example", "geodblp", "tpch"):
+    database, question, attributes = BUNDLED[name]()
+    explainer = Explainer(database, question, attributes)
+    for strategy in STRATEGIES:
+        for minimality in ("general", "specific"):
+            for r in explainer.top(
+                10, by="hybrid", strategy=strategy, minimality=minimality,
+                method="auto",
+            ):
+                print(name, strategy, minimality, r.rank, r.explanation,
+                      repr(r.degree))
+"""
+
+
+class TestHybridIsHashSeedFree:
+    def test_rankings_equal_under_two_hash_seeds(self):
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", _HYBRID_RANKINGS],
+                capture_output=True,
+                text=True,
+                timeout=300,
+                check=True,
+                cwd=str(ROOT),
+                env={
+                    "PYTHONPATH": str(ROOT / "src"),
+                    "PATH": "/usr/bin:/bin",
+                    "PYTHONHASHSEED": seed,
+                },
+            ).stdout
+            for seed in ("0", "1")
+        ]
+        assert outputs[0]
+        assert outputs[0] == outputs[1]
