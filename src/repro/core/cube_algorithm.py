@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from ..engine.cube import cube, dummy_rewrite
+from ..engine.groupby import scalar_aggregate
 from ..engine.joins import full_outer_join_many
 from ..engine.table import Table
 from ..engine.types import NULL, Value, is_dummy, is_null
@@ -188,23 +189,19 @@ def build_explanation_table(
                 certificate = analyze_additivity(database, query, universal=u)
             certificate.raise_if_not_additive()
 
-    # Step 1: u_j = q_j(D).
-    with phase("q_original", aggregates=len(query.aggregates)):
-        q_original = query.aggregate_values(u)
-
-    # Step 2: one cube per aggregate query, over its filtered input.
+    # Steps 1-2: one selection σ_{w_j}(U) per aggregate query feeds
+    # both u_j = q_j(D) and the cube of v_j(φ).
     from ..engine import fastpath
 
+    q_original: Dict[str, Value] = {}
     cubes: List[Table] = []
-    value_columns: List[str] = []
     for q in query.aggregates:
         with phase("cube_aggregate", aggregate=q.name) as cube_ph:
-            alias = f"v_{q.name}"
-            value_columns.append(alias)
-            spec = type(q.aggregate)(
-                q.aggregate.kind, q.aggregate.argument, alias
-            )
             source = q.filtered(u)
+            q_original[q.name] = scalar_aggregate(source, q.aggregate)
+            spec = type(q.aggregate)(
+                q.aggregate.kind, q.aggregate.argument, f"v_{q.name}"
+            )
             if use_fastpath and fastpath.supports((spec,)):
                 c = fastpath.cube_numpy(source, attributes, (spec,))
             else:

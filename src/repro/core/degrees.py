@@ -60,7 +60,7 @@ class DegreeEvaluator:
         self.database = database
         self.question = question
         self.join_tree = JoinTree(database.schema)
-        self.universal = universal_table(database, self.join_tree)
+        self.universal = universal_table(database)
         self.engine = make_strategy(
             database,
             strategy=strategy,
@@ -99,7 +99,7 @@ class DegreeEvaluator:
         """``q_j(D − Δ^φ)`` for all aggregates."""
         res = result if result is not None else self.intervention_result(phi)
         residual = self.database.subtract(res.delta)
-        residual_universal = universal_table(residual, self.join_tree)
+        residual_universal = universal_table(residual)
         return self.question.query.aggregate_values(residual_universal)
 
     def intervention(self, phi: Predicate) -> Value:

@@ -50,7 +50,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 from ..engine.database import Database
 from ..engine.table import Table
 from ..engine.types import DUMMY, NULL, Row, Value, is_null
-from ..engine.universal import JoinTree, universal_table
+from ..engine.universal import universal_table
 from ..errors import ExplanationError
 from ..obs import phase
 from .additivity import analyze_additivity
@@ -215,8 +215,7 @@ class Explainer:
         self.backend = backend
         #: Pinned program-P schedule (None: the schema picks).
         self.strategy = strategy
-        self.join_tree = JoinTree(database.schema)
-        self.universal = universal_table(database, self.join_tree)
+        self.universal = universal_table(database)
         for attr in self.attributes:
             self.universal.position(attr)  # fail fast on unknown columns
         self._tables: Dict[str, ExplanationTable] = {}
@@ -455,7 +454,7 @@ class Explainer:
         # Derived state is stale after the writes: recompute the
         # universal table, drop memoized tables and the certificate,
         # and seed the refreshed M so reads skip a rebuild.
-        self.universal = universal_table(self.database, self.join_tree)
+        self.universal = universal_table(self.database)
         self._tables = {}
         self._certificate = None
         self._tables[self.resolve_method(method)] = session.table()

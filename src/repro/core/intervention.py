@@ -48,6 +48,7 @@ from typing import Dict, FrozenSet, List, Optional, Protocol, Set, Tuple
 
 from ..engine.closure import ClosureIndex
 from ..engine.database import Database, Delta
+from ..engine.expressions import Not
 from ..engine.reduction import RowSets, is_semijoin_reduced, reduce_row_sets
 from ..engine.schema import DatabaseSchema, ForeignKey
 from ..engine.table import Table
@@ -166,7 +167,7 @@ class _StrategyBase:
         self.universal = (
             universal
             if universal is not None
-            else universal_table(database, self.join_tree)
+            else universal_table(database)
         )
         self._bf_keys: Tuple[ForeignKey, ...] = self.schema.back_and_forth_keys
         #: When set (by the static analyzer), every run asserts that
@@ -183,26 +184,9 @@ class _StrategyBase:
         that leave no φ-satisfying universal tuple, before closure and
         reduction are enforced.
         """
-        from ..engine.expressions import compile_predicate
-
-        # Compile φ over only its referenced columns and probe them as
-        # zipped slices; survivors stay a zero-copy selection of the
-        # universal table.  (``not matches`` — not ``matches(¬φ)`` —
-        # so rows where φ is NULL survive, as before.)
-        expr = phi.to_expression()
-        needed = tuple(expr.columns())
-        for col in needed:
-            self.universal.position(col)
-        matches = compile_predicate(expr, needed)
-        if not needed:
-            n = len(self.universal)
-            selection = [] if matches(()) else list(range(n))
-        else:
-            cols = [self.universal.column(c) for c in needed]
-            selection = [
-                i for i, vals in enumerate(zip(*cols)) if not matches(vals)
-            ]
-        survivors = self.universal.take(selection)
+        # Survivors stay a zero-copy selection of the universal table.
+        # ``Not`` is two-valued, so rows where φ is NULL survive.
+        survivors = self.universal.filter(Not(phi.to_expression()))
         parts: Dict[str, Set[Row]] = {}
         for name in self.schema.relation_names:
             rs = self.schema.relation(name)
@@ -573,13 +557,5 @@ def is_valid_intervention(
     }
     if not is_semijoin_reduced(database.schema, rowsets):
         return False
-    from ..engine.expressions import compile_predicate
-
     residual_universal = universal_table(residual)
-    expr = phi.to_expression()
-    needed = tuple(expr.columns())
-    matches = compile_predicate(expr, needed)
-    if not needed:
-        return len(residual_universal) == 0 or not matches(())
-    cols = [residual_universal.column(c) for c in needed]
-    return not any(matches(vals) for vals in zip(*cols))
+    return len(residual_universal.filter(phi.to_expression())) == 0

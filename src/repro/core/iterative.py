@@ -30,6 +30,7 @@ from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..engine.cube import grouping_sets
 from ..engine.database import Database, Delta
+from ..engine.expressions import select_positions
 from ..engine.table import Table
 from ..engine.types import DUMMY, Row, Value, is_null
 from ..engine.universal import JoinTree, universal_table
@@ -66,7 +67,7 @@ class IndexedInterventionEvaluator:
         self.universal = (
             universal
             if universal is not None
-            else universal_table(database, self.join_tree)
+            else universal_table(database)
         )
         # Certify the convergence bound statically and assert it as a
         # runtime invariant on every per-candidate fixpoint run: program
@@ -129,29 +130,17 @@ class IndexedInterventionEvaluator:
 
     def _build_aggregate_indexes(self) -> None:
         """Per aggregate: its WHERE row-id set and argument column."""
-        from ..engine.expressions import compile_predicate
-
         self.agg_rows: Dict[str, FrozenSet[int]] = {}
         self.agg_arg_col: Dict[str, Optional[List[Value]]] = {}
         for q in self.question.query.aggregates:
             if q.where is None:
                 ids: FrozenSet[int] = frozenset(range(self._n))
             else:
-                needed = tuple(q.where.columns())
-                fn = compile_predicate(q.where, needed)
-                if not needed:
-                    ids = (
-                        frozenset(range(self._n))
-                        if fn(())
-                        else frozenset()
-                    )
-                else:
-                    cols = [self.universal.column(c) for c in needed]
-                    ids = frozenset(
-                        idx
-                        for idx, vals in enumerate(zip(*cols))
-                        if fn(vals)
-                    )
+                for col in q.where.columns():
+                    self.universal.position(col)  # raise on unknown columns
+                ids = frozenset(
+                    select_positions(q.where, self.universal.column, self._n)
+                )
             self.agg_rows[q.name] = ids
             if q.aggregate.argument is None:
                 self.agg_arg_col[q.name] = None
@@ -228,15 +217,15 @@ class IndexedInterventionEvaluator:
     def _aggregate_over(self, q: AggregateQuery, row_ids: Set[int]) -> Value:
         relevant = self.agg_rows[q.name] & row_ids
         kind = q.aggregate.kind
-        if kind in ("count_star", "count"):
+        if kind == "count_star":
             return len(relevant)
         arg_col = self.agg_arg_col[q.name]
         assert arg_col is not None
-        values = {
-            arg_col[idx] for idx in relevant if not is_null(arg_col[idx])
-        }
-        if kind == "count_distinct":
+        values = [arg_col[idx] for idx in relevant if not is_null(arg_col[idx])]
+        if kind == "count":
             return len(values)
+        if kind == "count_distinct":
+            return len(set(values))
         raise QueryError(
             f"indexed evaluator supports count aggregates, not {kind!r}"
         )

@@ -21,6 +21,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from ..engine.aggregates import AggregateSpec
 from ..engine.expressions import Arithmetic, Col, Const, Expression
+from ..engine.groupby import scalar_aggregate
 from ..engine.table import Table
 from ..engine.types import Value
 from ..errors import QueryError
@@ -46,10 +47,7 @@ class AggregateQuery:
 
     def evaluate(self, universal: Table) -> Value:
         """Evaluate on a materialized universal table."""
-        source = universal if self.where is None else universal.filter(self.where)
-        from ..engine.groupby import scalar_aggregate
-
-        return scalar_aggregate(source, self.aggregate)
+        return scalar_aggregate(self.filtered(universal), self.aggregate)
 
     def filtered(self, universal: Table) -> Table:
         """The universal rows that feed this aggregate."""

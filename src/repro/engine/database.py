@@ -33,6 +33,11 @@ class Database:
         if relations is not None:
             for name, rows in relations.items():
                 self.relation(name).insert_many(rows)
+        # Derived state keyed by version_token(): the content fingerprint,
+        # and U(D), which universal_table builds and content_fingerprint
+        # drops once a write has made it stale.
+        self._fingerprint_cache: Optional[Tuple[tuple, str]] = None
+        self._universal_cache: Optional[tuple] = None
 
     # -- access ---------------------------------------------------------
 
@@ -70,6 +75,19 @@ class Database:
 
     # -- identity ---------------------------------------------------------
 
+    def version_token(self) -> Tuple[Tuple[str, int, int, int], ...]:
+        """``(name, id, version, len)`` of every relation, in schema order.
+
+        Any write (insert, delete, clear) bumps a relation's version and
+        swapping in another relation object changes its id, so state
+        derived from the database and stored with this token is current
+        exactly while the token still matches.
+        """
+        return tuple(
+            (name, id(rel), rel.version, len(rel))
+            for name, rel in ((n, self.relations[n]) for n in self.relation_names)
+        )
+
     def content_fingerprint(self) -> str:
         """A stable SHA-256 digest of the schema and every tuple.
 
@@ -83,12 +101,18 @@ class Database:
         relation keeps its sorted row digests current across writes
         (:meth:`Relation.row_digests`), so only the first call hashes
         every row.
+
+        A memoized ``U(D)`` (:func:`~repro.engine.universal.universal_table`)
+        from an earlier version is dropped here too, so a database that
+        is written and then only fingerprinted, as the service does on
+        every request and mutation, does not keep the old ``U`` and the
+        relations it pins alive.
         """
-        token = tuple(
-            (name, id(rel), rel.version, len(rel))
-            for name, rel in ((n, self.relations[n]) for n in self.relation_names)
-        )
-        cached = getattr(self, "_fingerprint_cache", None)
+        token = self.version_token()
+        universal = self._universal_cache
+        if universal is not None and universal[0] != token:
+            self._universal_cache = None
+        cached = self._fingerprint_cache
         if cached is not None and cached[0] == token:
             return cached[1]
         h = hashlib.sha256()

@@ -17,7 +17,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Mapping, Sequence, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from ..errors import QueryError
 from .types import (
@@ -376,8 +387,11 @@ def row_environment(columns: Sequence[str], row: Sequence[Value]) -> Dict[str, V
 def compile_predicate(expr: Expression, columns: Sequence[str]):
     """Compile a boolean expression into a fast ``row -> bool`` callable.
 
-    Column references become direct positional accesses, avoiding the
-    per-row environment dict that :meth:`Expression.evaluate` needs.
+    The row-at-a-time reference for :func:`select_positions`, which is
+    what :meth:`~repro.engine.table.Table.filter` runs; the property
+    suite holds the two equal.  Column references become direct
+    positional accesses, avoiding the per-row environment dict that
+    :meth:`Expression.evaluate` needs.
     Supported nodes: :class:`Comparison` over :class:`Col`/:class:`Const`
     operands, :class:`And`, :class:`Or`, :class:`Not`.  Anything else
     falls back to environment-based evaluation (still correct, just
@@ -435,3 +449,104 @@ def compile_predicate(expr: Expression, columns: Sequence[str]):
         return fallback(node)
 
     return build(expr)
+
+
+def select_positions(
+    expr: Expression,
+    column: Callable[[str], Sequence[Value]],
+    nrows: int,
+) -> List[int]:
+    """Row positions (ascending) where the boolean *expr* holds.
+
+    The column-at-a-time counterpart of :func:`compile_predicate`, with
+    the same semantics: NULL compares false, :class:`Not` is two-valued
+    and any node other than a comparison of columns and constants or a
+    connective is evaluated on an environment per row.  *column* maps a
+    column name to its values (all *nrows* of them).
+
+    A comparison is one pass over its column; an :class:`And` narrows a
+    candidate list one conjunct at a time, and an :class:`Or` tests each
+    disjunct only on the rows no earlier one accepted — so, as in the
+    row-wise short-circuit, a node is evaluated on exactly the rows the
+    row-wise path would evaluate it on.
+    """
+
+    def index(cand: Optional[List[int]]) -> Sequence[int]:
+        return range(nrows) if cand is None else cand
+
+    def values(name: str, cand: Optional[List[int]]) -> Iterable[Value]:
+        col = column(name)
+        return col if cand is None else map(col.__getitem__, cand)
+
+    def select(node: Expression, cand: Optional[List[int]]) -> List[int]:
+        # cand is None for "every row"; otherwise ascending positions.
+        if cand is not None and not cand or nrows == 0:
+            return []
+        if isinstance(node, Comparison):
+            left, right = node.left, node.right
+            if isinstance(left, Col) and isinstance(right, Const):
+                return _compare_const(
+                    node.op, values(left.name, cand), right.value, index(cand), False
+                )
+            if isinstance(left, Const) and isinstance(right, Col):
+                return _compare_const(
+                    node.op, values(right.name, cand), left.value, index(cand), True
+                )
+            if isinstance(left, Col) and isinstance(right, Col):
+                op = _COMPARATORS[node.op]
+                return [
+                    i
+                    for i, a, b in zip(
+                        index(cand),
+                        values(left.name, cand),
+                        values(right.name, cand),
+                    )
+                    if op(a, b)
+                ]
+            # Any other comparison (over arithmetic, say) is evaluated
+            # per row below.
+        elif isinstance(node, And):
+            for operand in node.operands:
+                cand = select(operand, cand)
+                if not cand:
+                    return []
+            return list(range(nrows)) if cand is None else cand
+        elif isinstance(node, Or):
+            accepted: Set[int] = set()
+            remaining = cand
+            for operand in node.operands:
+                hits = select(operand, remaining)
+                if hits:
+                    accepted.update(hits)
+                    remaining = [i for i in index(remaining) if i not in accepted]
+            return [i for i in index(cand) if i in accepted]
+        elif isinstance(node, Not):
+            inner = set(select(node.operand, cand))
+            return [i for i in index(cand) if i not in inner]
+        names = node.columns()
+        if not names:
+            return list(index(cand)) if node.evaluate({}) else []
+        rows = zip(*(values(name, cand) for name in names))
+        return [
+            i
+            for i, vals in zip(index(cand), rows)
+            if node.evaluate(dict(zip(names, vals)))
+        ]
+
+    return select(expr, None)
+
+
+def _compare_const(
+    op: str,
+    column: Iterable[Value],
+    constant: Value,
+    positions: Iterable[int],
+    constant_first: bool,
+) -> List[int]:
+    """Positions where ``column op constant`` (or ``constant op column``)."""
+    if constant is NULL:
+        return []
+    fn = _COMPARATORS[op]
+    if constant_first:
+        return [i for i, v in zip(positions, column) if fn(constant, v)]
+    return [i for i, v in zip(positions, column) if fn(v, constant)]

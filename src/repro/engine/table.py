@@ -40,7 +40,7 @@ from typing import (
 
 from ..errors import QueryError
 from .columnstore import ColumnStore
-from .expressions import Environment, Expression
+from .expressions import Environment, Expression, select_positions
 from .relation import JoinIndexes, Relation
 from .types import Row, Value, is_null, sort_key
 
@@ -248,28 +248,15 @@ class Table:
     def filter(self, predicate: Expression) -> "Table":
         """Rows where *predicate* evaluates truthy.
 
-        Predicates built from comparisons and boolean connectives are
-        compiled to positional accessors and evaluated over zipped
-        slices of only the referenced columns; the surviving rows are
-        returned as a zero-copy selection over this table's columns.
+        Evaluated column-at-a-time (:func:`select_positions`): each
+        comparison is one pass over its column, and a conjunction
+        narrows the candidate rows one conjunct at a time.  The
+        surviving rows are returned as a zero-copy selection over this
+        table's columns.
         """
-        needed = tuple(predicate.columns())
-        for col in needed:
+        for col in predicate.columns():
             self.position(col)  # raise early on unknown columns
-        from .expressions import compile_predicate
-
-        fn = compile_predicate(predicate, needed)
-        if not needed:
-            # Constant predicate: one evaluation decides all rows.
-            if fn(()):
-                return self
-            return Table._trusted(self.columns, store=self.store().select([]))
-        cols = [self.column(c) for c in needed]
-        if len(cols) == 1:
-            col = cols[0]
-            sel = [i for i, v in enumerate(col) if fn((v,))]
-        else:
-            sel = [i for i, vals in enumerate(zip(*cols)) if fn(vals)]
+        sel = select_positions(predicate, self.column, len(self))
         return Table._trusted(self.columns, store=self.store().select(sel))
 
     def filter_rows(self, fn: Callable[[Environment], bool]) -> "Table":

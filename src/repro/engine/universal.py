@@ -1,8 +1,8 @@
 """The universal relation ``U(D) = R_1 ⋈ … ⋈ R_k`` (Section 2).
 
 The foreign keys of an acyclic schema form a join tree over the
-relations; :class:`JoinTree` materializes that tree once per schema and
-is shared by the universal-relation computation here and the semijoin
+relations; :class:`JoinTree` materializes that tree, which drives
+both the universal-relation computation here and the semijoin
 reducer in :mod:`repro.engine.reduction`.
 
 Schemas declared with ``require_acyclic=False`` may carry more foreign
@@ -119,16 +119,29 @@ def fk_join_columns(fk: ForeignKey, side: str) -> List[str]:
     raise SchemaError(f"{side!r} is not a side of foreign key {fk}")
 
 
-def universal_table(
-    database: Database, join_tree: Optional[JoinTree] = None
-) -> Table:
+def universal_table(database: Database) -> Table:
     """Materialize ``U(D)`` with qualified columns.
 
     Joins follow the join tree in BFS order; each step is a hash join
     on the linking foreign key's attribute lists.  For a single-table
     schema this is just the qualified table.
+
+    ``U`` depends on the database alone, so it is built once per
+    database version and kept on *database*: every caller on an
+    unchanged database shares one (immutable) table.  The version token
+    is read before the build, so a write that races the build leaves a
+    stale token behind and the next call builds again.
     """
-    tree = join_tree or JoinTree(database.schema)
+    token = database.version_token()
+    cached = database._universal_cache
+    if cached is not None and cached[0] == token:
+        return cached[2]
+    # Retire the stale U first so two versions are never held at once.
+    database._universal_cache = None
+    # The relation objects are kept with the token so their ids, which
+    # the token holds, cannot be reused by new objects while it lives.
+    pinned = tuple(database.relations[name] for name in database.relation_names)
+    tree = JoinTree(database.schema)
     with phase(
         "universal_table", relations=len(database.schema.relations)
     ) as ph:
@@ -153,6 +166,7 @@ def universal_table(
         for fk in tree.residual_edges:
             result = _filter_residual(result, fk)
         ph.annotate(rows=len(result))
+    database._universal_cache = (token, pinned, result)
     return result
 
 

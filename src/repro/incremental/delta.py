@@ -64,7 +64,7 @@ from ..engine.joins import full_outer_join_many
 from ..engine.relation import Relation
 from ..engine.table import Table
 from ..engine.types import NULL, Row, Value, is_null
-from ..engine.universal import JoinTree, universal_table
+from ..engine.universal import universal_table
 from ..errors import IncrementalError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (core sits above us)
@@ -337,7 +337,6 @@ class DeltaCubeBuilder:
         self.question = question
         self.attributes = tuple(attributes)
         self.support_threshold = support_threshold
-        self.join_tree = JoinTree(database.schema)
         self._aggregates = [
             _MaintainedAggregate(q) for q in question.query.aggregates
         ]
@@ -348,7 +347,7 @@ class DeltaCubeBuilder:
         u = (
             universal
             if universal is not None
-            else universal_table(self.database, self.join_tree)
+            else universal_table(self.database)
         )
         for aggregate in self._aggregates:
             aggregate.rebuild(u, self.attributes)
@@ -420,7 +419,7 @@ class DeltaCubeBuilder:
         )
         for other, relation in others.items():
             temp.relations[other] = relation
-        return universal_table(temp, self.join_tree)
+        return universal_table(temp)
 
     def _fold_all(self, delta_universal: Table, sign: int) -> FrozenSet[Row]:
         touched: set = set()

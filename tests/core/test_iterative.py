@@ -9,8 +9,16 @@ from repro.core.numquery import AggregateQuery, single_query
 from repro.core.question import UserQuestion
 from repro.datasets import dblp, natality
 from repro.datasets import running_example as rex
-from repro.engine.aggregates import agg_sum, count_distinct, count_star
+from repro.engine.aggregates import (
+    AggregateSpec,
+    agg_sum,
+    count_distinct,
+    count_star,
+)
+from repro.engine.database import Database
 from repro.engine.expressions import Col, Comparison, Const
+from repro.engine.schema import single_table_schema
+from repro.engine.types import NULL
 from repro.errors import QueryError
 
 
@@ -86,6 +94,29 @@ class TestEquivalenceWithExact:
         slow = degree_map(m_exact, MU_INTERV)
         for key in fast:
             assert fast[key] == pytest.approx(slow[key]), key
+
+    def test_count_of_a_column_skips_nulls(self):
+        """count(T.x) counts non-NULL arguments alone, as cube and exact do."""
+        db = Database(
+            single_table_schema("T", ["id", "g", "x"], ["id"]),
+            {"T": [(1, "a", 1), (2, "a", NULL), (3, "b", NULL),
+                   (4, "b", 2), (5, "a", NULL)]},
+        )
+        question = UserQuestion.high(
+            single_query(AggregateQuery("q1", AggregateSpec("count", "T.x", "q1")))
+        )
+        explainer = Explainer(db, question, ["T.g"])
+        tables = {
+            method: explainer.explanation_table(method)
+            for method in ("cube", "exact", "indexed")
+        }
+        assert {m.q_original["q1"] for m in tables.values()} == {2}
+        cube = degree_map(tables["cube"], MU_INTERV)
+        assert cube["[T.g = 'a']"] == cube["[T.g = 'b']"] == -1
+        for column in (MU_INTERV, MU_AGGR):
+            expected = degree_map(tables["cube"], column)
+            assert degree_map(tables["exact"], column) == expected, column
+            assert degree_map(tables["indexed"], column) == expected, column
 
     def test_matches_cube_on_additive_single_table(self):
         db = natality.generate(rows=600, seed=13)

@@ -123,3 +123,80 @@ class TestUniversalTable:
         db = rex.example_210_database()
         u = universal_table(db)
         assert len(u) == 2  # paths through b and b'
+
+
+class TestUniversalPerVersion:
+    """U is built once per database version and shared until a write."""
+
+    def test_unchanged_database_shares_one_table(self, db):
+        assert universal_table(db) is universal_table(db)
+
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda db: db.relation("Author").insert_many(
+                [("A9", "XX", "Y.edu", "edu")]
+            ),
+            lambda db: db.relation("Authored").delete_many([rex.S1]),
+            lambda db: db.relation("Authored").clear(),
+            lambda db: db.relations.__setitem__(
+                "Publication", db.relation("Publication").without([rex.T2])
+            ),
+        ],
+        ids=["insert_many", "delete_many", "clear", "swap_relation"],
+    )
+    def test_a_write_retires_the_table(self, db, write):
+        before = universal_table(db)
+        write(db)
+        after = universal_table(db)
+        assert after is not before
+        assert after == universal_table(db.copy())
+
+    def test_a_fingerprint_read_after_a_write_releases_the_old_table(self, db):
+        import gc
+        import weakref
+
+        universal_table(db)
+        old = weakref.ref(db.relation("Publication"))
+        db.relations["Publication"] = db.relation("Publication").without([rex.T2])
+        gc.collect()
+        assert old() is not None  # still pinned by the stale U
+        db.content_fingerprint()
+        gc.collect()
+        assert old() is None
+
+    def test_apply_delta_ranks_from_the_post_write_table(self):
+        from repro.core.explainer import Explainer
+        from repro.datasets import natality
+
+        db = natality.generate(rows=400, seed=5)
+        question = natality.q_race_question()
+        attrs = ["Birth.marital", "Birth.tobacco"]
+        explainer = Explainer(db, question, attrs)
+        explainer.top(3)
+        before = explainer.universal
+        gone = sorted(db.relation("Birth").rows())[:50]
+        explainer.apply_delta({"Birth": {"delete": gone}})
+        assert explainer.universal is universal_table(db)
+        assert explainer.universal is not before
+        assert len(explainer.universal) == len(before) - 50
+        fresh = Explainer(db.copy(), question, attrs)
+        assert explainer.top(3) == fresh.top(3)
+
+    def test_a_cube_build_filters_once_per_aggregate(self, monkeypatch):
+        from repro.core.cube_algorithm import build_explanation_table
+        from repro.datasets import natality
+        from repro.engine.table import Table
+
+        db = natality.generate(rows=400, seed=5)
+        question = natality.q_race_prime_question()
+        calls = []
+        filter_ = Table.filter
+
+        def counting(table, predicate):
+            calls.append(predicate)
+            return filter_(table, predicate)
+
+        monkeypatch.setattr(Table, "filter", counting)
+        build_explanation_table(db, question, ["Birth.marital"])
+        assert len(calls) == len(question.query.aggregates) == 4

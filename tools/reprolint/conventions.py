@@ -33,12 +33,20 @@ TOP_LEVEL_MODULES: Set[str] = {"cli", "__main__", "__init__"}
 
 #: Slow reference implementations: importable only from their defining
 #: module and the parity tests that pin the fast paths against them.
-ORACLES: Set[str] = {"cube_rowwise", "cube_bruteforce", "group_by_rowwise"}
+ORACLES: Set[str] = {
+    "cube_rowwise",
+    "cube_bruteforce",
+    "group_by_rowwise",
+    "compile_predicate",
+}
 
 ORACLE_ALLOWLIST: Set[str] = {
     "src/repro/engine/cube.py",
     "src/repro/engine/groupby.py",
+    "src/repro/engine/expressions.py",
     "tests/engine/test_cube.py",
+    "tests/engine/test_expressions.py",
+    "tests/property/test_filter_properties.py",
     "tests/property/test_engine_properties.py",
     "tests/property/test_columnar_properties.py",
     "tests/core/test_cube_algorithm.py",
