@@ -1,15 +1,22 @@
 """E5 — Example 4.1: the data-cube over the running example.
 
 Regenerates the 11-row cube table printed in the paper and times the
-single-pass cube against the 2^d-group-bys reference implementation.
+single-pass cube against the naive plan it replaces: one ``group_by``
+per subset of the grouping attributes, ``2^d`` scans in all.
 """
 
 import pytest
 
 from repro.datasets import running_example as rex
 from repro.engine.aggregates import count_star
-from repro.engine.cube import cube, cube_bruteforce
+from repro.engine.cube import cube, grouping_sets
+from repro.engine.groupby import group_by
 from repro.engine.universal import universal_table
+
+
+def cube_by_group_bys(table, dimensions, aggregates):
+    """The cube as 2^d independent group-bys, one per grouping set."""
+    return [group_by(table, gset, aggregates) for gset in grouping_sets(dimensions)]
 
 
 @pytest.fixture(scope="module")
@@ -31,6 +38,6 @@ def test_example41_cube(benchmark, name_year_table):
 
 def test_example41_cube_bruteforce(benchmark, name_year_table):
     result = benchmark(
-        cube_bruteforce, name_year_table, ["name", "year"], [count_star("c")]
+        cube_by_group_bys, name_year_table, ["name", "year"], [count_star("c")]
     )
-    assert len(result) == 11
+    assert sum(len(grouped) for grouped in result) == 11

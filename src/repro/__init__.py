@@ -49,9 +49,7 @@ from .core import (
     analyze_additivity,
     build_explanation_table,
     compute_intervention,
-    difference_query,
     double_ratio_query,
-    is_valid_intervention,
     parse_explanation,
     ratio_query,
     regression_slope_query,
@@ -110,9 +108,7 @@ __all__ = [
     "analyze_additivity",
     "build_explanation_table",
     "compute_intervention",
-    "difference_query",
     "double_ratio_query",
-    "is_valid_intervention",
     "parse_explanation",
     "ratio_query",
     "regression_slope_query",

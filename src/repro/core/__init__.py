@@ -14,26 +14,9 @@ Public surface:
 * the :class:`~repro.core.explainer.Explainer` facade.
 """
 
-from .additivity import (
-    AdditivitySlack,
-    analyze_additivity,
-    audit_additivity,
-)
-from .bars import (
-    Bar,
-    bars_from_groupby,
-    double_ratio_question,
-    ratio_question,
-    trend_question,
-)
-from .candidates import (
-    active_domain,
-    bucket_atoms,
-    count_candidates,
-    enumerate_explanations,
-    enumerate_with_buckets,
-)
-from .causality import DataCausalGraph, SchemaCausalGraph, prop_310_bound
+from .additivity import analyze_additivity
+from .candidates import active_domain, count_candidates, enumerate_explanations
+from .causality import SchemaCausalGraph
 from .cube_algorithm import (
     MU_AGGR,
     MU_HYBRID,
@@ -42,7 +25,7 @@ from .cube_algorithm import (
     add_hybrid_column,
     build_explanation_table,
 )
-from .degrees import DegreeEvaluator, ExplanationScore, hybrid_degree
+from .degrees import DegreeEvaluator, ExplanationScore
 from .explainer import (
     Explainer,
     ExplanationPlan,
@@ -51,17 +34,10 @@ from .explainer import (
     render_ranking,
 )
 from .iterative import IndexedInterventionEvaluator
-from .intervention import (
-    InterventionResult,
-    IterationTrace,
-    compute_intervention,
-    is_closed,
-    is_valid_intervention,
-)
+from .intervention import InterventionResult, IterationTrace, compute_intervention
 from .numquery import (
     AggregateQuery,
     NumericalQuery,
-    difference_query,
     double_ratio_query,
     ratio_query,
     regression_slope_query,
@@ -88,7 +64,6 @@ from .rewrite import PAD, RewrittenDatabase, rewrite_back_and_forth
 from .topk import (
     RankedExplanation,
     STRATEGIES,
-    dominated_rows,
     top_k_explanations,
     top_k_minimal_append,
     top_k_minimal_self_join,
@@ -96,22 +71,11 @@ from .topk import (
 )
 
 __all__ = [
-    "AdditivitySlack",
     "analyze_additivity",
-    "audit_additivity",
     "active_domain",
-    "bucket_atoms",
     "count_candidates",
     "enumerate_explanations",
-    "enumerate_with_buckets",
-    "DataCausalGraph",
     "SchemaCausalGraph",
-    "prop_310_bound",
-    "Bar",
-    "bars_from_groupby",
-    "double_ratio_question",
-    "ratio_question",
-    "trend_question",
     "MU_AGGR",
     "MU_HYBRID",
     "MU_INTERV",
@@ -120,7 +84,6 @@ __all__ = [
     "build_explanation_table",
     "DegreeEvaluator",
     "ExplanationScore",
-    "hybrid_degree",
     "Explainer",
     "ExplanationPlan",
     "backend_key",
@@ -130,11 +93,8 @@ __all__ = [
     "InterventionResult",
     "IterationTrace",
     "compute_intervention",
-    "is_closed",
-    "is_valid_intervention",
     "AggregateQuery",
     "NumericalQuery",
-    "difference_query",
     "double_ratio_query",
     "ratio_query",
     "regression_slope_query",
@@ -162,7 +122,6 @@ __all__ = [
     "rewrite_back_and_forth",
     "RankedExplanation",
     "STRATEGIES",
-    "dominated_rows",
     "top_k_explanations",
     "top_k_minimal_append",
     "top_k_minimal_self_join",

@@ -29,12 +29,10 @@ instance-specific, exactly like the paper's usage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Optional
 
 from ..engine.database import Database
 from ..engine.table import Table
-from ..engine.universal import universal_table
 from .numquery import NumericalQuery
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -58,70 +56,3 @@ def analyze_additivity(
     return certify_additivity(
         database.schema, query, database=database, universal=universal
     )
-
-
-@dataclass(frozen=True)
-class AdditivitySlack:
-    """Empirical additivity audit for one (aggregate, explanation) pair.
-
-    ``slack = (q(D) − q(D_φ)) − q(D − Δ^φ)``: zero when the additive
-    identity is exact; positive when the cube over-estimates the
-    residual value (the footnote-11 boundary).
-    """
-
-    aggregate: str
-    phi: str
-    q_d: object
-    q_phi: object
-    q_residual: object
-    slack: float
-
-
-def audit_additivity(
-    database: Database,
-    query: NumericalQuery,
-    phis,
-    *,
-    universal: Optional[Table] = None,
-) -> List[AdditivitySlack]:
-    """Measure the *empirical* additivity slack on concrete explanations.
-
-    The structural conditions of :func:`analyze_additivity` certify
-    Section 4.1's sufficient conditions, which do not cover the
-    interaction between each aggregate's WHERE predicate and φ
-    (see ``tests/core/test_additivity_boundary.py``).  This audit runs
-    program P for each explanation in *phis* and reports, per
-    aggregate, the deviation between the cube identity
-    ``q(D) − q(D_φ)`` and the ground truth ``q(D − Δ^φ)``.
-    """
-    from .intervention import FixpointStrategy
-
-    u = universal if universal is not None else universal_table(database)
-    engine = FixpointStrategy(database, universal=u)
-    results: List[AdditivitySlack] = []
-    originals = {q.name: q.evaluate(u) for q in query.aggregates}
-    for phi in phis:
-        delta = engine.compute(phi).delta
-        residual_u = universal_table(database.subtract(delta))
-        restricted = u.filter(phi.to_expression())
-        for q in query.aggregates:
-            q_d = originals[q.name]
-            q_phi = q.evaluate(restricted)
-            q_residual = q.evaluate(residual_u)
-            slack = 0.0
-            if all(
-                isinstance(v, (int, float))
-                for v in (q_d, q_phi, q_residual)
-            ):
-                slack = (q_d - q_phi) - q_residual
-            results.append(
-                AdditivitySlack(
-                    aggregate=q.name,
-                    phi=str(phi),
-                    q_d=q_d,
-                    q_phi=q_phi,
-                    q_residual=q_residual,
-                    slack=slack,
-                )
-            )
-    return results

@@ -7,10 +7,6 @@ candidates implicitly (one cube row each); the naive baseline and the
 tests need the explicit enumeration implemented here: every conjunction
 of equality predicates assigning values from the active domain to a
 subset of ``A'``.
-
-Section 6(ii) extensions are supported by :func:`bucket_atoms`, which
-turns a numeric attribute into range predicates (pairs of ``>=``/``<``
-atoms) so inequalities can participate in candidate explanations.
 """
 
 from __future__ import annotations
@@ -103,62 +99,3 @@ def count_candidates(
 def _split(qualified: str) -> Tuple[str, str]:
     rel, attr = qualified.split(".", 1)
     return rel, attr
-
-
-def bucket_atoms(
-    relation: str,
-    attribute: str,
-    boundaries: Sequence[Value],
-) -> List[Tuple[AtomicPredicate, ...]]:
-    """Range-predicate candidates for a numeric attribute (Section 6(ii)).
-
-    ``boundaries = [b0, b1, …, bn]`` produces the half-open buckets
-    ``[b0,b1), [b1,b2), …`` each as a pair of atoms
-    ``attr >= b_i ∧ attr < b_{i+1}``, usable as additional conjunct
-    groups when enumerating explanations with inequalities.
-    """
-    if len(boundaries) < 2:
-        raise ExplanationError("bucketing needs at least two boundaries")
-    buckets: List[Tuple[AtomicPredicate, ...]] = []
-    for lo, hi in zip(boundaries, boundaries[1:]):
-        buckets.append(
-            (
-                AtomicPredicate(relation, attribute, ">=", lo),
-                AtomicPredicate(relation, attribute, "<", hi),
-            )
-        )
-    return buckets
-
-
-def enumerate_with_buckets(
-    universal: Table,
-    equality_attributes: Sequence[str],
-    bucketed: Dict[str, Sequence[Value]],
-    *,
-    max_atoms: Optional[int] = None,
-) -> Iterator[Explanation]:
-    """Candidates mixing equality attributes and bucketed numeric ones.
-
-    ``bucketed`` maps qualified numeric attributes to their boundary
-    lists.  Each bucket contributes its two inequality atoms as a unit.
-    """
-    options: List[List[Tuple[AtomicPredicate, ...]]] = []
-    for attr in equality_attributes:
-        rel, a = _split(attr)
-        options.append(
-            [
-                (AtomicPredicate(rel, a, "=", v),)
-                for v in active_domain(universal, attr)
-            ]
-        )
-    for attr, boundaries in bucketed.items():
-        rel, a = _split(attr)
-        options.append(bucket_atoms(rel, a, list(boundaries)))
-    cap = max_atoms if max_atoms is not None else len(options)
-    for size in range(1, cap + 1):
-        for subset in combinations(range(len(options)), size):
-            for choice in product(*(options[i] for i in subset)):
-                atoms: Tuple[AtomicPredicate, ...] = tuple(
-                    atom for group in choice for atom in group
-                )
-                yield Explanation(atoms)

@@ -132,20 +132,3 @@ class DegreeEvaluator:
             q_intervention=interv_values,
             intervention=result,
         )
-
-
-def hybrid_degree(
-    score: ExplanationScore, weight: float = 0.5
-) -> Value:
-    """A hybrid aggravation/intervention degree (Section 6(iii)).
-
-    The paper proposes (as future work) a definition between the two
-    extremes; we provide the convex combination
-    ``weight·μ_interv + (1−weight)·μ_aggr`` over *rank-comparable*
-    scores.  Returns NULL if either component is undefined.
-    """
-    if is_null(score.mu_aggr) or is_null(score.mu_interv):
-        from ..engine.types import NULL
-
-        return NULL
-    return weight * score.mu_interv + (1 - weight) * score.mu_aggr

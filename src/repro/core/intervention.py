@@ -49,7 +49,7 @@ from typing import Dict, FrozenSet, List, Optional, Protocol, Set, Tuple
 from ..engine.closure import ClosureIndex
 from ..engine.database import Database, Delta
 from ..engine.expressions import Not
-from ..engine.reduction import RowSets, is_semijoin_reduced, reduce_row_sets
+from ..engine.reduction import RowSets, reduce_row_sets
 from ..engine.schema import DatabaseSchema, ForeignKey
 from ..engine.table import Table
 from ..engine.types import Row
@@ -508,54 +508,3 @@ def compute_intervention(
     return make_strategy(
         database, strategy=strategy, universal=universal
     ).compute(phi)
-
-
-# -- validity checking (Definition 2.6) ------------------------------------
-
-
-def is_closed(database: Database, delta: Delta) -> bool:
-    """Definition 2.5: Δ is closed under cascade and backward cascade."""
-    for fk in database.schema.foreign_keys:
-        source = database.relation(fk.source)
-        target = database.relation(fk.target)
-        src_pos = source.schema.indexes_of(fk.source_attrs)
-        tgt_pos = target.schema.indexes_of(fk.target_attrs)
-        deleted_target_keys = {
-            tuple(row[i] for i in tgt_pos) for row in delta.rows_for(fk.target)
-        }
-        # Forward cascade: deleting the referenced tuple deletes all
-        # referencing tuples.
-        for row in source:
-            key = tuple(row[i] for i in src_pos)
-            if key in deleted_target_keys and row not in delta.rows_for(fk.source):
-                return False
-        if fk.back_and_forth:
-            deleted_source_keys = {
-                tuple(row[i] for i in src_pos)
-                for row in delta.rows_for(fk.source)
-            }
-            # Backward cascade: deleting the referencing tuple deletes
-            # the referenced tuple.
-            for row in target:
-                key = tuple(row[i] for i in tgt_pos)
-                if key in deleted_source_keys and row not in delta.rows_for(
-                    fk.target
-                ):
-                    return False
-    return True
-
-
-def is_valid_intervention(
-    database: Database, phi: Predicate, delta: Delta
-) -> bool:
-    """All three conditions of Definition 2.6 (not necessarily minimal)."""
-    if not is_closed(database, delta):
-        return False
-    residual = database.subtract(delta)
-    rowsets: RowSets = {
-        name: set(rel.rows()) for name, rel in residual.relations.items()
-    }
-    if not is_semijoin_reduced(database.schema, rowsets):
-        return False
-    residual_universal = universal_table(residual)
-    return len(residual_universal.filter(phi.to_expression())) == 0

@@ -148,14 +148,6 @@ def single_query(aggregate: AggregateQuery) -> NumericalQuery:
     return NumericalQuery((aggregate,), Col(aggregate.name))
 
 
-def difference_query(
-    left: AggregateQuery, right: AggregateQuery
-) -> NumericalQuery:
-    """``Q = q1 - q2``."""
-    expr = Arithmetic("-", Col(left.name), Col(right.name))
-    return NumericalQuery((left, right), expr)
-
-
 def regression_slope_query(
     series: Sequence[AggregateQuery],
 ) -> NumericalQuery:

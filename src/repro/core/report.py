@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 from ..engine.database import Database
 from ..engine.types import Value
 from .degrees import ExplanationScore
-from .explainer import Explainer
+from .explainer import AUTO_METHOD, Explainer
 from .question import UserQuestion
 from .topk import RankedExplanation
 
@@ -152,15 +152,16 @@ def explain_question(
 ) -> ExplanationReport:
     """Run the full workflow and assemble a report.
 
-    ``method=None`` picks automatically: the cube when the query is
-    intervention-additive, the indexed exact evaluator otherwise.
+    ``method=None`` picks the way ``--method auto`` does everywhere
+    else: the plan certificate's recommendation
+    (:meth:`Explainer.resolve_method`).
     """
     explainer = Explainer(
         database, question, attributes, support_threshold=support_threshold
     )
     additivity = explainer.additivity_report()
     if method is None:
-        method = "cube" if additivity.all_exact_cube else "indexed"
+        method = explainer.resolve_method(AUTO_METHOD)
     m = explainer.explanation_table(method)
     top_i = tuple(explainer.top(k, by="intervention", strategy=strategy, method=method))
     top_a = tuple(explainer.top(k, by="aggravation", strategy=strategy, method=method))

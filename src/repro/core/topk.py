@@ -273,23 +273,6 @@ def _dominated(m: ExplanationTable, by: str, minimality: str) -> bytearray:
     )
 
 
-def dominated_rows(
-    m: ExplanationTable,
-    *,
-    by: str = MU_INTERV,
-    minimality: str = "general",
-) -> Set[Row]:
-    """Rows dominated under the chosen minimality order.
-
-    ``general``: a row is dominated by a strict *generalization* with
-    degree ≥ its own.  ``specific``: by a strict *specialization* with
-    degree ≥ its own.  Both are the Section 4.3 self-join realized as
-    hash lookups over pair-signature subsets.
-    """
-    flags = _dominated(m, by, minimality)
-    return set(m.table.take([p for p, f in enumerate(flags) if f]).rows())
-
-
 def top_k_minimal_self_join(
     m: ExplanationTable,
     k: int,

@@ -86,23 +86,6 @@ def expected_iterations(p: int) -> int:
     return 4 * p - 1
 
 
-def certified_convergence():
-    """Analyzer smoke assertion for this schema's convergence class.
-
-    R3 carries two back-and-forth keys with distinct targets, so only
-    the Proposition 3.4 fallback applies: the certified bound is the
-    symbolic ``n - 1`` (concrete only once an instance supplies n).
-    """
-    from ..analysis.fkgraph import RULE_PROP_34, certify_convergence
-
-    certificate = certify_convergence(chain_schema())
-    assert certificate.interaction_cycle
-    assert certificate.selected_rule == RULE_PROP_34
-    assert certificate.bound is None
-    assert certificate.bound_expression == "n - 1"
-    return certificate
-
-
 def single_back_and_forth_chain(p: int) -> Tuple[Database, Explanation]:
     """A chain variant with only ONE back-and-forth key (R3.a ↔ R1.a).
 

@@ -91,21 +91,6 @@ STARS: Tuple[Tuple[str, str, float, Tuple[int, int]], ...] = (
 )
 
 
-def certified_convergence():
-    """Analyzer smoke assertion for this schema's convergence class.
-
-    DBLP reuses the running-example schema (Author–Authored–Publication
-    with one back-and-forth key), so Proposition 3.11 certifies
-    convergence in ≤ 2s + 2 = 4 steps.
-    """
-    from ..analysis.fkgraph import RULE_PROP_311, certify_convergence
-
-    certificate = certify_convergence(dblp_schema())
-    assert certificate.selected_rule == RULE_PROP_311
-    assert certificate.bound == 4
-    return certificate
-
-
 def generate(scale: float = 1.0, seed: int = 2014) -> Database:
     """Generate the synthetic DBLP database.
 

@@ -64,21 +64,6 @@ def schema() -> DatabaseSchema:
     )
 
 
-def certified_convergence():
-    """Analyzer smoke assertion for this schema's convergence class.
-
-    Eight relations, one back-and-forth key (Authored.pubid ↔
-    Publication.pubid): Proposition 3.11 certifies ≤ 2s + 2 = 4 steps
-    regardless of how deep the standard-key lookup chain grows.
-    """
-    from ..analysis.fkgraph import RULE_PROP_311, certify_convergence
-
-    certificate = certify_convergence(schema())
-    assert certificate.selected_rule == RULE_PROP_311
-    assert certificate.bound == 4
-    return certificate
-
-
 @dataclass(frozen=True)
 class Site:
     """One (institution, city, country) site with venue preferences."""

@@ -145,20 +145,6 @@ def schema(noise_attributes: int = 0) -> DatabaseSchema:
     )
 
 
-def certified_convergence():
-    """Analyzer smoke assertion for this schema's convergence class.
-
-    A single relation has no foreign keys at all, so Proposition 3.5
-    certifies the tightest bound: program P converges in ≤ 2 steps.
-    """
-    from ..analysis.fkgraph import RULE_PROP_35, certify_convergence
-
-    certificate = certify_convergence(schema())
-    assert certificate.selected_rule == RULE_PROP_35
-    assert certificate.bound == 2
-    return certificate
-
-
 def _odds_lookup(values: Sequence[str], odds: Dict[str, float]) -> np.ndarray:
     return np.array([odds[v] for v in values])
 

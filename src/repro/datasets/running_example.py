@@ -11,9 +11,9 @@ with foreign keys (Eq. (2))::
     Authored.id    ->  Author.id          (standard)
     Authored.pubid <-> Publication.pubid  (back-and-forth)
 
-The instance matches Figure 3 tuple for tuple; the module also builds
-the variants used by Examples 2.8–2.10 and the chain instance of
-Example 2.9.
+The instance matches Figure 3 tuple for tuple;
+``database(back_and_forth=False)`` demotes the back-and-forth key to a
+standard one.
 """
 
 from __future__ import annotations
@@ -74,68 +74,3 @@ def database(*, back_and_forth: bool = True) -> Database:
             "Publication": [T1, T2, T3],
         },
     )
-
-
-def certified_convergence():
-    """Analyzer smoke assertion for this schema's convergence class.
-
-    With the back-and-forth Authored.pubid ↔ Publication.pubid key the
-    schema sits in the Proposition 3.11 class (one key per relation,
-    bound 2s + 2 = 4); demoted to a standard key it is back in the
-    no-back-and-forth class of Proposition 3.5 (bound 2).
-    """
-    from ..analysis.fkgraph import (
-        RULE_PROP_35,
-        RULE_PROP_311,
-        certify_convergence,
-    )
-
-    certificate = certify_convergence(schema())
-    assert certificate.selected_rule == RULE_PROP_311
-    assert certificate.bound == 4
-    standard = certify_convergence(schema(back_and_forth=False))
-    assert standard.selected_rule == RULE_PROP_35
-    assert standard.bound == 2
-    return certificate
-
-
-def example_29_schema() -> DatabaseSchema:
-    """Example 2.9: R1(x), S1(x,y), R2(y), S2(y,z), R3(z), standard FKs."""
-    return DatabaseSchema(
-        (
-            make_schema("R1", ["x"], ["x"]),
-            make_schema("S1", ["x", "y"], ["x", "y"]),
-            make_schema("R2", ["y"], ["y"]),
-            make_schema("S2", ["y", "z"], ["y", "z"]),
-            make_schema("R3", ["z"], ["z"]),
-        ),
-        (
-            foreign_key("S1", "x", "R1", "x"),
-            foreign_key("S1", "y", "R2", "y"),
-            foreign_key("S2", "y", "R2", "y"),
-            foreign_key("S2", "z", "R3", "z"),
-        ),
-    )
-
-
-def example_29_database() -> Database:
-    """The Eq. (3) instance: {R1(a), S1(a,b), R2(b), S2(b,c), R3(c)}."""
-    return Database(
-        example_29_schema(),
-        {
-            "R1": [("a",)],
-            "S1": [("a", "b")],
-            "R2": [("b",)],
-            "S2": [("b", "c")],
-            "R3": [("c",)],
-        },
-    )
-
-
-def example_210_database() -> Database:
-    """Example 2.10: Eq. (3) plus S1(a,b'), R2(b'), S2(b',c)."""
-    db = example_29_database()
-    db.relation("S1").insert(("a", "b'"))
-    db.relation("R2").insert(("b'",))
-    db.relation("S2").insert(("b'", "c"))
-    return db

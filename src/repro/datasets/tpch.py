@@ -37,8 +37,8 @@ Planted phenomena, each carrying a known top explanation:
 * **Brand#3 premium** — Brand#3 parts carry a 3× unit price
   (``brand_revenue_question``, a ``sum`` question).
 
-The cyclic join graph is also why :func:`certified_convergence`
-selects the Proposition 3.4 ``n − 1`` fallback: the sharp bounds
+The cyclic join graph is also why the convergence certificate selects
+the Proposition 3.4 ``n − 1`` fallback: the sharp bounds
 (3.5/3.10/3.11) assume a join tree, and the analyzer says so (RS009)
 instead of special-casing the schema.
 """
@@ -242,24 +242,6 @@ def schema() -> DatabaseSchema:
         ),
         require_acyclic=False,
     )
-
-
-def certified_convergence():
-    """The honest convergence verdict for the cyclic TPC-H graph.
-
-    No back-and-forth keys, but the partsupp diamond makes the join
-    graph cyclic, so Propositions 3.5/3.10/3.11 (whose proofs assume a
-    join tree) do not apply and the certificate falls back to the
-    unconditional Proposition 3.4 ``n − 1`` bound.
-    """
-    from ..analysis.fkgraph import RULE_PROP_34, RULE_PROP_35, certify_convergence
-
-    certificate = certify_convergence(schema())
-    assert not certificate.join_graph_is_tree
-    assert not certificate.rule(RULE_PROP_35).applicable
-    assert certificate.selected_rule == RULE_PROP_34
-    assert certificate.bound_expression == "n - 1"
-    return certificate
 
 
 # -- generation ---------------------------------------------------------------
@@ -685,11 +667,6 @@ QUESTIONS: Dict[
         "",  # no single planted driver; pinned by the golden snapshot
     ),
 }
-
-
-def question_names() -> Tuple[str, ...]:
-    """The planted question identifiers, in registry order."""
-    return tuple(QUESTIONS)
 
 
 def question(name: str) -> UserQuestion:

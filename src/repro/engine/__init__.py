@@ -8,8 +8,7 @@ equivalent relational machinery:
   (:mod:`~repro.engine.relation`),
 * schemas with standard and back-and-forth foreign keys
   (:mod:`~repro.engine.schema`),
-* hash joins, semijoins, antijoins and full outer joins
-  (:mod:`~repro.engine.joins`),
+* the full outer join of Algorithm 1 (:mod:`~repro.engine.joins`),
 * group-by and ``WITH CUBE`` (:mod:`~repro.engine.groupby`,
   :mod:`~repro.engine.cube`),
 * the universal relation and the Yannakakis full reducer
@@ -28,16 +27,7 @@ from .aggregates import (
 )
 from .columnstore import ColumnStore
 
-# The retained row-path oracles (cube_rowwise, cube_bruteforce,
-# group_by_rowwise) are deliberately NOT re-exported: only benchmarks
-# and the dedicated parity tests may import them, straight from their
-# defining modules (enforced by reprolint RL001).
-from .cube import (
-    cube,
-    dummy_rewrite,
-    grouping_sets,
-    undummy,
-)
+from .cube import cube, dummy_rewrite, grouping_sets
 from .database import Database, Delta
 from .expressions import (
     And,
@@ -57,7 +47,7 @@ from .expressions import (
     neg,
 )
 from .groupby import group_by, scalar_aggregate
-from .joins import antijoin, full_outer_join, full_outer_join_many, hash_join, natural_join, semijoin
+from .joins import full_outer_join, full_outer_join_many
 from .relation import Relation
 from .schema import (
     Attribute,
@@ -70,19 +60,9 @@ from .schema import (
 )
 from .table import Table
 from .types import DUMMY, NULL, Row, Value, is_dummy, is_missing, is_null
-from .universal import JoinTree, project_universal, qualified_columns, universal_table
-from .reduction import (
-    database_is_reduced,
-    is_semijoin_reduced,
-    reduce_row_sets,
-    semijoin_reduce,
-)
-from .storage import (
-    load_database,
-    load_schema,
-    save_database,
-    save_schema,
-)
+from .universal import JoinTree, universal_table
+from .reduction import reduce_row_sets, semijoin_reduce
+from .storage import save_database, save_schema
 from . import fastpath
 
 __all__ = [
@@ -98,7 +78,6 @@ __all__ = [
     "cube",
     "dummy_rewrite",
     "grouping_sets",
-    "undummy",
     "Database",
     "Delta",
     "And",
@@ -118,12 +97,8 @@ __all__ = [
     "neg",
     "group_by",
     "scalar_aggregate",
-    "antijoin",
     "full_outer_join",
     "full_outer_join_many",
-    "hash_join",
-    "natural_join",
-    "semijoin",
     "Relation",
     "Attribute",
     "DatabaseSchema",
@@ -141,15 +116,9 @@ __all__ = [
     "is_missing",
     "is_null",
     "JoinTree",
-    "project_universal",
-    "qualified_columns",
     "universal_table",
-    "database_is_reduced",
-    "is_semijoin_reduced",
     "reduce_row_sets",
     "semijoin_reduce",
-    "load_database",
-    "load_schema",
     "save_database",
     "save_schema",
     "fastpath",

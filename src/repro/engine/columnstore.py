@@ -2,11 +2,11 @@
 
 A :class:`ColumnStore` keeps one plain Python list per column plus an
 optional *selection vector* — a list of row indices into the base
-columns.  Operators that only drop rows (filter, semijoin, antijoin,
-limit) or drop columns (project) return a new store that *shares* the
-base column lists and composes selections, so the hot path of
-Algorithm 1 — filter the universal table, group, cube — never copies
-or re-tuples data it does not touch.
+columns. Operators that only drop rows (filter, take, limit) or drop
+columns (project) return a new store that *shares* the base column
+lists and composes selections, so the hot path of Algorithm 1 — filter
+the universal table, group, cube — never copies or re-tuples data it
+does not touch.
 
 Deliberately stdlib-only: the optional numpy fast path lives in
 :mod:`repro.engine.fastpath` and reads columns straight out of this

@@ -14,7 +14,6 @@ from typing import List, Sequence, Union
 
 from ..errors import QueryError
 from .relation import Relation
-from .schema import RelationSchema
 from .table import Table
 from .types import DUMMY, NULL, Value
 
@@ -64,52 +63,12 @@ def _render(value: Value) -> str:
     return str(value)
 
 
-def load_relation(schema: RelationSchema, path: PathLike) -> Relation:
-    """Read a relation from a headed CSV file.
-
-    The header must list exactly the schema's attributes (any order);
-    columns are reordered to match the schema.
-    """
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise QueryError(f"{path}: empty CSV file") from None
-        expected = set(schema.attribute_names)
-        if set(header) != expected:
-            raise QueryError(
-                f"{path}: header {header} does not match schema "
-                f"attributes {sorted(expected)}"
-            )
-        order = [header.index(a) for a in schema.attribute_names]
-        dtypes = [a.dtype for a in schema.attributes]
-        relation = Relation(schema)
-        for line in reader:
-            if not line:
-                continue
-            row = tuple(
-                _parse(line[i], dtype) for i, dtype in zip(order, dtypes)
-            )
-            relation.insert(row)
-    return relation
-
-
 def dump_relation(relation: Relation, path: PathLike) -> None:
     """Write a relation to a headed CSV file (deterministic row order)."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(relation.schema.attribute_names)
         for row in relation.sorted_rows():
-            writer.writerow([_render(v) for v in row])
-
-
-def dump_table(table: Table, path: PathLike) -> None:
-    """Write a result table to a headed CSV file."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(table.columns)
-        for row in table.rows():
             writer.writerow([_render(v) for v in row])
 
 

@@ -7,18 +7,13 @@ row therefore corresponds to one candidate explanation: the non-NULL
 (attribute, value) pairs are the equality predicates of the conjunction
 (Example 4.1).
 
-Three implementations are provided:
-
-* :func:`cube` — the production columnar algorithm: group the zipped
-  dimension columns at full granularity once, then *roll the partial
-  aggregate states up* into all ``2^d`` grouping sets via accumulator
-  merges.  Work is ``O(rows + 2^d · distinct_keys)`` instead of the
-  row-at-a-time ``O(rows · 2^d)``.  When every aggregate is COUNT(*),
-  the whole pass collapses to a ``Counter`` over the key columns.
-* :func:`cube_rowwise` — the previous single-pass row-tuple algorithm,
-  kept as the benchmark baseline for the columnar speedup gate.
-* :func:`cube_bruteforce` — ``2^d`` independent row-wise group-bys;
-  quadratic work but trivially correct, kept as the test oracle.
+:func:`cube` is columnar: group the zipped dimension columns at full
+granularity once, then *roll the partial aggregate states up* into all
+``2^d`` grouping sets via accumulator merges.  Work is
+``O(rows + 2^d · distinct_keys)`` instead of the row-at-a-time
+``O(rows · 2^d)``.  When every aggregate is COUNT(*), the whole pass
+collapses to a ``Counter`` over the key columns.  The row-wise oracles
+it is held equal to live in the test suite (``tests/support/cube.py``).
 
 Section 4.2's optimization — rewriting NULL markers to the DUMMY
 constant so the m cubes can be equi-joined — lives in
@@ -29,12 +24,12 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 from ..errors import QueryError
 from ..obs import phase
 from .aggregates import Accumulator, AggregateSpec
-from .groupby import accumulate_groups, group_by_rowwise, group_rows
+from .groupby import accumulate_groups, group_rows
 from .table import Table
 from .types import DUMMY, NULL, Row, Value
 
@@ -50,16 +45,6 @@ def grouping_sets(dimensions: Sequence[str]) -> List[Tuple[str, ...]]:
     for size in range(len(dims), -1, -1):
         sets.extend(combinations(dims, size))
     return sets
-
-
-def rollup_sets(dimensions: Sequence[str]) -> List[Tuple[str, ...]]:
-    """The ``d + 1`` prefixes of *dimensions* (``WITH ROLLUP``).
-
-    ``(a, b, c)`` yields ``(a,b,c), (a,b), (a,), ()`` — the hierarchy
-    drill-up, a strict subset of the cube's grouping sets.
-    """
-    dims = tuple(dimensions)
-    return [dims[:size] for size in range(len(dims), -1, -1)]
 
 
 # One group's rolled-up state: a plain int on the COUNT(*)-only fast
@@ -153,19 +138,6 @@ def rollup_states(
     return out
 
 
-def _masked_rollup(
-    table: Table,
-    dimensions: Sequence[str],
-    aggregates: Sequence[AggregateSpec],
-    masks: Sequence[Tuple[bool, ...]],
-) -> Tuple[Dict[Row, _GroupState], bool]:
-    """The single-pass columnar core shared by cube and grouping sets:
-    one base-grouping pass rolled up into one entry per mask."""
-    base, count_only = base_states(table, dimensions, aggregates)
-    out = rollup_states(base, dimensions, aggregates, masks, count_only)
-    return out, count_only
-
-
 def cube_from_base_states(
     base: Dict[Row, _GroupState],
     dimensions: Sequence[str],
@@ -232,61 +204,6 @@ def _validate_aggregates(
     return aliases
 
 
-def grouping_sets_aggregate(
-    table: Table,
-    sets: Sequence[Sequence[str]],
-    aggregates: Sequence[AggregateSpec],
-    dimensions: Optional[Sequence[str]] = None,
-) -> Table:
-    """``GROUP BY GROUPING SETS (…)`` — aggregate over explicit sets.
-
-    Output columns are the union of all grouping attributes (in
-    ``dimensions`` order if given, else first-appearance order), with
-    NULL marking attributes outside a row's grouping set.  Both
-    :func:`cube` and ``WITH ROLLUP`` are special cases.
-    """
-    if dimensions is None:
-        seen: Dict[str, None] = {}
-        for s in sets:
-            for a in s:
-                seen.setdefault(a)
-        dimensions = list(seen)
-    for s in sets:
-        unknown = set(s) - set(dimensions)
-        if unknown:
-            raise QueryError(
-                f"grouping set {tuple(s)} uses attributes outside the "
-                f"dimension list: {sorted(unknown)}"
-            )
-    table.positions(dimensions)
-    _validate_aggregates(table, aggregates)
-    # Deduplicate grouping sets (SQL allows repeats; one output each).
-    masks = list(
-        dict.fromkeys(
-            tuple(d in set(s) for d in dimensions) for s in sets
-        )
-    )
-    groups, count_only = _masked_rollup(table, dimensions, aggregates, masks)
-    if len(table) == 0 and any(not tuple(s) for s in sets):
-        # Empty input + empty grouping set: SQL still emits one grand
-        # total row of aggregate defaults.
-        groups[(NULL,) * len(dimensions)] = _default_state(
-            aggregates, count_only
-        )
-    return _emit(dimensions, aggregates, groups, count_only)
-
-
-def rollup(
-    table: Table,
-    dimensions: Sequence[str],
-    aggregates: Sequence[AggregateSpec],
-) -> Table:
-    """``GROUP BY … WITH ROLLUP`` over the dimension hierarchy."""
-    return grouping_sets_aggregate(
-        table, rollup_sets(dimensions), aggregates, dimensions
-    )
-
-
 def validate_cube_args(
     table: Table,
     dimensions: Sequence[str],
@@ -329,65 +246,6 @@ def cube(
     return result
 
 
-def cube_rowwise(
-    table: Table,
-    dimensions: Sequence[str],
-    aggregates: Sequence[AggregateSpec],
-) -> Table:
-    """The previous row-at-a-time single-pass cube (baseline).
-
-    Semantically identical to :func:`cube`: one pass over the row
-    tuples, feeding every grouping-set key per row.  Kept as the "row
-    path" baseline that the columnar speedup benchmark gates against,
-    and as a second oracle alongside :func:`cube_bruteforce`.
-    """
-    if len(set(dimensions)) != len(dimensions):
-        raise QueryError(f"duplicate cube dimensions: {dimensions}")
-    dim_pos = table.positions(dimensions)
-    arg_pos: List[Optional[int]] = [
-        table.position(a.argument) if a.argument is not None else None
-        for a in aggregates
-    ]
-    aliases = [a.alias for a in aggregates]
-    if len(set(aliases)) != len(aliases):
-        raise QueryError(f"duplicate aggregate aliases: {aliases}")
-    if set(aliases) & set(dimensions):
-        raise QueryError("aggregate aliases clash with cube dimensions")
-
-    sets = grouping_sets(dimensions)
-    masks = [
-        tuple(d in s for d in dimensions)
-        for s in sets
-    ]
-    groups: Dict[Row, List[Accumulator]] = {}
-    for row in table.rows():
-        dim_values = tuple(row[i] for i in dim_pos)
-        _reject_null_dimensions(dim_values, dimensions)
-        arg_values = tuple(
-            row[i] if i is not None else None for i in arg_pos
-        )
-        for mask in masks:
-            key = tuple(
-                v if keep else NULL for v, keep in zip(dim_values, mask)
-            )
-            accs = groups.get(key)
-            if accs is None:
-                accs = [a.make_accumulator() for a in aggregates]
-                groups[key] = accs
-            for acc, v in zip(accs, arg_values):
-                acc.add(v)
-
-    grand_total: Row = (NULL,) * len(dimensions)
-    if grand_total not in groups:
-        groups[grand_total] = [a.make_accumulator() for a in aggregates]
-
-    out_rows = [
-        key + tuple(acc.result() for acc in accs)
-        for key, accs in groups.items()
-    ]
-    return Table(list(dimensions) + aliases, out_rows)
-
-
 def _reject_null_dimensions(
     dim_values: Row, dimensions: Sequence[str]
 ) -> None:
@@ -403,45 +261,6 @@ def _reject_null_dimensions(
             )
 
 
-def cube_bruteforce(
-    table: Table,
-    dimensions: Sequence[str],
-    aggregates: Sequence[AggregateSpec],
-) -> Table:
-    """Reference cube: one row-wise group-by per grouping set.
-
-    Used as the correctness oracle in tests (deliberately built on the
-    row-oriented :func:`~repro.engine.groupby.group_by_rowwise` so it
-    shares no code with the columnar production path); also the
-    natural shape of the 'No Cube' baseline in Figure 12 when fed
-    pre-filtered inputs.
-    """
-    if len(table) and dimensions:
-        pos = table.positions(dimensions)
-        for row in table.rows():
-            _reject_null_dimensions(
-                tuple(row[i] for i in pos), dimensions
-            )
-    aliases = [a.alias for a in aggregates]
-    out_columns = list(dimensions) + aliases
-    out_rows: List[Row] = []
-    seen_keys = set()
-    for gset in grouping_sets(dimensions):
-        grouped = group_by_rowwise(table, gset, aggregates)
-        positions = {c: grouped.position(c) for c in grouped.columns}
-        for row in grouped.rows():
-            key = tuple(
-                row[positions[d]] if d in gset else NULL for d in dimensions
-            )
-            if not gset and key in seen_keys:
-                continue
-            seen_keys.add(key)
-            out_rows.append(
-                key + tuple(row[positions[a]] for a in aliases)
-            )
-    return Table(out_columns, out_rows)
-
-
 def dummy_rewrite(cube_table: Table, dimensions: Sequence[str]) -> Table:
     """Replace NULL with DUMMY in the dimension columns (Section 4.2).
 
@@ -451,11 +270,6 @@ def dummy_rewrite(cube_table: Table, dimensions: Sequence[str]) -> Table:
     are shared with the input (zero copy).
     """
     return _swap_in_columns(cube_table, dimensions, NULL, DUMMY)
-
-
-def undummy(table: Table, dimensions: Sequence[str]) -> Table:
-    """Inverse of :func:`dummy_rewrite` for presenting results."""
-    return _swap_in_columns(table, dimensions, DUMMY, NULL)
 
 
 def _swap_in_columns(

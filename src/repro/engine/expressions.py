@@ -379,78 +379,6 @@ def disj(*operands: Expression) -> Expression:
     return Or(tuple(flat))
 
 
-def row_environment(columns: Sequence[str], row: Sequence[Value]) -> Dict[str, Value]:
-    """Build an evaluation environment from parallel column/value lists."""
-    return dict(zip(columns, row))
-
-
-def compile_predicate(expr: Expression, columns: Sequence[str]):
-    """Compile a boolean expression into a fast ``row -> bool`` callable.
-
-    The row-at-a-time reference for :func:`select_positions`, which is
-    what :meth:`~repro.engine.table.Table.filter` runs; the property
-    suite holds the two equal.  Column references become direct
-    positional accesses, avoiding the per-row environment dict that
-    :meth:`Expression.evaluate` needs.
-    Supported nodes: :class:`Comparison` over :class:`Col`/:class:`Const`
-    operands, :class:`And`, :class:`Or`, :class:`Not`.  Anything else
-    falls back to environment-based evaluation (still correct, just
-    slower).  Raises :class:`~repro.errors.QueryError` for unknown
-    columns, like the interpreted path.
-    """
-    positions = {c: i for i, c in enumerate(columns)}
-
-    def fallback(node: Expression):
-        cols = list(columns)
-        return lambda row: node.evaluate(dict(zip(cols, row)))
-
-    def build(node: Expression):
-        if isinstance(node, Comparison):
-            op = _COMPARATORS[node.op]
-            left, right = node.left, node.right
-            if isinstance(left, Col) and isinstance(right, Const):
-                if left.name not in positions:
-                    raise QueryError(
-                        f"unknown column {left.name!r} in expression"
-                    )
-                i = positions[left.name]
-                c = right.value
-                return lambda row: op(row[i], c)
-            if isinstance(left, Const) and isinstance(right, Col):
-                if right.name not in positions:
-                    raise QueryError(
-                        f"unknown column {right.name!r} in expression"
-                    )
-                i = positions[right.name]
-                c = left.value
-                return lambda row: op(c, row[i])
-            if isinstance(left, Col) and isinstance(right, Col):
-                for name in (left.name, right.name):
-                    if name not in positions:
-                        raise QueryError(
-                            f"unknown column {name!r} in expression"
-                        )
-                i, j = positions[left.name], positions[right.name]
-                return lambda row: op(row[i], row[j])
-            return fallback(node)
-        if isinstance(node, And):
-            parts = [build(op_) for op_ in node.operands]
-            if not parts:
-                return lambda row: True
-            return lambda row: all(p(row) for p in parts)
-        if isinstance(node, Or):
-            parts = [build(op_) for op_ in node.operands]
-            if not parts:
-                return lambda row: False
-            return lambda row: any(p(row) for p in parts)
-        if isinstance(node, Not):
-            inner = build(node.operand)
-            return lambda row: not inner(row)
-        return fallback(node)
-
-    return build(expr)
-
-
 def select_positions(
     expr: Expression,
     column: Callable[[str], Sequence[Value]],
@@ -458,8 +386,9 @@ def select_positions(
 ) -> List[int]:
     """Row positions (ascending) where the boolean *expr* holds.
 
-    The column-at-a-time counterpart of :func:`compile_predicate`, with
-    the same semantics: NULL compares false, :class:`Not` is two-valued
+    Semantics match :meth:`Expression.evaluate` at a filter boundary
+    (the test suite holds this equal to a row-wise reference): NULL
+    compares false, :class:`Not` is two-valued
     and any node other than a comparison of columns and constants or a
     connective is evaluated on an environment per row.  *column* maps a
     column name to its values (all *nrows* of them).

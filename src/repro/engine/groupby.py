@@ -8,8 +8,7 @@ same grouping machinery for its single-pass rollup.
 The operator is columnar: group membership is computed by zipping the
 key columns once (a ``Counter`` when every aggregate is COUNT(*)), and
 accumulators consume gathered argument-column slices instead of full
-row tuples.  :func:`group_by_rowwise` preserves the original
-row-at-a-time implementation as a test oracle and benchmark baseline.
+row tuples.
 """
 
 from __future__ import annotations
@@ -125,45 +124,6 @@ def group_by(
         for key, accs in states.items()
     ]
     return Table._trusted(out_columns, rows=out_rows)
-
-
-def group_by_rowwise(
-    table: Table,
-    keys: Sequence[str],
-    aggregates: Sequence[AggregateSpec],
-) -> Table:
-    """The original row-at-a-time group-by (oracle/baseline).
-
-    Semantically identical to :func:`group_by`; kept for property
-    tests and the columnar-speedup benchmark.
-    """
-    aliases = _validate(keys, aggregates)
-
-    key_pos = table.positions(keys)
-    arg_pos: List[Optional[int]] = [
-        table.position(a.argument) if a.argument is not None else None
-        for a in aggregates
-    ]
-
-    groups: Dict[Row, List[Accumulator]] = {}
-    for row in table.rows():
-        key = tuple(row[i] for i in key_pos)
-        accs = groups.get(key)
-        if accs is None:
-            accs = [a.make_accumulator() for a in aggregates]
-            groups[key] = accs
-        for acc, pos in zip(accs, arg_pos):
-            acc.add(row[pos] if pos is not None else None)
-
-    if not keys and not groups:
-        groups[()] = [a.make_accumulator() for a in aggregates]
-
-    out_columns = list(keys) + aliases
-    out_rows = [
-        key + tuple(acc.result() for acc in accs)
-        for key, accs in groups.items()
-    ]
-    return Table(out_columns, out_rows)
 
 
 def scalar_aggregate(table: Table, aggregate: AggregateSpec) -> Value:

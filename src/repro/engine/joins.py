@@ -1,15 +1,10 @@
-"""Join algorithms: hash equi-join, semijoin, antijoin, full outer join.
+"""The full outer join: Algorithm 1's combination step.
 
-All joins are hash based.  Equi-joins never match NULL keys (SQL
-semantics); the cube pipeline therefore rewrites cube NULLs to the
-DUMMY constant before joining (Section 4.2), and :func:`full_outer_join`
-implements the m-way combination step of Algorithm 1.
-
-The implementations are columnar: probe keys come from zipped key
-columns, matches are collected as *gather lists* of row positions, and
-output columns are built with one gather per column instead of
-concatenating row tuples.  Semijoin and antijoin never copy at all —
-they return zero-copy selections over the left table.
+The join is hash based and never matches NULL keys (SQL semantics);
+the cube pipeline therefore rewrites cube NULLs to the DUMMY constant
+before joining (Section 4.2), and :func:`full_outer_join_many` combines
+the m per-aggregate cubes.  The universal table's FK joins live in
+:mod:`repro.engine.universal`.
 """
 
 from __future__ import annotations
@@ -20,134 +15,6 @@ from ..errors import QueryError
 from ..obs import phase
 from .table import Table
 from .types import NULL, Row, Value, is_null
-
-
-def _gather(column: List[Value], indices: List[int]) -> List[Value]:
-    return [column[i] for i in indices]
-
-
-def hash_join(
-    left: Table,
-    right: Table,
-    left_on: Sequence[str],
-    right_on: Sequence[str],
-    *,
-    right_keep: Optional[Sequence[str]] = None,
-) -> Table:
-    """Inner hash equi-join of two tables.
-
-    Output columns are the left columns followed by the right columns,
-    except that right join columns (which duplicate left values) are
-    dropped; ``right_keep`` can restrict which non-join right columns
-    survive.  Column-name clashes raise :class:`QueryError` — callers
-    qualify names first.
-    """
-    if len(left_on) != len(right_on):
-        raise QueryError("join key lists must have equal length")
-    left.positions(left_on)
-    right_join_cols = set(right_on)
-    if right_keep is None:
-        keep_cols = [c for c in right.columns if c not in right_join_cols]
-    else:
-        keep_cols = [c for c in right_keep if c not in right_join_cols]
-    right.positions(keep_cols)
-    out_columns = list(left.columns) + keep_cols
-    if len(set(out_columns)) != len(out_columns):
-        raise QueryError(
-            f"join would produce duplicate columns: {out_columns}"
-        )
-    index = right.index_positions(right_on)
-    left_idx: List[int] = []
-    right_idx: List[int] = []
-    if not left_on:
-        # Degenerate empty key: every left row matches every right row.
-        matches = index.get((), [])
-        for i in range(len(left)):
-            for j in matches:
-                left_idx.append(i)
-                right_idx.append(j)
-    else:
-        left_key_cols = [left.column(c) for c in left_on]
-        for i, key in enumerate(zip(*left_key_cols)):
-            if any(is_null(v) for v in key):
-                continue
-            matches = index.get(key)
-            if matches:
-                for j in matches:
-                    left_idx.append(i)
-                    right_idx.append(j)
-    data = [_gather(col, left_idx) for col in left.column_arrays()]
-    data.extend(_gather(right.column(c), right_idx) for c in keep_cols)
-    return Table.from_columns(out_columns, data, nrows=len(left_idx))
-
-
-def natural_join(left: Table, right: Table) -> Table:
-    """Natural join on all shared column names."""
-    shared = [c for c in left.columns if right.has_column(c)]
-    if not shared:
-        raise QueryError(
-            f"no shared columns between {left.columns} and {right.columns}"
-        )
-    return hash_join(left, right, shared, shared)
-
-
-def _key_set(table: Table, columns: Sequence[str]) -> set:
-    key_cols = [table.column(c) for c in columns]
-    return set(zip(*key_cols))
-
-
-def semijoin(
-    left: Table,
-    right: Table,
-    left_on: Sequence[str],
-    right_on: Sequence[str],
-) -> Table:
-    """Rows of *left* that join with at least one row of *right*.
-
-    Returned as a zero-copy selection over the left table's columns.
-    """
-    if len(left_on) != len(right_on):
-        raise QueryError("semijoin key lists must have equal length")
-    left.positions(left_on)
-    right.positions(right_on)
-    if not left_on:
-        return left if len(right) else left.take([])
-    keys = _key_set(right, right_on)
-    left_key_cols = [left.column(c) for c in left_on]
-    selection = [
-        i
-        for i, key in enumerate(zip(*left_key_cols))
-        if key in keys and not any(is_null(v) for v in key)
-    ]
-    return left.take(selection)
-
-
-def antijoin(
-    left: Table,
-    right: Table,
-    left_on: Sequence[str],
-    right_on: Sequence[str],
-) -> Table:
-    """Rows of *left* that join with no row of *right*.
-
-    Rows whose key contains NULL never join, so they are *kept* — the
-    complement of :func:`semijoin`.  Zero-copy selection, like
-    :func:`semijoin`.
-    """
-    if len(left_on) != len(right_on):
-        raise QueryError("antijoin key lists must have equal length")
-    left.positions(left_on)
-    right.positions(right_on)
-    if not left_on:
-        return left.take([]) if len(right) else left
-    keys = _key_set(right, right_on)
-    left_key_cols = [left.column(c) for c in left_on]
-    selection = [
-        i
-        for i, key in enumerate(zip(*left_key_cols))
-        if key not in keys or any(is_null(v) for v in key)
-    ]
-    return left.take(selection)
 
 
 def full_outer_join(

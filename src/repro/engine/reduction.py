@@ -129,17 +129,6 @@ def reduce_row_sets(
     return rowsets
 
 
-def is_semijoin_reduced(
-    schema: DatabaseSchema,
-    rowsets: RowSets,
-    join_tree: Optional[JoinTree] = None,
-) -> bool:
-    """True iff running the full reducer would drop no tuple."""
-    probe = {name: set(rows) for name, rows in rowsets.items()}
-    reduce_row_sets(schema, probe, join_tree)
-    return all(probe[name] == set(rowsets[name]) for name in rowsets)
-
-
 def semijoin_reduce(
     database: Database, join_tree: Optional[JoinTree] = None
 ) -> Tuple[Database, Delta]:
@@ -161,13 +150,3 @@ def semijoin_reduce(
     for name, rows in rowsets.items():
         reduced.relations[name].insert_many(rows)
     return reduced, removed
-
-
-def database_is_reduced(
-    database: Database, join_tree: Optional[JoinTree] = None
-) -> bool:
-    """True iff *database* is already semijoin-reduced."""
-    rowsets: RowSets = {
-        name: set(rel.rows()) for name, rel in database.relations.items()
-    }
-    return is_semijoin_reduced(database.schema, rowsets, join_tree)

@@ -30,7 +30,7 @@ from typing import (
 
 from ..errors import IntegrityError
 from .schema import RelationSchema
-from .types import Row, Value, is_dummy, is_null, sort_key
+from .types import Row, Value, is_null, sort_key
 
 #: Positional join indexes of one snapshot, keyed by column positions
 #: (see :meth:`Table.index_positions <repro.engine.table.Table.index_positions>`).
@@ -39,8 +39,9 @@ JoinIndexes = Dict[Tuple[int, ...], Dict[Row, List[int]]]
 #: Batches larger than this drop the digest list; the next fingerprint
 #: rebuilds it.  A bisect update shifts the whole list per row (about
 #: 0.17 ns a digest on a 2-core Xeon) and a rebuild hashes every row
-#: (about 5 us), so per-row upkeep stays cheaper up to ~30k-row batches
-#: at any relation size; clear() of a big relation is never quadratic.
+#: (a few us each), so per-row upkeep stays cheaper for batches up to
+#: this size at any relation size; clear() of a big relation is never
+#: quadratic.
 _BISECT_BATCH = 10_000
 
 #: Signature of a mutation subscriber: ``(relation, inserted, deleted)``.
@@ -67,25 +68,15 @@ def _as_env_predicate(
     )
 
 
-def _fingerprint_value(value: Value) -> str:
-    """A canonical text form of one engine value for hashing."""
-    if is_null(value):
-        return "n:"
-    if is_dummy(value):
-        return "d:"
-    if isinstance(value, bool):
-        return f"b:{value}"
-    if isinstance(value, int):
-        return f"i:{value}"
-    if isinstance(value, float):
-        return f"f:{value!r}"
-    return f"s:{value}"
-
-
 def _row_digest(row: Row) -> bytes:
-    """A fixed-width order-independent-safe digest of one row."""
-    text = "\x1f".join(_fingerprint_value(v) for v in row)
-    return hashlib.sha256(text.encode("utf-8")).digest()
+    """A fixed-width digest of one row.
+
+    ``repr`` of the tuple is injective over the engine's values: strings
+    are quoted and escaped, so none can forge a separator or a
+    neighbouring value; floats round-trip; ``1``, ``True`` and ``1.0``
+    and the ``NULL``/``DUMMY`` markers all render apart.
+    """
+    return hashlib.sha256(repr(row).encode("utf-8")).digest()
 
 
 class Relation:

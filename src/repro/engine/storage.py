@@ -3,8 +3,9 @@
 A saved database is a directory containing ``schema.json`` plus one
 ``<Relation>.csv`` per relation.  The JSON carries everything the
 engine needs to rebuild the schema — attributes with dtypes, primary
-keys, and foreign keys including the back-and-forth flag — so a
-round-tripped database is equal to the original.
+keys, and foreign keys including the back-and-forth flag — so the
+directory alone rebuilds an equal database (the test suite reads it
+back to check).
 """
 
 from __future__ import annotations
@@ -13,15 +14,9 @@ import json
 from pathlib import Path
 from typing import Dict, Union
 
-from ..errors import SchemaError
-from .csvio import dump_relation, load_relation
+from .csvio import dump_relation
 from .database import Database
-from .schema import (
-    Attribute,
-    DatabaseSchema,
-    ForeignKey,
-    RelationSchema,
-)
+from .schema import DatabaseSchema
 
 PathLike = Union[str, Path]
 
@@ -56,45 +51,10 @@ def schema_to_dict(schema: DatabaseSchema) -> Dict:
     }
 
 
-def schema_from_dict(data: Dict) -> DatabaseSchema:
-    """Rebuild a schema from :func:`schema_to_dict` output."""
-    version = data.get("version")
-    if version != FORMAT_VERSION:
-        raise SchemaError(
-            f"unsupported schema format version {version!r} "
-            f"(expected {FORMAT_VERSION})"
-        )
-    relations = tuple(
-        RelationSchema(
-            r["name"],
-            tuple(Attribute(a["name"], a["dtype"]) for a in r["attributes"]),
-            tuple(r["primary_key"]),
-        )
-        for r in data["relations"]
-    )
-    foreign_keys = tuple(
-        ForeignKey(
-            fk["source"],
-            tuple(fk["source_attrs"]),
-            fk["target"],
-            tuple(fk["target_attrs"]),
-            fk["back_and_forth"],
-        )
-        for fk in data["foreign_keys"]
-    )
-    return DatabaseSchema(relations, foreign_keys)
-
-
 def save_schema(schema: DatabaseSchema, path: PathLike) -> None:
     """Write a schema to a JSON file."""
     with open(path, "w") as handle:
         json.dump(schema_to_dict(schema), handle, indent=2, sort_keys=True)
-
-
-def load_schema(path: PathLike) -> DatabaseSchema:
-    """Read a schema from a JSON file."""
-    with open(path) as handle:
-        return schema_from_dict(json.load(handle))
 
 
 def save_database(database: Database, directory: PathLike) -> None:
@@ -108,28 +68,3 @@ def save_database(database: Database, directory: PathLike) -> None:
     save_schema(database.schema, directory / SCHEMA_FILENAME)
     for name, relation in database.relations.items():
         dump_relation(relation, directory / f"{name}.csv")
-
-
-def load_database(
-    directory: PathLike, *, check_integrity: bool = True
-) -> Database:
-    """Load a database saved by :func:`save_database`.
-
-    ``check_integrity`` (default) verifies all foreign keys after
-    loading, so a manually edited directory cannot smuggle in dangling
-    references.
-    """
-    directory = Path(directory)
-    schema_path = directory / SCHEMA_FILENAME
-    if not schema_path.exists():
-        raise SchemaError(f"{directory} has no {SCHEMA_FILENAME}")
-    schema = load_schema(schema_path)
-    database = Database(schema)
-    for rs in schema.relations:
-        csv_path = directory / f"{rs.name}.csv"
-        if not csv_path.exists():
-            raise SchemaError(f"missing relation file {csv_path}")
-        database.relations[rs.name] = load_relation(rs, csv_path)
-    if check_integrity:
-        database.check_integrity()
-    return database

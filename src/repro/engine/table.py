@@ -186,6 +186,13 @@ class Table:
         """All columns' values in schema order (treat as read-only)."""
         return self.store().columns()
 
+    def built_cells(self) -> List[Sequence[Value]]:
+        """The row tuples if built, else the column lists (read-only).
+
+        Every cell exactly once, without building the other layout.
+        """
+        return self._rows if self._rows is not None else self.store().columns()
+
     # -- basic protocol ----------------------------------------------------
 
     def __len__(self) -> int:

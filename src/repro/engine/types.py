@@ -21,7 +21,7 @@ safe, but :func:`is_null` / :func:`is_dummy` read better in call sites.
 from __future__ import annotations
 
 from functools import total_ordering
-from typing import Any, Iterable, Tuple, Union
+from typing import Any, Tuple, Union
 
 
 class _Null:
@@ -112,16 +112,6 @@ def is_dummy(value: Any) -> bool:
 def is_missing(value: Any) -> bool:
     """Return True iff *value* is NULL or DUMMY (no real data)."""
     return value is NULL or value is DUMMY
-
-
-def null_to_dummy(row: Iterable[Value]) -> Row:
-    """Rewrite every NULL in *row* to DUMMY (Section 4.2 optimization)."""
-    return tuple(DUMMY if v is NULL else v for v in row)
-
-
-def dummy_to_null(row: Iterable[Value]) -> Row:
-    """Inverse of :func:`null_to_dummy`, for presenting results."""
-    return tuple(NULL if v is DUMMY else v for v in row)
 
 
 def sql_eq(a: Value, b: Value) -> bool:

@@ -100,12 +100,6 @@ class JoinTree:
         return list(reversed(self.bottom_up_edges()))
 
 
-def qualified_columns(schema: DatabaseSchema, relation: str) -> List[str]:
-    """``Relation.attr`` names for all attributes of *relation*."""
-    rs = schema.relation(relation)
-    return [f"{relation}.{a}" for a in rs.attribute_names]
-
-
 def fk_join_columns(fk: ForeignKey, side: str) -> List[str]:
     """The qualified join columns contributed by one side of *fk*.
 
@@ -219,18 +213,3 @@ def _join_keep_all(
         [col[j] for j in right_idx] for col in right.column_arrays()
     )
     return Table.from_columns(out_columns, data, nrows=len(left_idx))
-
-
-def project_universal(
-    universal: Table, schema: DatabaseSchema, relation: str
-) -> Table:
-    """``Π_{A_i}(U)`` — project the universal table onto one relation.
-
-    Output columns are unqualified attribute names; duplicates are
-    eliminated, so the result is exactly the semijoin-reduced relation
-    content.
-    """
-    rs = schema.relation(relation)
-    qualified = [f"{relation}.{a}" for a in rs.attribute_names]
-    projected = universal.project(qualified, distinct=True)
-    return projected.rename(dict(zip(qualified, rs.attribute_names)))

@@ -26,15 +26,12 @@ every refresh; a verdict flip falls back with reason
 ``verdict-changed``.
 
 Verification: conservation checks run on every patch (see
-:mod:`repro.incremental.delta`); setting ``verify="full"`` — or the
-``REPRO_INCREMENTAL_VERIFY=full`` environment variable — additionally
-cross-checks each patched table's content fingerprint against a cold
-rebuild and falls back (reason ``verify``) on mismatch.
+:mod:`repro.incremental.delta`); the test suite holds every patched
+table equal to a cold rebuild.
 """
 
 from __future__ import annotations
 
-import os
 import warnings
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence
@@ -62,7 +59,6 @@ REASON_VERDICT_CHANGED = "verdict-changed"
 REASON_CONSERVATION = "conservation"
 REASON_FLOAT_SUM = "float-sum"
 REASON_NULL_DIMENSION = "null-dimension"
-REASON_VERIFY = "verify"
 
 
 @dataclass
@@ -110,7 +106,6 @@ class IncrementalSession:
         method: str = "auto",
         support_threshold: Optional[float] = None,
         metrics: Optional[MetricsRegistry] = None,
-        verify: Optional[str] = None,
     ) -> None:
         self.database = database
         self.question = question
@@ -118,9 +113,6 @@ class IncrementalSession:
         self.method = method
         self.support_threshold = support_threshold
         self._metrics = metrics if metrics is not None else get_registry()
-        if verify is None:
-            verify = os.environ.get("REPRO_INCREMENTAL_VERIFY", "off")
-        self.verify = verify or "off"
         self.log = MutationLog(database)
         self._builder: Optional[DeltaCubeBuilder] = None
         self._static_reason: Optional[str] = None
@@ -254,10 +246,6 @@ class IncrementalSession:
         stats.delta_rows_added = applied.delta_rows_added
         stats.delta_rows_removed = applied.delta_rows_removed
         stats.groups_touched = applied.groups_touched
-        if self.verify == "full":
-            cold = self._make_explainer().explanation_table(self.method)
-            if cold.content_fingerprint() != table.content_fingerprint():
-                return self._fallback(REASON_VERIFY, stats, table=cold)
         stats.strategy = "patched"
         self._table = table
         self.patches += 1
@@ -291,7 +279,6 @@ class IncrementalSession:
         self,
         reason: str,
         stats: RefreshStats,
-        table: Optional["ExplanationTable"] = None,
     ) -> RefreshStats:
         """Full recompute with a warning and a labelled counter bump."""
         self._metrics.counter(
@@ -306,11 +293,7 @@ class IncrementalSession:
             stacklevel=3,
         )
         explainer = self._make_explainer()
-        self._table = (
-            table
-            if table is not None
-            else explainer.explanation_table(self.method)
-        )
+        self._table = explainer.explanation_table(self.method)
         if self._builder is not None:
             # Re-arm patching from the fresh state; a rebuild failure
             # (persistent floats / NULL dimensions) disarms for good.

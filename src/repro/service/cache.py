@@ -39,13 +39,16 @@ def estimate_table_bytes(m: ExplanationTable) -> int:
     column headers.  Interned/shared values are deliberately counted
     per occurrence — the budget is a safety valve against unbounded
     growth, not an accounting exercise, so over-counting is the safe
-    direction.
+    direction.  Cells are read in whichever layout *M* already has, so
+    a columnar *M* never builds its row tuples just to be measured;
+    every row tuple has the table's width, so one size stands for all.
     """
+    table = m.table
     total = _SIZE_OVERHEAD
-    total += sum(sys.getsizeof(c) for c in m.table.columns)
-    for row in m.table.rows():
-        total += sys.getsizeof(row)
-        total += sum(sys.getsizeof(v) for v in row)
+    total += sum(sys.getsizeof(c) for c in table.columns)
+    total += len(table) * sys.getsizeof((None,) * len(table.columns))
+    for cells in table.built_cells():
+        total += sum(map(sys.getsizeof, cells))
     for name, value in m.q_original.items():
         total += sys.getsizeof(name) + sys.getsizeof(value)
     return total

@@ -7,10 +7,13 @@ import json
 import pytest
 
 from repro.analysis import (
+    RULE_PROP_34,
+    RULE_PROP_35,
     RULE_PROP_311,
     VERDICT_EXACT_CUBE,
     PlanCertificate,
     analyze_plan,
+    certify_convergence,
 )
 from repro.core.explainer import AUTO_METHOD, Explainer
 from repro.core.parsing import parse_question
@@ -121,14 +124,49 @@ class TestAnalyzePlan:
         assert "certified bound" in text
 
 
+#: dataset module -> (schema builder, certified rule, bound).  A bound
+#: of "n - 1" is symbolic: concrete only once an instance supplies n.
+#: chains: R3 carries two back-and-forth keys with distinct targets, so
+#: only the Proposition 3.4 fallback applies.  running example, DBLP and
+#: Geo-DBLP: one back-and-forth key, Proposition 3.11's 2s + 2 = 4.
+#: natality: one relation, no foreign keys, Proposition 3.5's 2.  TPC-H:
+#: no back-and-forth key, but the partsupp diamond makes the join graph
+#: cyclic, so 3.5/3.10/3.11 (which assume a join tree) do not apply.
+CONVERGENCE = {
+    chains: (chains.chain_schema, RULE_PROP_34, "n - 1"),
+    rex: (rex.schema, RULE_PROP_311, 4),
+    natality: (natality.schema, RULE_PROP_35, 2),
+    dblp: (dblp.dblp_schema, RULE_PROP_311, 4),
+    geodblp: (geodblp.schema, RULE_PROP_311, 4),
+    tpch: (tpch.schema, RULE_PROP_34, "n - 1"),
+}
+
+
 class TestDatasetSelfCertification:
     @pytest.mark.parametrize(
         "module", [chains, rex, natality, dblp, geodblp, tpch]
     )
     def test_certified_convergence(self, module):
-        # Each bundled dataset asserts its own convergence class; a
-        # failure here means the analyzer regressed on a paper shape.
-        assert module.certified_convergence() is not None
+        # Each bundled dataset sits in the convergence class the paper
+        # puts its shape in; a failure means the analyzer regressed.
+        build, rule, bound = CONVERGENCE[module]
+        certificate = certify_convergence(build())
+        assert certificate.selected_rule == rule
+        if isinstance(bound, int):
+            assert certificate.bound == bound
+        else:
+            assert certificate.bound_expression == bound
+        if module is chains:
+            assert certificate.interaction_cycle
+        if module is tpch:
+            assert not certificate.join_graph_is_tree
+            assert not certificate.rule(RULE_PROP_35).applicable
+
+    def test_standard_key_running_example(self):
+        # Demoting the back-and-forth key leaves no such key at all.
+        certificate = certify_convergence(rex.schema(back_and_forth=False))
+        assert certificate.selected_rule == RULE_PROP_35
+        assert certificate.bound == 2
 
 
 class TestExplainerIntegration:

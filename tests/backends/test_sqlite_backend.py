@@ -210,7 +210,8 @@ class TestStorageRoundTrip:
         # The CSV round-trip of engine/storage.py is the on-disk
         # interchange format; a reloaded database must produce the same
         # in-database explanation table as the original.
-        from repro.engine.storage import load_database, save_database
+        from repro.engine.storage import save_database
+        from support.fixtures import load_database
 
         db = rex.database()
         save_database(db, tmp_path / "rex")

@@ -141,7 +141,7 @@ class TestSlackWitness:
 
 class TestAudit:
     def test_audit_reports_slack(self, cross_domain_db):
-        from repro.core.additivity import audit_additivity
+        from support.additivity import audit_additivity
 
         phis = [
             parse_explanation("Author.name = 'JG'"),
@@ -155,7 +155,7 @@ class TestAudit:
         assert by_phi["[Author.inst = 'M.com']"].slack == 0  # refining φ
 
     def test_audit_zero_slack_on_exact_query(self, cross_domain_db):
-        from repro.core.additivity import audit_additivity
+        from support.additivity import audit_additivity
 
         phis = [
             parse_explanation("Author.name = 'JG'"),

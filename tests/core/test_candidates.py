@@ -4,10 +4,8 @@ import pytest
 
 from repro.core.candidates import (
     active_domain,
-    bucket_atoms,
     count_candidates,
     enumerate_explanations,
-    enumerate_with_buckets,
 )
 from repro.datasets import running_example as rex
 from repro.engine.table import Table
@@ -88,52 +86,3 @@ class TestEnumeration:
     def test_count_with_max_atoms(self, universal):
         attrs = ["Author.name", "Publication.year"]
         assert count_candidates(universal, attrs, max_atoms=1) == 5
-
-
-class TestBuckets:
-    def test_bucket_atoms(self):
-        buckets = bucket_atoms("Publication", "year", [2000, 2005, 2012])
-        assert len(buckets) == 2
-        lo_atom, hi_atom = buckets[0]
-        assert lo_atom.op == ">=" and lo_atom.constant == 2000
-        assert hi_atom.op == "<" and hi_atom.constant == 2005
-
-    def test_bucket_needs_two_boundaries(self):
-        with pytest.raises(ExplanationError):
-            bucket_atoms("R", "x", [1])
-
-    def test_enumerate_with_buckets(self, universal):
-        phis = list(
-            enumerate_with_buckets(
-                universal,
-                ["Author.dom"],
-                {"Publication.year": [2000, 2005, 2012]},
-            )
-        )
-        # 2 dom values + 2 buckets + 2*2 combinations = 8
-        assert len(phis) == 8
-        sizes = sorted(phi.size for phi in phis)
-        assert sizes == [1, 1, 2, 2, 3, 3, 3, 3]
-
-    def test_bucket_predicate_semantics(self, universal):
-        phis = list(
-            enumerate_with_buckets(
-                universal, [], {"Publication.year": [2000, 2005, 2012]}
-            )
-        )
-        early, late = phis
-        env_2001 = {"Publication.year": 2001}
-        env_2011 = {"Publication.year": 2011}
-        assert early.evaluate(env_2001) and not early.evaluate(env_2011)
-        assert late.evaluate(env_2011) and not late.evaluate(env_2001)
-
-    def test_max_atoms_counts_groups(self, universal):
-        phis = list(
-            enumerate_with_buckets(
-                universal,
-                ["Author.dom"],
-                {"Publication.year": [2000, 2005, 2012]},
-                max_atoms=1,
-            )
-        )
-        assert len(phis) == 4  # 2 dom + 2 buckets, no combinations

@@ -2,11 +2,14 @@
 
 import pytest
 
-from repro.core.causality import DataCausalGraph, SchemaCausalGraph, prop_310_bound
+from repro.core.causality import SchemaCausalGraph
 from repro.core.intervention import FixpointStrategy, compute_intervention
 from repro.core.predicates import parse_explanation
 from repro.datasets import chains
 from repro.datasets import running_example as rex
+
+from support.causality import DataCausalGraph, prop_310_bound
+from support.fixtures import example_29_database
 
 
 class TestSchemaCausalGraph:
@@ -80,7 +83,7 @@ class TestDataCausalGraph:
         exists), but s1 and s5 are RR-P cases... take P2: it has two
         authors, so no such edge; in Example 2.9's chain, S1(a,b) is
         the only tuple referencing R1(a)."""
-        db = rex.example_29_database()
+        db = example_29_database()
         g = DataCausalGraph.of(db)
         edge = g.successors(("S1", ("a", "b"))).get(("R1", ("a",)))
         assert edge is not None and edge[0]

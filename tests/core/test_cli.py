@@ -155,7 +155,7 @@ class TestGenerate:
         assert main(["generate", "running-example", str(out)]) == 0
         assert (out / "schema.json").exists()
         assert (out / "Author.csv").exists()
-        from repro.engine.storage import load_database
+        from support.fixtures import load_database
 
         db = load_database(out)
         assert db.total_rows() == 12
@@ -165,7 +165,7 @@ class TestGenerate:
         assert (
             main(["generate", "natality", str(out), "--rows", "100"]) == 0
         )
-        from repro.engine.storage import load_database
+        from support.fixtures import load_database
 
         assert len(load_database(out).relation("Birth")) == 100
 
@@ -385,4 +385,3 @@ class TestAnalyze:
         assert "RS009" in out
         assert "cyclic" in out
         assert "recommended method: cube" in out
-

@@ -25,15 +25,16 @@ from repro.core import (
     Explainer,
     UserQuestion,
     compute_intervention,
-    is_valid_intervention,
     parse_explanation,
     single_query,
 )
 from repro.engine.aggregates import count_star
 from repro.engine.database import Database
-from repro.engine.reduction import database_is_reduced, semijoin_reduce
+from repro.engine.reduction import semijoin_reduce
 from repro.engine.schema import DatabaseSchema, ForeignKey, make_schema
 from repro.engine.universal import universal_table
+
+from support.intervention import database_is_reduced, is_valid_intervention
 
 
 def schema() -> DatabaseSchema:

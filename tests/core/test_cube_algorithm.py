@@ -160,7 +160,8 @@ class TestOptions:
         # The v_j columns of M against the retained 2^d-group-bys
         # oracle on the same per-aggregate inputs; production code
         # never imports it.
-        from repro.engine.cube import cube_bruteforce, dummy_rewrite
+        from repro.engine.cube import dummy_rewrite
+        from support.cube import cube_bruteforce
         from repro.engine.universal import universal_table
 
         db = natality.generate(rows=200, seed=3)

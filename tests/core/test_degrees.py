@@ -1,15 +1,12 @@
 """Tests for μ_aggr and μ_interv on the running example."""
 
-import pytest
-
-from repro.core.degrees import DegreeEvaluator, hybrid_degree
-from repro.core.numquery import AggregateQuery, ratio_query, single_query
+from repro.core.degrees import DegreeEvaluator
+from repro.core.numquery import AggregateQuery, single_query
 from repro.core.predicates import parse_explanation
 from repro.core.question import UserQuestion
 from repro.datasets import running_example as rex
-from repro.engine.aggregates import count_distinct, count_star
+from repro.engine.aggregates import count_distinct
 from repro.engine.expressions import Col, Comparison, Const
-from repro.engine.types import is_null
 
 
 def sigmod_query():
@@ -108,37 +105,3 @@ class TestScore:
         score = ev.score(parse_explanation("Author.name = 'RR'"))
         assert score.intervention.iterations >= 1
         assert score.intervention.size == score.delta_size
-
-
-class TestHybridDegree:
-    def test_mixes_the_two_degrees(self):
-        db = rex.database()
-        ev = DegreeEvaluator(db, UserQuestion.high(sigmod_query()))
-        score = ev.score(parse_explanation("Author.name = 'RR'"))
-        mid = hybrid_degree(score, weight=0.5)
-        assert mid == pytest.approx(0.5 * score.mu_interv + 0.5 * score.mu_aggr)
-
-    def test_weight_extremes(self):
-        db = rex.database()
-        ev = DegreeEvaluator(db, UserQuestion.high(sigmod_query()))
-        score = ev.score(parse_explanation("Author.name = 'RR'"))
-        assert hybrid_degree(score, weight=1.0) == score.mu_interv
-        assert hybrid_degree(score, weight=0.0) == score.mu_aggr
-
-    def test_null_propagates(self):
-        db = rex.database()
-        # ratio with zero denominator on aggravation side -> inf, not
-        # NULL; construct a NULL via 0/0 (no epsilon).
-        q1 = AggregateQuery(
-            "q1", count_star("q1"),
-            Comparison("=", Col("Author.name"), Const("NOBODY")),
-        )
-        q2 = AggregateQuery(
-            "q2", count_star("q2"),
-            Comparison("=", Col("Author.name"), Const("NOBODY")),
-        )
-        question = UserQuestion.high(ratio_query(q1, q2))
-        ev = DegreeEvaluator(db, question)
-        score = ev.score(parse_explanation("Author.name = 'JG'"))
-        assert is_null(score.mu_aggr)
-        assert is_null(hybrid_degree(score))

@@ -2,17 +2,15 @@
 
 import pytest
 
-from repro.core.intervention import (
-    FixpointStrategy,
-    compute_intervention,
-    is_closed,
-    is_valid_intervention,
-)
+from repro.core.intervention import FixpointStrategy, compute_intervention
 from repro.core.predicates import AtomicPredicate, DisjunctivePredicate, Explanation, parse_explanation
 from repro.datasets import chains
 from repro.datasets import running_example as rex
 from repro.engine.database import Delta
 from repro.errors import ConvergenceError
+
+from support.fixtures import example_29_database
+from support.intervention import is_closed, is_valid_intervention
 
 
 class TestSeeds:
@@ -158,7 +156,7 @@ class TestConvergenceProperties:
             assert result.iterations <= 2
 
     def test_example_29_two_iterations(self):
-        db = rex.example_29_database()
+        db = example_29_database()
         phi = parse_explanation("R1.x = 'a' AND R2.y = 'b' AND R3.z = 'c'")
         result = compute_intervention(db, phi)
         assert result.iterations <= 2

@@ -7,7 +7,6 @@ import pytest
 from repro.core.numquery import (
     AggregateQuery,
     NumericalQuery,
-    difference_query,
     double_ratio_query,
     ratio_query,
     regression_slope_query,
@@ -100,13 +99,6 @@ class TestNumericalQuery:
         )
         # (4/4) / (2/2) = 1
         assert q.evaluate_universal(universal) == 1.0
-
-    def test_difference(self, universal):
-        q = difference_query(
-            count_query("q1", **{"Author.dom": "com"}),
-            count_query("q2", **{"Author.dom": "edu"}),
-        )
-        assert q.evaluate_universal(universal) == 2
 
     def test_aggregate_values(self, universal):
         q = ratio_query(

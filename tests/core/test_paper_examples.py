@@ -18,7 +18,6 @@ from repro.core import (
     UserQuestion,
     analyze_additivity,
     compute_intervention,
-    is_valid_intervention,
     parse_explanation,
     single_query,
 )
@@ -27,6 +26,10 @@ from repro.engine.aggregates import count_distinct, count_star
 from repro.engine.database import Delta
 from repro.datasets import chains
 from repro.datasets import running_example as rex
+
+from support.fixtures import example_210_database, example_29_database
+from support.intervention import is_valid_intervention
+
 
 PHI_28 = parse_explanation("Author.name = 'JG' AND Publication.year = 2001")
 
@@ -84,14 +87,14 @@ class TestExample29:
     PHI = parse_explanation("R1.x = 'a' AND R2.y = 'b' AND R3.z = 'c'")
 
     def test_minimal_intervention_is_whole_database(self):
-        db = rex.example_29_database()
+        db = example_29_database()
         result = compute_intervention(db, self.PHI)
         assert result.size == db.total_rows()
 
     def test_partial_deletions_are_invalid(self):
         """Both 'competing' minimal candidates from the example fail
         the semijoin-reduction condition."""
-        db = rex.example_29_database()
+        db = example_29_database()
         for candidate in (
             Delta(db.schema, {"S1": [("a", "b")]}),
             Delta(db.schema, {"S2": [("b", "c")]}),
@@ -105,8 +108,8 @@ class TestExample210:
     PHI = TestExample29.PHI
 
     def test_delta_shrinks_when_database_grows(self):
-        small = rex.example_29_database()
-        big = rex.example_210_database()
+        small = example_29_database()
+        big = example_210_database()
         delta_small = compute_intervention(small, self.PHI).delta
         delta_big = compute_intervention(big, self.PHI).delta
         assert delta_small.size() == 5
@@ -119,14 +122,14 @@ class TestExample210:
         assert delta_big.rows_for("R3") == frozenset()
 
     def test_r1a_and_r3c_survive(self):
-        big = rex.example_210_database()
+        big = example_210_database()
         delta = compute_intervention(big, self.PHI).delta
         residual = big.subtract(delta)
         assert ("a",) in residual.relation("R1")
         assert ("c",) in residual.relation("R3")
 
     def test_big_delta_is_valid(self):
-        big = rex.example_210_database()
+        big = example_210_database()
         delta = compute_intervention(big, self.PHI).delta
         assert is_valid_intervention(big, self.PHI, delta)
 

@@ -8,7 +8,7 @@ from repro.core import AggregateQuery, UserQuestion, single_query
 from repro.core.report import explain_question
 from repro.datasets import natality
 from repro.datasets import running_example as rex
-from repro.engine.aggregates import count_distinct, count_star
+from repro.engine.aggregates import agg_sum, count_distinct, count_star
 from repro.engine.expressions import Col, Comparison, Const
 
 
@@ -49,6 +49,25 @@ class TestExplainQuestion:
         )
         assert report.method == "indexed"
         assert not report.additivity.all_exact_cube
+        assert report.top_by_intervention
+
+    def test_auto_method_is_the_explainers(self):
+        # sum(year) over SIGMOD: neither cube-exact nor indexable, so
+        # the certificate recommends exact; the report must not second-
+        # guess it with a rule of its own.
+        question = UserQuestion.high(
+            single_query(
+                AggregateQuery(
+                    "q1",
+                    agg_sum("Publication.year", "q1"),
+                    Comparison("=", Col("Publication.venue"), Const("SIGMOD")),
+                )
+            )
+        )
+        report = explain_question(
+            rex.database(), question, ["Author.name"], k=2
+        )
+        assert report.method == "exact"
         assert report.top_by_intervention
 
     def test_explicit_method_respected(self):

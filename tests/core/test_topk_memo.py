@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from repro.core import topk
 from repro.core.cube_algorithm import MU_AGGR, MU_INTERV, ExplanationTable
 from repro.core.explainer import Explainer
-from repro.core.topk import STRATEGIES, dominated_rows, top_k_explanations
+from repro.core.topk import STRATEGIES, top_k_explanations
 from repro.datasets import natality
 from repro.engine.table import Table
 from repro.engine.types import DUMMY, NULL
@@ -23,6 +23,9 @@ from repro.obs.recorder import TraceRecorder
 from repro.service.engine import rank_table
 
 import topk_oracle as oracle
+
+from support.topk import dominated_rows
+
 
 MINIMALITIES = ("general", "specific")
 

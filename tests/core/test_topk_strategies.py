@@ -5,7 +5,6 @@ import pytest
 from repro.core.cube_algorithm import MU_AGGR, MU_INTERV, ExplanationTable
 from repro.core.topk import (
     STRATEGIES,
-    dominated_rows,
     top_k_explanations,
     top_k_minimal_append,
     top_k_minimal_self_join,
@@ -14,6 +13,8 @@ from repro.core.topk import (
 from repro.engine.table import Table
 from repro.engine.types import DUMMY
 from repro.errors import ExplanationError
+
+from support.topk import dominated_rows
 
 
 def make_m(rows, attributes=("R.a", "R.b")):

@@ -4,16 +4,12 @@ import pytest
 
 from repro.engine.aggregates import agg_sum, count_star
 from repro.engine.expressions import Col
-from repro.engine.cube import (
-    cube,
-    cube_bruteforce,
-    dummy_rewrite,
-    grouping_sets,
-    undummy,
-)
+from repro.engine.cube import cube, dummy_rewrite, grouping_sets
 from repro.engine.table import Table
 from repro.engine.types import DUMMY, NULL
 from repro.errors import QueryError
+
+from support.cube import cube_bruteforce
 
 
 @pytest.fixture
@@ -137,102 +133,13 @@ class TestDummyRewrite:
             for row in rewritten.rows()
             for v in row[:2]
         )
-        assert undummy(rewritten, ["name", "year"]) == c
+        restored = [
+            tuple(NULL if v is DUMMY else v for v in row)
+            for row in rewritten.rows()
+        ]
+        assert restored == c.rows()
 
     def test_rewrite_only_touches_dimensions(self):
         t = Table(["d", "v"], [(NULL, NULL)])
         rewritten = dummy_rewrite(t, ["d"])
         assert rewritten.rows() == [(DUMMY, NULL)]
-
-
-class TestRollupAndGroupingSets:
-    def test_rollup_sets(self):
-        from repro.engine.cube import rollup_sets
-
-        assert rollup_sets(["a", "b", "c"]) == [
-            ("a", "b", "c"),
-            ("a", "b"),
-            ("a",),
-            (),
-        ]
-
-    def test_rollup_subset_of_cube(self, name_year):
-        from repro.engine.cube import rollup
-
-        rolled = rollup(name_year, ["name", "year"], [count_star("c")])
-        cubed = cube(name_year, ["name", "year"], [count_star("c")])
-        assert set(rolled.rows()) <= set(cubed.rows())
-        # d+1 grouping sets: full (5 cells) + name-level (3) + total (1).
-        assert len(rolled) == 5 + 3 + 1
-
-    def test_rollup_never_has_partial_prefix_nulls(self, name_year):
-        """ROLLUP nulls always form a suffix of the dimension list."""
-        from repro.engine.cube import rollup
-
-        rolled = rollup(name_year, ["name", "year"], [count_star("c")])
-        for name, year, _ in rolled.rows():
-            if name is NULL:
-                assert year is NULL  # (NULL, 2001) never appears
-
-    def test_grouping_sets_explicit(self, name_year):
-        from repro.engine.cube import grouping_sets_aggregate
-
-        out = grouping_sets_aggregate(
-            name_year,
-            [("name",), ("year",)],
-            [count_star("c")],
-            ["name", "year"],
-        )
-        # 3 names + 2 years, no combined cells, no grand total.
-        assert len(out) == 5
-
-    def test_grouping_sets_deduplicates(self, name_year):
-        from repro.engine.cube import grouping_sets_aggregate
-
-        once = grouping_sets_aggregate(
-            name_year, [("name",)], [count_star("c")], ["name", "year"]
-        )
-        twice = grouping_sets_aggregate(
-            name_year,
-            [("name",), ("name",)],
-            [count_star("c")],
-            ["name", "year"],
-        )
-        assert once == twice
-
-    def test_grouping_sets_equals_cube(self, name_year):
-        from repro.engine.cube import grouping_sets, grouping_sets_aggregate
-
-        via_sets = grouping_sets_aggregate(
-            name_year,
-            grouping_sets(["name", "year"]),
-            [count_star("c")],
-            ["name", "year"],
-        )
-        direct = cube(name_year, ["name", "year"], [count_star("c")])
-        assert via_sets == direct
-
-    def test_unknown_attribute_in_set(self, name_year):
-        from repro.engine.cube import grouping_sets_aggregate
-
-        with pytest.raises(QueryError, match="outside"):
-            grouping_sets_aggregate(
-                name_year, [("zzz",)], [count_star("c")], ["name"]
-            )
-
-    def test_empty_input_with_grand_total_set(self):
-        from repro.engine.cube import grouping_sets_aggregate
-
-        empty = Table(["a"], [])
-        out = grouping_sets_aggregate(
-            empty, [()], [count_star("c")], ["a"]
-        )
-        assert out.rows() == [(NULL, 0)]
-
-    def test_inferred_dimension_order(self, name_year):
-        from repro.engine.cube import grouping_sets_aggregate
-
-        out = grouping_sets_aggregate(
-            name_year, [("year",), ("name",)], [count_star("c")]
-        )
-        assert out.columns == ("year", "name", "c")

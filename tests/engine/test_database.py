@@ -6,6 +6,8 @@ from repro.datasets import running_example as rex
 from repro.engine.database import Delta
 from repro.errors import IntegrityError, SchemaError
 
+from support.fixtures import example_29_database
+
 
 @pytest.fixture
 def db():
@@ -94,7 +96,7 @@ class TestDelta:
         assert a != Delta.empty(db.schema)
 
     def test_incomparable_schemas(self, db):
-        other = rex.example_29_database()
+        other = example_29_database()
         with pytest.raises(SchemaError):
             Delta.empty(db.schema).issubset(Delta.empty(other.schema))
 

@@ -19,7 +19,6 @@ from repro.engine.expressions import (
     lift,
     log,
     neg,
-    row_environment,
 )
 from repro.engine.types import NULL
 from repro.errors import QueryError
@@ -45,10 +44,6 @@ class TestBasics:
         assert isinstance(lift(3), Const)
         c = Col("x")
         assert lift(c) is c
-
-    def test_row_environment(self):
-        env = row_environment(["a", "b"], (1, 2))
-        assert env == {"a": 1, "b": 2}
 
 
 class TestArithmetic:
@@ -191,7 +186,7 @@ class TestBoolean:
 class TestCompilePredicate:
     def _check(self, expr, columns, rows):
         """Compiled result must equal interpreted result on every row."""
-        from repro.engine.expressions import compile_predicate
+        from support.expressions import compile_predicate
 
         fn = compile_predicate(expr, columns)
         for row in rows:
@@ -225,7 +220,7 @@ class TestCompilePredicate:
         self._check(expr, ["x", "y"], rows)
 
     def test_unknown_column_raises(self):
-        from repro.engine.expressions import compile_predicate
+        from support.expressions import compile_predicate
 
         with pytest.raises(QueryError, match="unknown column"):
             compile_predicate(Col("zzz").eq(1), ["x"])

@@ -2,14 +2,7 @@
 
 import pytest
 
-from repro.engine.joins import (
-    antijoin,
-    full_outer_join,
-    full_outer_join_many,
-    hash_join,
-    natural_join,
-    semijoin,
-)
+from repro.engine.joins import full_outer_join, full_outer_join_many
 from repro.engine.table import Table
 from repro.engine.types import DUMMY, NULL
 from repro.errors import QueryError
@@ -26,93 +19,6 @@ def authored():
         ["aid", "pubid"],
         [("A1", "P1"), ("A2", "P1"), ("A1", "P2"), ("A9", "P9")],
     )
-
-
-class TestHashJoin:
-    def test_basic(self, authors, authored):
-        out = hash_join(authored, authors, ["aid"], ["id"])
-        assert out.columns == ("aid", "pubid", "name")
-        assert len(out) == 3  # A9 dangles
-
-    def test_join_column_dropped_from_right(self, authors, authored):
-        out = hash_join(authored, authors, ["aid"], ["id"])
-        assert "id" not in out.columns
-
-    def test_right_keep(self, authors, authored):
-        out = hash_join(authored, authors, ["aid"], ["id"], right_keep=[])
-        assert out.columns == ("aid", "pubid")
-
-    def test_null_keys_never_match(self):
-        left = Table(["k", "v"], [(NULL, 1), ("a", 2)])
-        right = Table(["k", "w"], [(NULL, 10), ("a", 20)])
-        out = hash_join(left, right, ["k"], ["k"], right_keep=["w"])
-        assert len(out) == 1 and out.rows()[0] == ("a", 2, 20)
-
-    def test_dummy_keys_do_match(self):
-        left = Table(["k", "v"], [(DUMMY, 1)])
-        right = Table(["k", "w"], [(DUMMY, 10)])
-        out = hash_join(left, right, ["k"], ["k"])
-        assert len(out) == 1
-
-    def test_key_length_mismatch(self, authors, authored):
-        with pytest.raises(QueryError):
-            hash_join(authored, authors, ["aid"], ["id", "name"])
-
-    def test_column_clash_rejected(self):
-        left = Table(["k", "v"], [("a", 1)])
-        right = Table(["k2", "v"], [("a", 1)])
-        with pytest.raises(QueryError, match="duplicate columns"):
-            hash_join(left, right, ["k"], ["k2"])
-
-    def test_multi_column_key(self):
-        left = Table(["a", "b", "x"], [(1, 2, "l")])
-        right = Table(["a", "b", "y"], [(1, 2, "r"), (1, 3, "no")])
-        out = hash_join(left, right, ["a", "b"], ["a", "b"])
-        assert len(out) == 1 and out.rows()[0] == (1, 2, "l", "r")
-
-
-class TestNaturalJoin:
-    def test_shared_columns(self):
-        left = Table(["id", "x"], [("A1", 1)])
-        right = Table(["id", "y"], [("A1", 2)])
-        out = natural_join(left, right)
-        assert out.rows() == [("A1", 1, 2)]
-
-    def test_no_shared_columns_rejected(self):
-        with pytest.raises(QueryError):
-            natural_join(Table(["a"], []), Table(["b"], []))
-
-
-class TestSemiAntiJoin:
-    def test_semijoin(self, authors, authored):
-        out = semijoin(authors, authored, ["id"], ["aid"])
-        assert {r[0] for r in out.rows()} == {"A1", "A2"}
-
-    def test_antijoin(self, authors, authored):
-        out = antijoin(authors, authored, ["id"], ["aid"])
-        assert {r[0] for r in out.rows()} == {"A3"}
-
-    def test_semijoin_null_key_excluded(self):
-        left = Table(["k"], [(NULL,), ("a",)])
-        right = Table(["k"], [("a",), (NULL,)])
-        assert len(semijoin(left, right, ["k"], ["k"])) == 1
-
-    def test_antijoin_keeps_null_keys(self):
-        left = Table(["k"], [(NULL,), ("a",)])
-        right = Table(["k"], [("a",)])
-        out = antijoin(left, right, ["k"], ["k"])
-        assert len(out) == 1 and out.rows()[0][0] is NULL
-
-    def test_semijoin_plus_antijoin_partition(self, authors, authored):
-        semi = semijoin(authors, authored, ["id"], ["aid"])
-        anti = antijoin(authors, authored, ["id"], ["aid"])
-        assert len(semi) + len(anti) == len(authors)
-
-    def test_key_length_mismatch(self, authors, authored):
-        with pytest.raises(QueryError):
-            semijoin(authors, authored, ["id"], [])
-        with pytest.raises(QueryError):
-            antijoin(authors, authored, ["id"], [])
 
 
 class TestFullOuterJoin:

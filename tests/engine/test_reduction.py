@@ -3,13 +3,15 @@
 
 from repro.datasets import running_example as rex
 from repro.engine.database import Database
-from repro.engine.reduction import (
+from repro.engine.reduction import reduce_row_sets, semijoin_reduce
+from repro.engine.universal import universal_table
+
+from support.fixtures import example_29_database
+from support.intervention import (
     database_is_reduced,
     is_semijoin_reduced,
-    reduce_row_sets,
-    semijoin_reduce,
+    project_universal,
 )
-from repro.engine.universal import project_universal, universal_table
 
 
 def oracle_reduce(db):
@@ -65,7 +67,7 @@ class TestFullReducer:
             assert set(reduced.relation(name).rows()) == expected[name]
 
     def test_matches_oracle_on_chain(self):
-        db = rex.example_29_database()
+        db = example_29_database()
         db.relation("R2").insert(("dangling",))
         reduced, removed = semijoin_reduce(db)
         expected = oracle_reduce(db)

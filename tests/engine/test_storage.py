@@ -5,15 +5,10 @@ import pytest
 
 from repro.datasets import chains, natality
 from repro.datasets import running_example as rex
-from repro.engine.storage import (
-    load_database,
-    load_schema,
-    save_database,
-    save_schema,
-    schema_from_dict,
-    schema_to_dict,
-)
+from repro.engine.storage import save_database, save_schema, schema_to_dict
 from repro.errors import IntegrityError, SchemaError
+
+from support.fixtures import load_database, load_schema, schema_from_dict
 
 
 class TestSchemaRoundTrip:

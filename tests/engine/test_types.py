@@ -6,11 +6,9 @@ import copy
 from repro.engine.types import (
     DUMMY,
     NULL,
-    dummy_to_null,
     is_dummy,
     is_missing,
     is_null,
-    null_to_dummy,
     sort_key,
     sql_eq,
     sql_ge,
@@ -103,15 +101,3 @@ class TestSortKey:
         a = sorted(values, key=sort_key)
         b = sorted(reversed(values), key=sort_key)
         assert [repr(v) for v in a] == [repr(v) for v in b]
-
-
-class TestRewrites:
-    def test_null_to_dummy(self):
-        assert null_to_dummy((1, NULL, "x")) == (1, DUMMY, "x")
-
-    def test_dummy_to_null(self):
-        assert dummy_to_null((1, DUMMY, "x")) == (1, NULL, "x")
-
-    def test_roundtrip(self):
-        row = (NULL, 2, NULL)
-        assert dummy_to_null(null_to_dummy(row)) == row

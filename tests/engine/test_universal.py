@@ -6,11 +6,12 @@ from repro.datasets import running_example as rex
 from repro.engine.universal import (
     JoinTree,
     fk_join_columns,
-    project_universal,
-    qualified_columns,
     universal_table,
 )
 from repro.errors import SchemaError
+
+from support.fixtures import example_210_database, example_29_database
+from support.intervention import project_universal
 
 
 @pytest.fixture
@@ -42,14 +43,6 @@ class TestJoinTree:
 
 
 class TestHelpers:
-    def test_qualified_columns(self, db):
-        assert qualified_columns(db.schema, "Author") == [
-            "Author.id",
-            "Author.name",
-            "Author.inst",
-            "Author.dom",
-        ]
-
     def test_fk_join_columns(self, db):
         fk = db.schema.foreign_keys[0]  # Authored.id -> Author.id
         assert fk_join_columns(fk, "Authored") == ["Authored.id"]
@@ -115,12 +108,12 @@ class TestUniversalTable:
         assert set(authors.rows()) == {rex.R2, rex.R3}
 
     def test_chain_universal(self):
-        db = rex.example_29_database()
+        db = example_29_database()
         u = universal_table(db)
         assert len(u) == 1
 
     def test_example_210_universal(self):
-        db = rex.example_210_database()
+        db = example_210_database()
         u = universal_table(db)
         assert len(u) == 2  # paths through b and b'
 

@@ -1,6 +1,4 @@
-"""Tests for the IncrementalSession lifecycle: patch, fallback, verify."""
-
-import warnings
+"""Tests for the IncrementalSession lifecycle: patch and fallback."""
 
 import pytest
 
@@ -153,24 +151,6 @@ class TestFallback:
                 s.table().content_fingerprint()
                 == _cold_table(db, question, attributes).content_fingerprint()
             )
-
-
-class TestVerifyMode:
-    def test_verify_full_passes_on_additive_plan(self, workload):
-        db, question, attributes = workload
-        with IncrementalSession(
-            db, question, attributes, method="cube", verify="full"
-        ) as s:
-            s.table()
-            db.relation("Birth").delete_many(_sample(db, "Birth", 10))
-            stats = s.refresh()
-            assert stats.strategy == "patched"
-
-    def test_verify_env_var(self, workload, monkeypatch):
-        monkeypatch.setenv("REPRO_INCREMENTAL_VERIFY", "full")
-        db, question, attributes = workload
-        with IncrementalSession(db, question, attributes, method="cube") as s:
-            assert s.verify == "full"
 
 
 class TestExplainerApplyDelta:

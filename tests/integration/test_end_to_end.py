@@ -7,9 +7,10 @@ fast path against the program-P ground truth at small scale.
 
 import pytest
 
-from repro.core import Explainer, compute_intervention, is_valid_intervention
+from repro.core import Explainer, compute_intervention
 from repro.datasets import dblp, geodblp, natality
-from repro.engine.reduction import database_is_reduced
+
+from support.intervention import database_is_reduced, is_valid_intervention
 
 
 class TestNatalityPipeline:
@@ -117,7 +118,8 @@ class TestCsvRoundTripPipeline:
     def test_dump_load_explain(self, tmp_path):
         """Persist a generated dataset to CSV, reload, and reproduce
         identical explanation degrees."""
-        from repro.engine.csvio import dump_relation, load_relation
+        from repro.engine.csvio import dump_relation
+        from support.fixtures import load_relation
         from repro.engine.database import Database
 
         db = natality.generate(rows=1_000, seed=5)

@@ -81,7 +81,7 @@ def compute_rankings():
     from repro.datasets import tpch
 
     db = tpch.generate(sf=0.01, seed=2014)
-    for name in tpch.question_names():
+    for name in tpch.QUESTIONS:
         ex = Explainer(
             db, tpch.question(name), list(tpch.question_attributes(name))
         )

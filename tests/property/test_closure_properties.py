@@ -16,7 +16,7 @@ the PR-8 content-identity contract:
 
 from hypothesis import given
 
-from repro.core import compute_intervention, is_valid_intervention
+from repro.core import compute_intervention
 from repro.core.degrees import DegreeEvaluator
 from repro.core.numquery import AggregateQuery, single_query
 from repro.core.question import UserQuestion
@@ -28,6 +28,8 @@ from test_intervention_properties import (
     explanations,
     small_databases,
 )
+
+from support.intervention import is_valid_intervention
 
 
 def sigmod_question():

@@ -20,10 +20,13 @@ from repro.engine.aggregates import (
     count_distinct,
     count_star,
 )
-from repro.engine.cube import cube, cube_bruteforce, cube_rowwise
-from repro.engine.groupby import group_by, group_by_rowwise
+from repro.engine.cube import cube
+from repro.engine.groupby import group_by
 from repro.engine.table import Table
 from repro.engine.types import NULL
+
+from support.cube import cube_bruteforce, cube_rowwise, group_by_rowwise
+
 
 dim_values = st.one_of(st.integers(0, 3), st.sampled_from(["a", "b", "c"]))
 measure_values = st.one_of(st.integers(-5, 5), st.just(NULL))

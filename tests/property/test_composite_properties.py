@@ -9,15 +9,13 @@ back-and-forth key → ≤ 4 iterations).
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import (
-    AtomicPredicate,
-    Explanation,
-    compute_intervention,
-    is_valid_intervention,
-)
+from repro.core import AtomicPredicate, Explanation, compute_intervention
 from repro.engine.database import Database
 from repro.engine.reduction import semijoin_reduce
 from repro.engine.schema import DatabaseSchema, ForeignKey, make_schema
+
+from support.intervention import is_valid_intervention
+
 
 WAREHOUSES = ["W1", "W2"]
 PRODUCTS = ["apple", "pear", "plum"]
@@ -122,7 +120,7 @@ class TestCompositeKeyInterventions:
     @common
     @given(db=warehouse_databases(), phi=warehouse_explanations())
     def test_residual_reduced(self, db, phi):
-        from repro.engine.reduction import database_is_reduced
+        from support.intervention import database_is_reduced
 
         result = compute_intervention(db, phi)
         assert database_is_reduced(db.subtract(result.delta))

@@ -5,11 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.aggregates import agg_max, agg_min, count_star
-from repro.engine.cube import cube, cube_bruteforce, dummy_rewrite, undummy
+from repro.engine.cube import cube, dummy_rewrite
 from repro.engine.groupby import group_by, scalar_aggregate
-from repro.engine.joins import antijoin, full_outer_join, hash_join, semijoin
+from repro.engine.joins import full_outer_join
 from repro.engine.table import Table
-from repro.engine.types import NULL
+from repro.engine.types import DUMMY, NULL
+
+from support.cube import cube_bruteforce
+
 
 values = st.one_of(
     st.integers(-5, 5), st.sampled_from(["a", "b", "c"]), st.just(NULL)
@@ -58,7 +61,12 @@ class TestCubeEquivalence:
     @given(t=cube_tables())
     def test_dummy_rewrite_roundtrip(self, t):
         c = cube(t, ["k", "g"], [count_star("n")])
-        assert undummy(dummy_rewrite(c, ["k", "g"]), ["k", "g"]) == c
+        rewritten = dummy_rewrite(c, ["k", "g"])
+        restored = [
+            tuple(NULL if v is DUMMY else v for v in row)
+            for row in rewritten.rows()
+        ]
+        assert restored == c.rows()
 
     @common
     @given(t=cube_tables())
@@ -117,13 +125,6 @@ class TestGroupBy:
 class TestJoins:
     @common
     @given(left=tables(columns=("k", "a")), right=tables(columns=("k", "b")))
-    def test_semi_plus_anti_partition(self, left, right):
-        semi = semijoin(left, right, ["k"], ["k"])
-        anti = antijoin(left, right, ["k"], ["k"])
-        assert len(semi) + len(anti) == len(left)
-
-    @common
-    @given(left=tables(columns=("k", "a")), right=tables(columns=("k", "b")))
     def test_full_outer_covers_both_sides(self, left, right):
         out = full_outer_join(left, right, ["k"], fill=NULL)
         # Every left row contributes at least one output row; same for right.
@@ -134,16 +135,15 @@ class TestJoins:
     @common
     @given(left=tables(columns=("k", "a")), right=tables(columns=("k", "b")))
     def test_inner_join_subset_of_outer(self, left, right):
-        inner = hash_join(left, right, ["k"], ["k"])
+        # Nested-loop inner join: NULL keys never match.
+        inner = sum(
+            1
+            for lk, _ in left.rows()
+            for rk, _ in right.rows()
+            if lk is not NULL and lk == rk
+        )
         outer = full_outer_join(left, right, ["k"], fill=NULL)
-        assert len(inner) <= len(outer)
-
-    @common
-    @given(t=tables(columns=("k", "a")))
-    def test_self_semijoin_keeps_nonnull_keys(self, t):
-        semi = semijoin(t, t, ["k"], ["k"])
-        expected = [r for r in t.rows() if r[0] is not NULL]
-        assert sorted(map(str, semi.rows())) == sorted(map(str, expected))
+        assert inner <= len(outer)
 
 
 class TestTableAlgebra:

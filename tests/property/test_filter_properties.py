@@ -17,11 +17,13 @@ from repro.engine.expressions import (
     Const,
     Not,
     Or,
-    compile_predicate,
     select_positions,
 )
 from repro.engine.table import Table
 from repro.engine.types import NULL
+
+from support.expressions import compile_predicate
+
 
 COLUMNS = ("a", "b", "c")
 

@@ -134,7 +134,7 @@ class TestTopKProperties:
     def test_no_dominated_answer_in_minimal_output(self, m, k):
         """Every minimal-append answer has no strictly more general
         explanation with degree >= its own in the table."""
-        from repro.core.topk import dominated_rows
+        from support.topk import dominated_rows
 
         dominated = dominated_rows(m)
         for r in top_k_minimal_append(m, k):
@@ -146,7 +146,7 @@ class TestTopKProperties:
         """A row cannot be undominated under both orders while a
         strict generalization with >= degree exists (sanity relation
         between the two minimality notions)."""
-        from repro.core.topk import dominated_rows
+        from support.topk import dominated_rows
 
         general = dominated_rows(m, minimality="general")
         specific = dominated_rows(m, minimality="specific")

@@ -18,16 +18,14 @@ from itertools import chain, combinations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import (
-    Explanation,
-    AtomicPredicate,
-    compute_intervention,
-    is_valid_intervention,
-)
+from repro.core import Explanation, AtomicPredicate, compute_intervention
 from repro.core.intervention import FixpointStrategy
 from repro.datasets import running_example as rex
 from repro.engine.database import Database, Delta
 from repro.engine.reduction import semijoin_reduce
+
+from support.intervention import is_valid_intervention
+
 
 NAMES = ["JG", "RR", "CM"]
 INSTS = ["C.edu", "M.com"]
@@ -204,7 +202,7 @@ class TestResidualProperties:
     @common_settings
     @given(db=small_databases(), phi=explanations())
     def test_residual_is_semijoin_reduced(self, db, phi):
-        from repro.engine.reduction import database_is_reduced
+        from support.intervention import database_is_reduced
 
         result = compute_intervention(db, phi)
         assert database_is_reduced(db.subtract(result.delta))

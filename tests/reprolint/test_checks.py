@@ -49,18 +49,6 @@ class TestRL001Layering:
         )
         assert result.active == []
 
-    def test_oracle_escapes_quarantine(self, lint):
-        result = lint(
-            {
-                "src/repro/core/bad.py": """\
-                from repro.engine.cube import cube_rowwise
-                """
-            },
-            select={"RL001"},
-        )
-        (finding,) = only(result, "RL001")
-        assert "quarantine" in finding.message
-
 
 class TestRL002StdlibPurity:
     def test_third_party_import_in_pure_subpackage(self, lint):
@@ -357,3 +345,87 @@ class TestRL008CodeTableSync:
         )
         messages = [f.message for f in only(result, "RL008")]
         assert any("RS099 constructed but not declared" in m for m in messages)
+
+
+class TestRL009ProductionCaller:
+    LIB = {
+        "src/repro/core/lib.py": """\
+        def used():
+            return 1
+
+
+        def helper():
+            return 2
+
+
+        def only_tested():
+            return helper()
+        """,
+        "src/repro/core/__init__.py": """\
+        from .lib import only_tested, used
+
+        __all__ = ["only_tested", "used"]
+        """,
+        "src/repro/cli.py": """\
+        from repro.core import used
+
+        used()
+        """,
+        "tests/test_lib.py": """\
+        from repro.core.lib import only_tested, used
+        """,
+    }
+
+    def test_symbol_only_tests_use(self, lint):
+        result = lint(self.LIB, select={"RL009"})
+        (finding,) = only(result, "RL009")
+        assert finding.path == "src/repro/core/lib.py"
+        assert finding.line == 9
+        assert "'only_tested'" in finding.message
+
+    @pytest.mark.parametrize(
+        "caller",
+        ["src/repro/service/app.py", "benchmarks/bench_lib.py", "examples/demo.py"],
+    )
+    def test_a_production_caller_clears_it(self, lint, caller):
+        files = dict(self.LIB)
+        files[caller] = """\
+        from repro.core.lib import only_tested
+        """
+        assert lint(files, select={"RL009"}).active == []
+
+    def test_patch_point_string_is_a_caller(self, lint):
+        files = dict(self.LIB)
+        files["benchmarks/layers.py"] = """\
+        PATCH = "repro.core.lib:only_tested"
+        """
+        assert lint(files, select={"RL009"}).active == []
+
+    def test_reexport_is_not_a_caller(self, lint):
+        files = dict(self.LIB)
+        files["src/repro/__init__.py"] = """\
+        from .core import only_tested
+        """
+        (finding,) = only(lint(files, select={"RL009"}), "RL009")
+        assert "'only_tested'" in finding.message
+
+    def test_module_nothing_calls(self, lint):
+        files = dict(self.LIB)
+        files["src/repro/core/orphan.py"] = """\
+        def a():
+            return 1
+        """
+        found = only(lint(files, select={"RL009"}), "RL009")
+        orphan = [f for f in found if f.path == "src/repro/core/orphan.py"]
+        assert [f.line for f in orphan] == [1]
+        assert "module repro.core.orphan" in orphan[0].message
+
+    def test_pragma_with_reason_suppresses(self, lint):
+        files = dict(self.LIB)
+        files["src/repro/core/lib.py"] = files["src/repro/core/lib.py"].replace(
+            "def only_tested():",
+            "def only_tested():  # reprolint: disable=RL009 (loaded by name)",
+        )
+        result = lint(files, select={"RL009"})
+        assert result.active == []
+        assert [f.code for f in result.suppressed] == ["RL009"]

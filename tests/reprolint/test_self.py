@@ -60,9 +60,7 @@ def test_rendered_rs_table_matches_linter_docstring():
     assert declared == {f"RS00{i}" for i in (1, 2, 3, 4, 5, 6, 7, 9)}
 
 
-def test_layering_and_quarantine_hold_over_tests():
-    # The CI job lints src + tools; the oracle quarantine (RL001) is
-    # about who imports the row-wise oracles, and most would-be
-    # importers live under tests/.
-    proc = run_reprolint("--select", "RL001,RL002", "--no-baseline", "src", "tests")
+def test_strict_run_over_benchmarks_and_tests_is_clean():
+    # What the CI job lints: benchmarks/ and tests/ too, warnings fatal.
+    proc = run_reprolint("--strict", "src", "tools", "benchmarks", "tests")
     assert proc.returncode == 0, proc.stdout + proc.stderr

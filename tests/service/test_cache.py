@@ -1,6 +1,8 @@
 """Cache correctness: LRU order, byte budget, counters, and the
 cached-equals-fresh ranking property across methods and backends."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -86,6 +88,23 @@ class TestLRUAndCounters:
         assert len(cache) == 0
         assert cache.stats().current_bytes == 0
 
+    def test_put_leaves_columnar_rows_unbuilt(self, monkeypatch):
+        from repro.engine.table import Table
+
+        m = _table()
+
+        def refuse(self):
+            raise AssertionError("measuring M built its row tuples")
+
+        monkeypatch.setattr(Table, "rows", refuse)
+        assert ExplanationTableCache(max_entries=4).put("a", m)
+
+    def test_estimate_same_in_either_layout(self):
+        m = _table()
+        columnar = estimate_table_bytes(m)
+        m.table.rows()  # now the row tuples exist and are measured
+        assert estimate_table_bytes(m) == columnar
+
     def test_estimate_positive_and_monotone(self):
         small, large = _table(rows=2), _table(rows=6)
         assert 0 < estimate_table_bytes(small) < estimate_table_bytes(large)
@@ -121,6 +140,32 @@ class TestFingerprintInvalidation:
         assert mutated.payload["fingerprint"] != first.payload["fingerprint"]
         assert mutated.payload["table_size"] >= first.payload["table_size"]
         assert service.stats_payload()["compute"]["tables_built"] == 2
+
+
+    def test_separator_in_a_value_gets_its_own_fingerprint(self):
+        """Two datasets whose rows differ only in where a ``\x1f`` sits
+        once shared a fingerprint, and the second was served the
+        first's table: an explanation naming a value it lacks."""
+        schema = single_table_schema(
+            "T",
+            ["id", "a", "b"],
+            ["id"],
+            dtypes={"id": "int", "a": "str", "b": "str"},
+        )
+        registry = DatasetRegistry(with_builtins=False)
+        for name, row in (("one", (0, "a\x1fs:b", "c")), ("two", (0, "a", "b\x1fs:c"))):
+            registry.register_database(
+                name,
+                Database(schema, {"T": [row]}),
+                question=parse_question("high", "q1", ["q1 := count(*)"]),
+                attributes=["T.b"],
+            )
+        service = ExplanationService(registry=registry)
+        one = service.topk(ServiceRequest.from_dict({"dataset": "one", "k": 1}))
+        two = service.topk(ServiceRequest.from_dict({"dataset": "two", "k": 1}))
+        assert two.cache_status == "miss"
+        assert two.payload["fingerprint"] != one.payload["fingerprint"]
+        assert "'c'" not in json.dumps(two.payload)
 
 
 # -- cached == fresh property ------------------------------------------------

@@ -44,11 +44,8 @@ class TestTopLevel:
             single_query,
         )
         from repro.core import (
-            Bar,
-            double_ratio_question,
             explain_question,
             parse_question,
-            trend_question,
             validate_database,
         )
         from repro.datasets import chains, dblp, geodblp, natality, running_example
@@ -61,12 +58,11 @@ class TestTopLevel:
             ForeignKey,
             foreign_key,
             make_schema,
-            load_database,
             save_database,
             universal_table,
         )
 
-        assert Explainer and Bar and Database  # imported successfully
+        assert Explainer and Database  # imported successfully
 
     def test_incremental_all_names_resolve(self):
         import repro.incremental as incremental
@@ -124,7 +120,6 @@ class TestNoOrphanModules:
     #: ``backends/__init__``).  Keep this list short and literal.
     PUBLIC_LEAVES = (
         "repro.core.rewrite",  # Section 4.1 schema rewriting
-        "repro.core.bars",  # tutorial / examples question builders
         "repro.backends.sqlite_backend",
         "repro.backends.duckdb_backend",
     )

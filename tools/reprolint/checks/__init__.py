@@ -10,4 +10,5 @@ from . import (  # noqa: F401
     rl006_sql,
     rl007_metrics,
     rl008_codes,
+    rl009_callers,
 )

@@ -1,22 +1,17 @@
-"""RL001 — import layering and oracle quarantine.
+"""RL001 — import layering.
 
-Two rules:
-
-* A ``repro`` subpackage may import, at module level, only from its own
-  layer or below (see ``conventions.LAYERS``).  Function-level imports
-  across layers are fine — they express an optional, late-bound
-  dependency — as are ``if TYPE_CHECKING:`` imports.
-* The slow row-wise oracles exist only to pin the fast paths in parity
-  tests; importing them anywhere else is an error.
+A ``repro`` subpackage may import, at module level, only from its own
+layer or below (see ``conventions.LAYERS``).  Function-level imports
+across layers are fine — they express an optional, late-bound
+dependency — as are ``if TYPE_CHECKING:`` imports.
 """
 
 from __future__ import annotations
 
-import ast
 from typing import Iterator
 
 from .. import astutil
-from ..conventions import LAYERS, ORACLE_ALLOWLIST, ORACLES, TOP_LEVEL_MODULES
+from ..conventions import LAYERS, TOP_LEVEL_MODULES
 from ..framework import Check, Finding, Project, register
 
 
@@ -25,15 +20,12 @@ class LayeringCheck(Check):
     code = "RL001"
     name = "layering"
     severity = "error"
-    summary = "module-level import crosses a layer upward, or an oracle escapes quarantine"
+    summary = "module-level import crosses a layer upward"
 
     def run(self, project: Project) -> Iterator[Finding]:
         for file in project.files:
             tree = file.tree
-            if tree is None:
-                continue
-            yield from self._oracle_quarantine(file.rel, tree)
-            if not file.rel.startswith("src/repro/"):
+            if tree is None or not file.rel.startswith("src/repro/"):
                 continue
             module = file.module_parts
             if len(module) < 2 or module[-1] in TOP_LEVEL_MODULES:
@@ -75,18 +67,3 @@ class LayeringCheck(Check):
                         f"{dotted!r} (layer {target_layer}) at module level; "
                         "move the import into the function that needs it",
                     )
-
-    def _oracle_quarantine(self, rel: str, tree: ast.Module) -> Iterator[Finding]:
-        if rel in ORACLE_ALLOWLIST:
-            return
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
-                for alias in node.names:
-                    if alias.name in ORACLES:
-                        yield self.finding(
-                            rel,
-                            node.lineno,
-                            f"oracle {alias.name!r} imported outside its "
-                            "quarantine (defining module + parity tests); "
-                            "use the fast path instead",
-                        )

@@ -1,9 +1,10 @@
 """Repo-specific configuration consumed by the RL checks.
 
 Everything a check needs to know about *this* codebase — layer order,
-allowed third-party roots, oracle quarantine, which modules are allowed
-to author SQL text, metric naming rules — lives here rather than inside
-the checks, so policy changes are one-line diffs with history.
+allowed third-party roots, which modules are allowed to author SQL
+text, metric naming rules, where production callers live — lives here
+rather than inside the checks, so policy changes are one-line diffs
+with history.
 """
 
 from __future__ import annotations
@@ -30,30 +31,6 @@ LAYERS: Dict[str, int] = {
 #: Top-level repro modules treated as the topmost layer (they may import
 #: anything).
 TOP_LEVEL_MODULES: Set[str] = {"cli", "__main__", "__init__"}
-
-#: Slow reference implementations: importable only from their defining
-#: module and the parity tests that pin the fast paths against them.
-ORACLES: Set[str] = {
-    "cube_rowwise",
-    "cube_bruteforce",
-    "group_by_rowwise",
-    "compile_predicate",
-}
-
-ORACLE_ALLOWLIST: Set[str] = {
-    "src/repro/engine/cube.py",
-    "src/repro/engine/groupby.py",
-    "src/repro/engine/expressions.py",
-    "tests/engine/test_cube.py",
-    "tests/engine/test_expressions.py",
-    "tests/property/test_filter_properties.py",
-    "tests/property/test_engine_properties.py",
-    "tests/property/test_columnar_properties.py",
-    "tests/core/test_cube_algorithm.py",
-    # The speedup benchmarks time the fast paths *against* the oracles;
-    # like the parity tests, measuring them is what quarantine is for.
-    "benchmarks/bench_example41_cube.py",
-}
 
 # -- RL002: stdlib purity ----------------------------------------------------
 
@@ -131,6 +108,12 @@ HISTOGRAM_SUFFIXES: Tuple[str, ...] = (
 HISTOGRAM_SERIES_SUFFIXES: Tuple[str, ...] = ("_count", "_sum", "_bucket")
 
 # -- RL008: code-table sync --------------------------------------------------
+
+# -- RL009: production callers -----------------------------------------------
+
+#: Directories whose code counts as a caller of ``src/``.  ``tests/`` is
+#: deliberately absent: a symbol only tests use has no production caller.
+CALLER_ROOTS: Tuple[str, ...] = ("src", "tools", "benchmarks", "examples")
 
 RS_LINTER_MODULE = "src/repro/analysis/linter.py"
 RS_DOC = "docs/analysis.md"

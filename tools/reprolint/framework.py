@@ -140,6 +140,24 @@ class Project:
     def src_files(self) -> List[SourceFile]:
         return [f for f in self.files if f.rel.startswith("src/")]
 
+    def tree_files(self, roots: Sequence[str]) -> List[SourceFile]:
+        """Every ``*.py`` file under *roots* (repo-relative), scanned or not.
+
+        For cross-file checks whose answer must not depend on which
+        paths were linted (RL009 looks for callers everywhere).
+        """
+        out: List[SourceFile] = []
+        for root in roots:
+            base = self.root / root
+            if not base.is_dir():
+                continue
+            for path in sorted(base.rglob("*.py")):
+                if "__pycache__" in path.parts:
+                    continue
+                rel = path.relative_to(self.root).as_posix()
+                out.append(self._by_rel.get(rel) or SourceFile(path, self.root))
+        return out
+
     def read_text(self, rel: str) -> Optional[str]:
         """Text of a repo file, scanned or not (for doc-sync checks)."""
         scanned = self._by_rel.get(rel)
