@@ -19,8 +19,8 @@ Three evaluation methods build the explanation table *M*:
   non-additive queries; slowest.
 * ``"indexed"`` — the Section 6(i) optimized exact evaluator
   (:mod:`repro.core.iterative`): same ground-truth degrees as
-  ``"exact"`` for count aggregates, sharing posting lists, seed
-  indexes and survival scans across candidates.
+  ``"exact"``, sharing posting lists, seed indexes and survival scans
+  across candidates.
 
 All methods produce the same table layout, so the Section 4.3 top-K
 strategies apply uniformly.
@@ -64,7 +64,7 @@ from .cube_algorithm import (
 from .degrees import DegreeEvaluator
 from .predicates import Explanation
 from .question import UserQuestion
-from .topk import RankedExplanation, top_k_explanations
+from .topk import RankedExplanation, rank_table
 
 METHODS = ("cube", "naive", "exact", "indexed")
 
@@ -148,18 +148,21 @@ class ExplanationPlan:
 
     @property
     def fingerprint(self) -> str:
-        """SHA-256 content address of this plan."""
-        text = "\x1f".join(
-            (
-                self.database_fingerprint,
-                self.question,
-                "\x1e".join(self.attributes),
-                self.method,
-                self.backend,
-                repr(self.support_threshold),
-            )
+        """SHA-256 content address of this plan.
+
+        Hashes the ``repr`` of the field tuple, which quotes and
+        escapes every string, so no field value can forge another
+        plan's key by embedding a separator.
+        """
+        fields = (
+            self.database_fingerprint,
+            self.question,
+            tuple(self.attributes),
+            self.method,
+            self.backend,
+            self.support_threshold,
         )
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+        return hashlib.sha256(repr(fields).encode("utf-8")).hexdigest()
 
 
 class Explainer:
@@ -481,23 +484,13 @@ class Explainer:
         (Section 4.3); ``minimality`` is ``"general"`` (paper default)
         or ``"specific"`` (footnote 12's alternative).
         """
-        from .cube_algorithm import MU_HYBRID, add_hybrid_column
-
-        column = {
-            "intervention": MU_INTERV,
-            "aggravation": MU_AGGR,
-            "hybrid": MU_HYBRID,
-        }.get(by)
-        if column is None:
-            raise ExplanationError(
-                f"by must be 'intervention', 'aggravation' or 'hybrid', "
-                f"got {by!r}"
-            )
-        m = self.explanation_table(method)
-        if by == "hybrid":
-            m = add_hybrid_column(m, weight=hybrid_weight)
-        return top_k_explanations(
-            m, k, by=column, strategy=strategy, minimality=minimality
+        return rank_table(
+            self.explanation_table(method),
+            k=k,
+            by=by,
+            strategy=strategy,
+            minimality=minimality,
+            hybrid_weight=hybrid_weight,
         )
 
     # -- one-off scoring ------------------------------------------------------

@@ -32,7 +32,7 @@ from ..engine.cube import grouping_sets
 from ..engine.database import Database, Delta
 from ..engine.expressions import select_positions
 from ..engine.table import Table
-from ..engine.types import DUMMY, Row, Value, is_null
+from ..engine.types import DUMMY, NULL, Row, Value, is_null
 from ..engine.universal import JoinTree, universal_table
 from ..errors import QueryError
 from ..obs import phase
@@ -216,19 +216,13 @@ class IndexedInterventionEvaluator:
 
     def _aggregate_over(self, q: AggregateQuery, row_ids: Set[int]) -> Value:
         relevant = self.agg_rows[q.name] & row_ids
-        kind = q.aggregate.kind
-        if kind == "count_star":
-            return len(relevant)
+        acc = q.aggregate.make_accumulator()
         arg_col = self.agg_arg_col[q.name]
-        assert arg_col is not None
-        values = [arg_col[idx] for idx in relevant if not is_null(arg_col[idx])]
-        if kind == "count":
-            return len(values)
-        if kind == "count_distinct":
-            return len(set(values))
-        raise QueryError(
-            f"indexed evaluator supports count aggregates, not {kind!r}"
-        )
+        if arg_col is None:
+            acc.add_repeat(NULL, len(relevant))
+        else:
+            acc.add_many(arg_col[idx] for idx in relevant)
+        return acc.result()
 
     def degrees_for(self, assignment: Dict[str, Value]) -> Tuple[Value, Value, Dict[str, Value]]:
         """(μ_interv, μ_aggr, q_j(D_φ) values) for one candidate."""

@@ -66,7 +66,13 @@ from typing import Callable, Dict, List, Sequence, Set, Tuple, TypeVar
 from ..engine.types import DUMMY, NULL, Row, Value, is_missing, sort_key
 from ..errors import ExplanationError
 from ..obs import phase
-from .cube_algorithm import MU_INTERV, ExplanationTable
+from .cube_algorithm import (
+    MU_AGGR,
+    MU_HYBRID,
+    MU_INTERV,
+    ExplanationTable,
+    add_hybrid_column,
+)
 from .predicates import Explanation
 
 T = TypeVar("T")
@@ -351,3 +357,39 @@ def top_k_explanations(
         ranked = fn(m, k, by=by, minimality=minimality)
         ph.annotate(order=order, returned=len(ranked))
     return ranked
+
+
+#: The μ column each named ranking degree reads.
+_DEGREE_COLUMNS = {
+    "intervention": MU_INTERV,
+    "aggravation": MU_AGGR,
+    "hybrid": MU_HYBRID,
+}
+
+
+def rank_table(
+    table: ExplanationTable,
+    *,
+    k: int,
+    by: str = "intervention",
+    strategy: str = "minimal_append",
+    minimality: str = "general",
+    hybrid_weight: float = 0.5,
+) -> List[RankedExplanation]:
+    """The top-K (minimal) explanations of a finalized table *M*.
+
+    ``by`` is ``"intervention"``, ``"aggravation"`` or ``"hybrid"``
+    (the Section 6(iii) rank-combined degree, weighted by
+    ``hybrid_weight`` toward intervention); ``strategy`` and
+    ``minimality`` are :func:`top_k_explanations`'.  No universal
+    table or cube is touched, so a cached *M* ranks as is.
+    """
+    column = _DEGREE_COLUMNS.get(by)
+    if column is None:
+        raise ExplanationError(
+            f"by must be one of {tuple(_DEGREE_COLUMNS)}, got {by!r}"
+        )
+    m = add_hybrid_column(table, weight=hybrid_weight) if by == "hybrid" else table
+    return top_k_explanations(
+        m, k, by=column, strategy=strategy, minimality=minimality
+    )

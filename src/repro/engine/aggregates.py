@@ -7,14 +7,21 @@ except by COUNT(*), which counts rows regardless.
 The explanation framework cares about two of these in particular:
 ``count_star`` and ``count_distinct`` are the aggregates for which the
 paper proves intervention-additivity conditions (Section 4.1).
+
+COUNT(*), COUNT(expr), COUNT(DISTINCT expr) and integer SUM also have
+an exact inverse of :meth:`Accumulator.merge`:
+:meth:`AggregateSpec.retractable` makes accumulators that support
+:meth:`Accumulator.retract`, which is how incremental maintenance
+(:mod:`repro.incremental`) takes deleted rows back out of a group.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Optional, Set
+from typing import Dict, Iterable, Optional, Set, Type
 
-from ..errors import QueryError
+from ..errors import IncrementalError, QueryError
 from .types import NULL, Value, is_null, sql_lt
 
 
@@ -48,9 +55,20 @@ class Accumulator:
         """Fold another accumulator of the same kind into this one."""
         raise NotImplementedError
 
+    def retract(self, other: "Accumulator") -> None:
+        """Take a state merged in earlier back out (inverse of
+        :meth:`merge`); only :meth:`AggregateSpec.retractable`'s
+        accumulators can.  Retracting rows never merged in raises
+        :class:`~repro.errors.IncrementalError`."""
+        raise QueryError(f"{type(self).__name__} cannot retract")
+
     def result(self) -> Value:
         """The aggregate value for the rows seen so far."""
         raise NotImplementedError
+
+
+def _conservation(detail: str) -> IncrementalError:
+    return IncrementalError(f"retraction {detail}", reason="conservation")
 
 
 class CountStarAccumulator(Accumulator):
@@ -71,15 +89,17 @@ class CountStarAccumulator(Accumulator):
     def merge(self, other: "Accumulator") -> None:
         self.count += other.count  # type: ignore[attr-defined]
 
+    def retract(self, other: "Accumulator") -> None:
+        self.count -= other.count  # type: ignore[attr-defined]
+        if self.count < 0:
+            raise _conservation(f"left a negative count {self.count}")
+
     def result(self) -> int:
         return self.count
 
 
-class CountAccumulator(Accumulator):
-    """COUNT(expr): counts non-NULL arguments."""
-
-    def __init__(self) -> None:
-        self.count = 0
+class CountAccumulator(CountStarAccumulator):
+    """COUNT(expr): COUNT(*) over the non-NULL arguments alone."""
 
     def add(self, value: Value) -> None:
         if not is_null(value):
@@ -91,12 +111,6 @@ class CountAccumulator(Accumulator):
     def add_repeat(self, value: Value, count: int) -> None:
         if not is_null(value):
             self.count += count
-
-    def merge(self, other: "Accumulator") -> None:
-        self.count += other.count  # type: ignore[attr-defined]
-
-    def result(self) -> int:
-        return self.count
 
 
 class CountDistinctAccumulator(Accumulator):
@@ -117,10 +131,45 @@ class CountDistinctAccumulator(Accumulator):
             self.seen.add(value)
 
     def merge(self, other: "Accumulator") -> None:
-        self.seen |= other.seen  # type: ignore[attr-defined]
+        # ``update``, not ``|=``: *other* may be a _DistinctMultiset.
+        self.seen.update(other.seen)  # type: ignore[attr-defined]
 
     def result(self) -> int:
         return len(self.seen)
+
+
+class _DistinctMultiset(CountDistinctAccumulator):
+    """COUNT(DISTINCT expr) over a multiset of values, so it retracts.
+
+    A set forgets how many rows carry a value, and deleting one of two
+    witnesses must not drop it.  Only maintained states pay for the
+    counts: merging this into a plain accumulator unions the keys.
+    """
+
+    def __init__(self) -> None:
+        self.seen: Counter = Counter()  # type: ignore[assignment]
+
+    def add(self, value: Value) -> None:
+        if not is_null(value):
+            self.seen[value] += 1
+
+    def add_many(self, values: Iterable[Value]) -> None:
+        self.seen.update(v for v in values if not is_null(v))
+
+    def add_repeat(self, value: Value, count: int) -> None:
+        if count > 0 and not is_null(value):
+            self.seen[value] += count
+
+    def retract(self, other: "Accumulator") -> None:
+        seen = self.seen
+        for value, count in other.seen.items():  # type: ignore[attr-defined]
+            left = seen[value] - count
+            if left < 0:
+                raise _conservation(f"of {value!r} left a negative count")
+            if left:
+                seen[value] = left
+            else:
+                del seen[value]
 
 
 class SumAccumulator(Accumulator):
@@ -128,7 +177,7 @@ class SumAccumulator(Accumulator):
 
     def __init__(self) -> None:
         self.total: float = 0
-        self.any = False
+        self.count = 0  # non-NULL inputs
 
     def add(self, value: Value) -> None:
         if is_null(value):
@@ -136,7 +185,7 @@ class SumAccumulator(Accumulator):
         if not isinstance(value, (int, float)):
             raise QueryError(f"SUM over non-numeric value {value!r}")
         self.total += value
-        self.any = True
+        self.count += 1
 
     def add_repeat(self, value: Value, count: int) -> None:
         if count <= 0 or is_null(value):
@@ -144,15 +193,48 @@ class SumAccumulator(Accumulator):
         if not isinstance(value, (int, float)):
             raise QueryError(f"SUM over non-numeric value {value!r}")
         self.total += value * count
-        self.any = True
+        self.count += count
 
     def merge(self, other: "Accumulator") -> None:
-        if other.any:  # type: ignore[attr-defined]
+        if other.count:  # type: ignore[attr-defined]
             self.total += other.total  # type: ignore[attr-defined]
-            self.any = True
+            self.count += other.count  # type: ignore[attr-defined]
 
     def result(self) -> Value:
-        return self.total if self.any else NULL
+        return self.total if self.count else NULL
+
+
+class _IntegerSum(SumAccumulator):
+    """SUM over integers only, so it retracts exactly.
+
+    Float addition is not associative, so a float total maintained
+    under merges and retractions can differ in its last bits from a
+    fresh sum: a float input raises ``IncrementalError("float-sum")``.
+    """
+
+    def add(self, value: Value) -> None:
+        _reject_float(value)
+        super().add(value)
+
+    def add_repeat(self, value: Value, count: int) -> None:
+        _reject_float(value)
+        super().add_repeat(value, count)
+
+    def retract(self, other: "Accumulator") -> None:
+        self.total -= other.total  # type: ignore[attr-defined]
+        self.count -= other.count  # type: ignore[attr-defined]
+        if self.count < 0 or (self.count == 0 and self.total != 0):
+            raise _conservation(
+                f"left {self.count} values summing to {self.total}"
+            )
+
+
+def _reject_float(value: Value) -> None:
+    if isinstance(value, float):
+        raise IncrementalError(
+            f"SUM over float {value!r}: float retraction is not exact",
+            reason="float-sum",
+        )
 
 
 class AvgAccumulator(Accumulator):
@@ -246,6 +328,14 @@ _FACTORIES = {
 
 AGGREGATE_KINDS = tuple(_FACTORIES)
 
+#: Accumulators with an exact :meth:`Accumulator.retract`, by kind.
+_RETRACTABLE: Dict[str, Type[Accumulator]] = {
+    "count_star": CountStarAccumulator,
+    "count": CountAccumulator,
+    "count_distinct": _DistinctMultiset,
+    "sum": _IntegerSum,
+}
+
 
 @dataclass(frozen=True)
 class AggregateSpec:
@@ -274,6 +364,18 @@ class AggregateSpec:
         """A fresh accumulator for one group."""
         return _FACTORIES[self.kind]()
 
+    def retractable(self) -> "AggregateSpec":
+        """This aggregate, with accumulators that support
+        :meth:`Accumulator.retract`.
+
+        COUNT(DISTINCT) keeps a multiset instead of a set, and SUM
+        rejects float inputs.  AVG, MIN and MAX have no exact inverse:
+        asking for them raises :class:`~repro.errors.QueryError`.
+        """
+        if self.kind not in _RETRACTABLE:
+            raise QueryError(f"aggregate {self.kind} cannot retract")
+        return _RetractableSpec(self.kind, self.argument, self.alias)
+
     @property
     def default_value(self) -> Value:
         """Value of this aggregate over an empty input.
@@ -291,6 +393,14 @@ class AggregateSpec:
         if self.kind == "count_distinct":
             return f"count(distinct {self.argument}) AS {self.alias}"
         return f"{self.kind}({self.argument}) AS {self.alias}"
+
+
+@dataclass(frozen=True)
+class _RetractableSpec(AggregateSpec):
+    """An :class:`AggregateSpec` whose accumulators can retract."""
+
+    def make_accumulator(self) -> Accumulator:
+        return _RETRACTABLE[self.kind]()
 
 
 def count_star(alias: str = "value") -> AggregateSpec:

@@ -63,11 +63,12 @@ class NotAdditiveError(ExplanationError):
 class IncrementalError(ReproError):
     """An incremental patch cannot be applied exactly.
 
-    Raised by :mod:`repro.incremental` when a delta violates the
-    conditions for exact maintenance — a retraction of an unknown
-    group, a negative count after retraction (conservation failure), a
-    float-valued SUM (retraction is not exact under floating point), or
-    a NULL dimension value that the cold cube build would also reject.
+    Raised by :mod:`repro.incremental` and by retractable accumulators
+    (:meth:`repro.engine.aggregates.AggregateSpec.retractable`) when a
+    delta violates the conditions for exact maintenance — a retraction
+    of an unknown group, a negative count after retraction
+    (conservation failure), or a float-valued SUM (retraction is not
+    exact under floating point).
     :class:`~repro.incremental.IncrementalSession` catches this and
     falls back to a full recompute; the ``reason`` attribute labels the
     ``repro_incremental_fallbacks_total`` counter.

@@ -5,7 +5,7 @@ attributes, method), the triple of
 
 * a :class:`~repro.incremental.log.MutationLog` recording writes,
 * a :class:`~repro.incremental.delta.DeltaCubeBuilder` holding the
-  plan's invertible cube states (when the plan is patchable), and
+  plan's retractable cube states (when the plan is patchable), and
 * the current :class:`~repro.core.cube_algorithm.ExplanationTable`.
 
 :meth:`IncrementalSession.refresh` brings the table up to date with
@@ -19,7 +19,8 @@ a wrong table.  Successful patches increment
 
 Patchability is gated by the static additivity verdicts
 (:mod:`repro.analysis`): every aggregate must hold an *exact-cube*
-verdict and an invertible state kind.  Plans containing
+verdict.  Those are the retractable kinds (COUNT(*), COUNT,
+COUNT(DISTINCT), SUM).  Plans containing
 ``count(distinct ...)`` have data-dependent verdicts (footnote 11 of
 the paper), so they are re-certified against the mutated instance on
 every refresh; a verdict flip falls back with reason
@@ -40,7 +41,7 @@ from ..engine.database import Database
 from ..obs import get_registry
 from ..obs.metrics import MetricsRegistry
 from ..errors import IncrementalError
-from .delta import PATCHABLE_KINDS, DeltaCubeBuilder
+from .delta import DeltaCubeBuilder
 from .log import MutationLog
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (core sits above us)
@@ -53,12 +54,10 @@ __all__ = ["RefreshStats", "IncrementalSession"]
 #: Fallback reason labels (the ``reason`` label values of
 #: ``repro_incremental_fallbacks_total``).
 REASON_NEEDS_ITERATIVE = "needs-iterative"
-REASON_UNSUPPORTED = "unsupported-aggregate"
 REASON_METHOD = "method"
 REASON_VERDICT_CHANGED = "verdict-changed"
 REASON_CONSERVATION = "conservation"
 REASON_FLOAT_SUM = "float-sum"
-REASON_NULL_DIMENSION = "null-dimension"
 
 
 @dataclass
@@ -162,11 +161,6 @@ class IncrementalSession:
             )
         elif not explainer.certificate().additivity.all_exact_cube:
             self._static_reason = REASON_NEEDS_ITERATIVE
-        elif not all(
-            q.aggregate.kind in PATCHABLE_KINDS
-            for q in self.question.query.aggregates
-        ):
-            self._static_reason = REASON_UNSUPPORTED
         if self._static_reason is None:
             try:
                 self._builder = DeltaCubeBuilder(
@@ -196,7 +190,7 @@ class IncrementalSession:
 
     @property
     def patchable(self) -> bool:
-        """True while the plan has live invertible cube states."""
+        """True while the plan has live retractable cube states."""
         return self._builder is not None
 
     @property
@@ -296,7 +290,7 @@ class IncrementalSession:
         self._table = explainer.explanation_table(self.method)
         if self._builder is not None:
             # Re-arm patching from the fresh state; a rebuild failure
-            # (persistent floats / NULL dimensions) disarms for good.
+            # (a float SUM argument) disarms for good.
             try:
                 self._builder.reset(universal=explainer.universal)
             except IncrementalError as exc:

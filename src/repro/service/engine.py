@@ -35,13 +35,7 @@ from ..backends import (
     backend_names,
     get_backend_with_fallback,
 )
-from ..core.cube_algorithm import (
-    MU_AGGR,
-    MU_HYBRID,
-    MU_INTERV,
-    ExplanationTable,
-    add_hybrid_column,
-)
+from ..core.cube_algorithm import ExplanationTable
 from ..core.explainer import (
     Explainer,
     ExplanationPlan,
@@ -51,7 +45,7 @@ from ..core.explainer import (
 )
 from ..core.parsing import parse_question
 from ..core.question import UserQuestion
-from ..core.topk import RankedExplanation, top_k_explanations
+from ..core.topk import rank_table
 from ..errors import ExplanationError, ReproError
 from ..incremental import IncrementalSession
 from ..obs import MetricsRegistry, get_registry, render_prometheus
@@ -81,38 +75,6 @@ def _kind_of(exc: BaseException) -> str:
             out.append("_")
         out.append(ch.lower())
     return "".join(out)
-
-
-def rank_table(
-    table: ExplanationTable,
-    *,
-    k: int,
-    by: str = "intervention",
-    strategy: str = "minimal_append",
-    minimality: str = "general",
-    hybrid_weight: float = 0.5,
-) -> List[RankedExplanation]:
-    """Top-K a finalized table *M* without rebuilding anything.
-
-    This is the warm path: equivalent to
-    :meth:`repro.core.explainer.Explainer.top` but operating on a
-    (possibly cached) table directly, so no universal table or cube is
-    touched.
-    """
-    column = {
-        "intervention": MU_INTERV,
-        "aggravation": MU_AGGR,
-        "hybrid": MU_HYBRID,
-    }.get(by)
-    if column is None:
-        raise BadRequestError(
-            f"by must be one of ('intervention', 'aggravation', 'hybrid'), "
-            f"got {by!r}"
-        )
-    m = add_hybrid_column(table, weight=hybrid_weight) if by == "hybrid" else table
-    return top_k_explanations(
-        m, k, by=column, strategy=strategy, minimality=minimality
-    )
 
 
 def _timings_block(

@@ -1,11 +1,21 @@
 """Tests for the IncrementalSession lifecycle: patch and fallback."""
 
+from collections import Counter
+
 import pytest
 
 from repro.core.explainer import Explainer
+from repro.core.numquery import AggregateQuery, single_query
+from repro.core.question import UserQuestion
 from repro.datasets import dblp, natality
+from repro.datasets import running_example as rex
+from repro.engine.aggregates import AggregateSpec
 from repro.engine.database import Database
-from repro.incremental import IncrementalSession
+from repro.engine.expressions import Col, Comparison, Const
+from repro.engine.schema import single_table_schema
+from repro.engine.types import NULL
+from repro.errors import IncrementalError, QueryError
+from repro.incremental import DeltaCubeBuilder, IncrementalSession
 from repro.obs.metrics import MetricsRegistry
 
 
@@ -164,3 +174,126 @@ class TestExplainerApplyDelta:
             explainer.explanation_table("cube").content_fingerprint()
             == _cold_table(db, question, attributes).content_fingerprint()
         )
+
+
+class TestFailedRefresh:
+    def test_failed_refresh_does_not_double_fold(self):
+        """A refresh that raises folds nothing, so the next one folds
+        the logged batch exactly once."""
+        db = natality.generate(rows=2000, seed=7)
+        question = natality.q_race_question()
+        attributes = tuple(natality.default_attributes("race"))
+        birth = db.relation("Birth")
+        names = birth.schema.attribute_names
+        ap, race = names.index("ap"), names.index("race")
+        keys = [birth.schema.index_of(a.split(".", 1)[1]) for a in attributes]
+        q1_rows = [
+            r for r in birth.row_list() if r[ap] == "good" and r[race] == "Asian"
+        ]
+        sizes = Counter(tuple(r[i] for i in keys) for r in q1_rows)
+        victim = next(r for r in q1_rows if sizes[tuple(r[i] for i in keys)] >= 3)
+        null_age = list(victim)
+        null_age[0] = max(r[0] for r in birth.row_list()) + 1
+        null_age[names.index("age")] = NULL
+        null_age = tuple(null_age)
+        with IncrementalSession(db, question, attributes, method="cube") as s:
+            s.table()
+            birth.delete_many([victim])
+            birth.insert_many([null_age])
+            with pytest.raises(QueryError, match="contains NULL"):
+                s.refresh()
+            birth.delete_many([null_age])
+            assert s.refresh().strategy == "patched"
+            assert (
+                s.table().content_fingerprint()
+                == _cold_table(db, question, attributes).content_fingerprint()
+            )
+
+
+def _single_table(rows, kind="count", argument="T.x"):
+    db = Database(
+        single_table_schema("T", ["id", "g", "x"], ["id"]), {"T": rows}
+    )
+    question = UserQuestion.high(
+        single_query(AggregateQuery("q", AggregateSpec(kind, argument, "q")))
+    )
+    return db, question, ("T.g",)
+
+
+class TestFallbackLabels:
+    """Every surviving ``repro_incremental_fallbacks_total`` label is
+    reachable, and each fallback serves the cold table."""
+
+    @staticmethod
+    def _refresh_falls_back(session, db, question, attributes, reason):
+        with pytest.warns(RuntimeWarning, match=reason):
+            stats = session.refresh()
+        assert (stats.strategy, stats.reason) == ("rebuilt", reason)
+        assert (
+            session.table().content_fingerprint()
+            == _cold_table(
+                db, question, attributes, method=session.method
+            ).content_fingerprint()
+        )
+
+    def test_method(self, workload):
+        db, question, attributes = workload
+        with IncrementalSession(db, question, attributes, method="indexed") as s:
+            assert not s.patchable
+            db.relation("Birth").delete_many(_sample(db, "Birth", 3))
+            self._refresh_falls_back(s, db, question, attributes, "method")
+
+    def test_verdict_changed(self):
+        """Footnote 11: count(distinct pubid) WHERE Author.dom = 'com'
+        is exact-cube while pubid determines Author.dom.  A new edu
+        co-author of P1 breaks that, so the refresh re-certifies and
+        rebuilds."""
+        db = Database(
+            rex.schema(),
+            {
+                "Author": [rex.R2, rex.R3],
+                "Authored": [rex.S2, rex.S4, rex.S5, rex.S6],
+                "Publication": [rex.T1, rex.T2, rex.T3],
+            },
+        )
+        question = UserQuestion.high(
+            single_query(
+                AggregateQuery(
+                    "q",
+                    AggregateSpec("count_distinct", "Publication.pubid", "q"),
+                    Comparison("=", Col("Author.dom"), Const("com")),
+                )
+            )
+        )
+        attributes = ("Author.name", "Publication.year")
+        with IncrementalSession(db, question, attributes, method="auto") as s:
+            assert s.patchable
+            db.relation("Author").insert_many([rex.R1])
+            db.relation("Authored").insert_many([rex.S1])
+            self._refresh_falls_back(
+                s, db, question, attributes, "verdict-changed"
+            )
+
+    def test_float_sum(self):
+        db, question, attributes = _single_table(
+            [(1, "a", 1.5), (2, "a", 2.25), (3, "b", NULL)], kind="sum"
+        )
+        with IncrementalSession(db, question, attributes, method="cube") as s:
+            assert not s.patchable
+            db.relation("T").delete_many([(1, "a", 1.5)])
+            self._refresh_falls_back(s, db, question, attributes, "float-sum")
+
+    @pytest.mark.parametrize(
+        "phantoms",
+        [[(9, "c", 3)], [(8, "a", 1), (9, "a", 2)]],
+        ids=["unknown-group", "negative-count"],
+    )
+    def test_conservation(self, phantoms):
+        """A phantom retraction: rows the states never held."""
+        db, question, attributes = _single_table(
+            [(1, "a", 1), (2, "b", NULL)]
+        )
+        builder = DeltaCubeBuilder(db, question, attributes)
+        with pytest.raises(IncrementalError) as raised:
+            builder.apply({"T": (frozenset(), frozenset(phantoms))})
+        assert raised.value.reason == "conservation"

@@ -105,6 +105,17 @@ class TestExplanationPlan:
         rel.delete(victim)
         assert _explainer(db=db).plan("cube").fingerprint != base
 
+    def test_separator_in_a_field_cannot_forge_a_key(self):
+        """A field value that embeds a separator names its own plan."""
+        fields = dict(
+            database_fingerprint="db", method="cube", backend="memory"
+        )
+        a = ExplanationPlan(question="q\x1fA", attributes=("B",), **fields)
+        b = ExplanationPlan(question="q", attributes=("A\x1fB",), **fields)
+        c = ExplanationPlan(question="q", attributes=("A\x1eB",), **fields)
+        d = ExplanationPlan(question="q", attributes=("A", "B"), **fields)
+        assert len({p.fingerprint for p in (a, b, c, d)}) == 4
+
     def test_unknown_method_raises(self):
         with pytest.raises(ExplanationError, match="unknown method"):
             _explainer().plan("nope")
