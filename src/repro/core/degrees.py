@@ -19,7 +19,7 @@ from typing import Dict, Optional
 
 from ..engine.database import Database
 from ..engine.types import Value, is_null
-from ..engine.universal import JoinTree, universal_table
+from ..engine.universal import universal_table
 from .intervention import InterventionResult, make_strategy
 from .predicates import Predicate
 from .question import UserQuestion
@@ -46,8 +46,8 @@ class ExplanationScore:
 class DegreeEvaluator:
     """Scores explanations against one (database, question) pair.
 
-    The universal table, the join tree and the original aggregate
-    values ``q_j(D)`` are computed once and shared across explanations.
+    The universal table and the original aggregate values ``q_j(D)``
+    are computed once and shared across explanations.
     """
 
     def __init__(
@@ -59,13 +59,11 @@ class DegreeEvaluator:
     ) -> None:
         self.database = database
         self.question = question
-        self.join_tree = JoinTree(database.schema)
         self.universal = universal_table(database)
         self.engine = make_strategy(
             database,
             strategy=strategy,
             universal=self.universal,
-            join_tree=self.join_tree,
         )
         self.q_original: Dict[str, Value] = (
             question.query.aggregate_values(self.universal)

@@ -23,14 +23,19 @@ evaluation schedule reaches the same least fixpoint.  This module
 offers two interchangeable schedules behind the
 :class:`InterventionStrategy` protocol:
 
-* :class:`FixpointStrategy` — naive simultaneous evaluation: apply all
-  rules to Δ^t, union the results into Δ^{t+1}, stop when nothing
-  changes.  Its iteration counter matches the convergence statements
-  of Propositions 3.4, 3.5, 3.10 and 3.11 and the n−1 lower bound of
-  Example 3.7.
+* :class:`FixpointStrategy` — simultaneous evaluation in semi-naive
+  stages: stage t+1 applies the rules to Δ^t but starts only from the
+  tuples stage t added, and stops when nothing changes.  It finds what
+  the naive schedule finds at every stage, so its iteration counter
+  matches the convergence statements of Propositions 3.4, 3.5, 3.10
+  and 3.11 and the n−1 lower bound of Example 3.7.
 * :class:`ClosureStrategy` — probes the precomputed FK cascade closure
   index (:mod:`repro.engine.closure`): Δ^φ is the union of the seeds'
-  transitive deletion closures plus a bounded semijoin repair loop.
+  transitive deletion closures plus a bounded support-loss repair loop.
+
+Both schedules evaluate Rule (ii) by deletion propagation over the
+database's :class:`~repro.engine.reduction.DeltaReducer`, so no step
+re-reduces D.
   The delta is byte-identical; ``iterations`` counts repair rounds,
   which never exceed the fixpoint count (each round dominates one
   naive iteration) and collapse the Example 3.7 zig-zag to one.
@@ -44,16 +49,16 @@ can pin one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Protocol, Set, Tuple
+from typing import Dict, List, Optional, Protocol, Set, Tuple
 
 from ..engine.closure import ClosureIndex
 from ..engine.database import Database, Delta
 from ..engine.expressions import Not
-from ..engine.reduction import RowSets, reduce_row_sets
+from ..engine.reduction import DeltaReducer, SupportLoss
 from ..engine.schema import DatabaseSchema, ForeignKey
 from ..engine.table import Table
 from ..engine.types import Row
-from ..engine.universal import JoinTree, universal_table
+from ..engine.universal import universal_table
 from ..errors import AnalysisInvariantError, ConvergenceError, ExplanationError
 from ..obs import get_registry, phase
 from .predicates import Predicate
@@ -144,7 +149,7 @@ class InterventionStrategy(Protocol):
 
 
 class _StrategyBase:
-    """Shared plumbing: the universal table, join tree and Rule (i).
+    """Shared plumbing: the universal table and Rule (i).
 
     The universal table is materialized once and reused for every
     explanation (Rule (i) only needs ``σ_{¬φ}(U)``), which is the
@@ -158,12 +163,10 @@ class _StrategyBase:
         database: Database,
         *,
         universal: Optional[Table] = None,
-        join_tree: Optional[JoinTree] = None,
         certified_bound: Optional[int] = None,
     ) -> None:
         self.database = database
         self.schema = database.schema
-        self.join_tree = join_tree or JoinTree(self.schema)
         self.universal = (
             universal
             if universal is not None
@@ -215,44 +218,63 @@ class _StrategyBase:
 
 
 class FixpointStrategy(_StrategyBase):
-    """The baseline naive-simultaneous fixpoint schedule."""
+    """Program P by semi-naive stages that count the paper's iterations.
+
+    Stage t applies rules (ii) and (iii) to Δ^{t-1}, exactly as the
+    naive simultaneous schedule does, but touches only what changed:
+    rule (ii) hands the previous stage's new tuples to one
+    :class:`~repro.engine.reduction.SupportLoss`, which reports the
+    tuples whose last join partner just left, and rule (iii) probes a
+    target-key index with the previous stage's new source tuples.
+    Every stage finds the same new tuples as the naive stage, so the
+    iteration count and the per-rule trace are the naive ones.
+    """
 
     name = "fixpoint"
 
     # -- Rules (ii) and (iii) ----------------------------------------------
 
-    def _rule_reduce(self, residual: RowSets) -> Dict[str, Set[Row]]:
-        """Rule (ii): tuples dropped by semijoin-reducing the residual."""
-        probe = {name: set(rows) for name, rows in residual.items()}
-        reduce_row_sets(self.schema, probe, self.join_tree)
-        return {
-            name: residual[name] - probe[name] for name in residual
-        }
+    def _rule_reduce(
+        self,
+        reducer: DeltaReducer,
+        support: SupportLoss,
+        fresh: Dict[str, Set[Row]],
+    ) -> Dict[str, Set[Row]]:
+        """Rule (ii): the tuples that lose their last partner on some
+        edge once the previous stage's new tuples *fresh* are gone."""
+        ids = reducer.ids
+        dropped = support.drop(
+            rid
+            for name, rows in fresh.items()
+            for rid in map(ids[name].get, rows)
+            if rid is not None
+        )
+        found: Dict[str, Set[Row]] = {}
+        for rid in dropped:
+            name, row = reducer.entries[rid]
+            found.setdefault(name, set()).add(row)
+        return found
 
     def _rule_backward(
-        self, deleted: Dict[str, Set[Row]]
+        self, reducer: DeltaReducer, fresh: Dict[str, Set[Row]]
     ) -> Dict[str, Set[Row]]:
         """Rule (iii): backward cascade along back-and-forth FKs.
 
         For ``R_j.fk ↔ R_i.pk``: every R_i tuple whose primary key is
-        referenced by a *deleted* R_j tuple must be deleted.
+        referenced by a *deleted* R_j tuple must be deleted.  Tuples
+        referenced by earlier stages' deletions are in Δ already, so
+        only the previous stage's new R_j tuples *fresh* are probed.
         """
-        found: Dict[str, Set[Row]] = {
-            name: set() for name in self.schema.relation_names
-        }
+        found: Dict[str, Set[Row]] = {}
         for fk in self._bf_keys:
-            source_schema = self.schema.relation(fk.source)
-            target_rel = self.database.relation(fk.target)
-            src_pos = source_schema.indexes_of(fk.source_attrs)
-            referenced = {
-                tuple(row[i] for i in src_pos) for row in deleted[fk.source]
-            }
-            if not referenced:
-                continue
-            tgt_pos = target_rel.schema.indexes_of(fk.target_attrs)
-            for row in target_rel:
-                if tuple(row[i] for i in tgt_pos) in referenced:
-                    found[fk.target].add(row)
+            index = reducer.referenced[fk]
+            src_pos = self.schema.relation(fk.source).indexes_of(
+                fk.source_attrs
+            )
+            for row in fresh.get(fk.source, ()):
+                targets = index.get(tuple(row[i] for i in src_pos))
+                if targets:
+                    found.setdefault(fk.target, set()).update(targets)
         return found
 
     # -- fixpoint loop -------------------------------------------------------
@@ -282,29 +304,24 @@ class FixpointStrategy(_StrategyBase):
         deleted: Dict[str, Set[Row]] = {
             name: set() for name in self.schema.relation_names
         }
-        all_rows: Dict[str, FrozenSet[Row]] = {
-            name: self.database.relation(name).rows()
-            for name in self.schema.relation_names
-        }
+        reducer = DeltaReducer.for_database(self.database)
+        support = reducer.start()
 
         if seeds is None:
             seeds = self.seed_delta(phi)
         trace: List[IterationTrace] = []
         iteration = 0
         _strategy_counter(self.name)
+        # The tuples the previous stage added to Δ (none before stage 1).
+        fresh: Dict[str, Set[Row]] = {}
 
-        def residual() -> RowSets:
-            return {
-                name: set(all_rows[name]) - deleted[name]
-                for name in all_rows
-            }
-
-        def absorb(new: Dict[str, Set[Row]]) -> int:
+        def absorb(new: Dict[str, Set[Row]], into: Dict[str, Set[Row]]) -> int:
             added = 0
             for name, rows in new.items():
-                fresh = rows - deleted[name]
-                added += len(fresh)
-                deleted[name].update(fresh)
+                got = rows - deleted[name]
+                added += len(got)
+                deleted[name].update(got)
+                into.setdefault(name, set()).update(got)
             return added
 
         with phase("program_p") as run_ph:
@@ -317,27 +334,26 @@ class FixpointStrategy(_StrategyBase):
                     )
                 with phase("program_p.iteration") as iter_ph:
                     new_by_rule: Dict[str, int] = {}
+                    added: Dict[str, Set[Row]] = {}
                     # Rules (ii) and (iii) evaluate against the Δ of
-                    # the *previous* iteration (naive simultaneous
-                    # semantics): take snapshots before absorbing any
-                    # rule's output, including the seeds — in iteration
-                    # 1 rules (ii)/(iii) see Δ⁰ = ∅, which is the
-                    # counting used by Example 3.7 / Prop 3.5.
-                    snapshot_residual = residual()
-                    snapshot_deleted = {
-                        name: set(rows) for name, rows in deleted.items()
-                    }
+                    # the *previous* stage (naive simultaneous
+                    # semantics), so both read *fresh* before anything
+                    # is absorbed, seeds included — in stage 1 they see
+                    # Δ⁰ = ∅, which is the counting used by Example 3.7
+                    # / Prop 3.5.
+                    reduce_new = self._rule_reduce(reducer, support, fresh)
+                    backward_new = self._rule_backward(reducer, fresh)
                     if iteration == 1:
                         new_by_rule["seed"] = absorb(
                             {
                                 name: set(rows)
                                 for name, rows in seeds.parts().items()
-                            }
+                            },
+                            added,
                         )
-                    reduce_new = self._rule_reduce(snapshot_residual)
-                    backward_new = self._rule_backward(snapshot_deleted)
-                    new_by_rule["reduce"] = absorb(reduce_new)
-                    new_by_rule["backward"] = absorb(backward_new)
+                    new_by_rule["reduce"] = absorb(reduce_new, added)
+                    new_by_rule["backward"] = absorb(backward_new, added)
+                    fresh = added
                     total_new = sum(new_by_rule.values())
                     delta_size = sum(
                         len(rows) for rows in deleted.values()
@@ -386,21 +402,6 @@ class ClosureStrategy(_StrategyBase):
 
     name = "closure"
 
-    def __init__(
-        self,
-        database: Database,
-        *,
-        universal: Optional[Table] = None,
-        join_tree: Optional[JoinTree] = None,
-        certified_bound: Optional[int] = None,
-    ) -> None:
-        super().__init__(
-            database,
-            universal=universal,
-            join_tree=join_tree,
-            certified_bound=certified_bound,
-        )
-
     @property
     def index(self) -> ClosureIndex:
         """The current (version-cached) closure index for the database."""
@@ -427,9 +428,7 @@ class ClosureStrategy(_StrategyBase):
             seeds = self.seed_delta(phi)
         _strategy_counter(self.name)
         with phase("program_p", strategy=self.name) as run_ph:
-            closure_delta = self.index.delta_from_seeds(
-                seeds, join_tree=self.join_tree
-            )
+            closure_delta = self.index.delta_from_seeds(seeds)
             if closure_delta.rounds > budget:
                 raise ConvergenceError(
                     f"closure repair exceeded {budget} rounds; this is a bug"
@@ -473,7 +472,6 @@ def make_strategy(
     *,
     strategy: Optional[str] = None,
     universal: Optional[Table] = None,
-    join_tree: Optional[JoinTree] = None,
     certified_bound: Optional[int] = None,
 ) -> InterventionStrategy:
     """Construct the :class:`InterventionStrategy` for *database*.
@@ -492,7 +490,6 @@ def make_strategy(
     return cls(
         database,
         universal=universal,
-        join_tree=join_tree,
         certified_bound=certified_bound,
     )
 

@@ -11,12 +11,18 @@ explanation, sharing work across candidates:
 * per relevant attribute, a **posting list** maps each value to the
   ids of the universal rows carrying it, so ``σ_φ(U)`` is a set
   intersection, not a scan;
-* per relation, each tuple's total occurrence count in U is
-  precomputed, so Rule (i) seeds (``tuples all of whose rows satisfy
-  φ``) come from counting occurrences inside ``σ_φ(U)`` only;
-* ``Q(D − Δ^φ)`` is evaluated by row survival (a universal row
-  survives iff none of its projections were deleted) against
-  precomputed per-aggregate row-id sets — no joins are re-run.
+* per relation, a second posting list maps each tuple to the ids of
+  the universal rows it occurs in, so Rule (i) seeds (``tuples all of
+  whose rows satisfy φ``) come from counting occurrences inside
+  ``σ_φ(U)`` only;
+* ``Q(D − Δ^φ)`` is evaluated by row survival: the dead rows are the
+  union of the postings of Δ^φ's tuples, so the work is
+  |Δ^φ| times the fan-out, and the survivors feed precomputed
+  per-aggregate row-id sets — no joins are re-run.
+
+Program P itself runs on the database's shared
+:class:`~repro.engine.reduction.DeltaReducer`, so no candidate
+re-reduces D.
 
 The candidate set equals the cube algorithm's (every combination of
 attribute values with support), so the output table is directly
@@ -26,6 +32,7 @@ additive queries) and the per-candidate exact evaluator.
 
 from __future__ import annotations
 
+from itertools import filterfalse
 from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..engine.cube import grouping_sets
@@ -33,7 +40,7 @@ from ..engine.database import Database, Delta
 from ..engine.expressions import select_positions
 from ..engine.table import Table
 from ..engine.types import DUMMY, NULL, Row, Value, is_null
-from ..engine.universal import JoinTree, universal_table
+from ..engine.universal import universal_table
 from ..errors import QueryError
 from ..obs import phase
 from .cube_algorithm import MU_AGGR, MU_INTERV, ExplanationTable
@@ -45,10 +52,9 @@ from .question import UserQuestion
 class IndexedInterventionEvaluator:
     """Exact degrees for all candidate explanations over ``attributes``.
 
-    Usable for any numerical query (additive or not); asymptotically
-    the per-candidate cost is dominated by the fixpoint and the
-    survival scan, with the σ_φ(U) and seed computations reduced from
-    full scans to posting-list work.
+    Usable for any numerical query (additive or not); per candidate,
+    σ_φ(U), the seeds, program P and the survivors are all
+    posting-list or delta work, not scans of U or D.
     """
 
     def __init__(
@@ -63,7 +69,6 @@ class IndexedInterventionEvaluator:
         self.database = database
         self.question = question
         self.attributes = tuple(attributes)
-        self.join_tree = JoinTree(database.schema)
         self.universal = (
             universal
             if universal is not None
@@ -82,7 +87,6 @@ class IndexedInterventionEvaluator:
             database,
             strategy=strategy,
             universal=self.universal,
-            join_tree=self.join_tree,
             certified_bound=self.convergence.bound,
         )
         self._n = len(self.universal)
@@ -111,10 +115,12 @@ class IndexedInterventionEvaluator:
             self.postings[attr] = lists
 
     def _build_projection_cache(self) -> None:
-        """Per relation: row id -> tuple, and tuple -> total U count."""
+        """Per relation: row id -> tuple, tuple -> U row ids, and the
+        tuples of D with no U occurrence."""
         schema = self.database.schema
         self.row_tuples: Dict[str, List[Row]] = {}
-        self.tuple_counts: Dict[str, Dict[Row, int]] = {}
+        self.tuple_rows: Dict[str, Dict[Row, List[int]]] = {}
+        self._unreached: Dict[str, FrozenSet[Row]] = {}
         for name in schema.relation_names:
             rs = schema.relation(name)
             cols = [
@@ -122,11 +128,14 @@ class IndexedInterventionEvaluator:
                 for a in rs.attribute_names
             ]
             projected = list(zip(*cols)) if cols else [()] * self._n
-            counts: Dict[Row, int] = {}
-            for t in projected:
-                counts[t] = counts.get(t, 0) + 1
+            postings: Dict[Row, List[int]] = {}
+            for idx, t in enumerate(projected):
+                postings.setdefault(t, []).append(idx)
             self.row_tuples[name] = projected
-            self.tuple_counts[name] = counts
+            self.tuple_rows[name] = postings
+            self._unreached[name] = frozenset(
+                t for t in self.database.relation(name).rows() if t not in postings
+            )
 
     def _build_aggregate_indexes(self) -> None:
         """Per aggregate: its WHERE row-id set and argument column."""
@@ -180,13 +189,9 @@ class IndexedInterventionEvaluator:
             for idx in phi_rows:
                 t = projected[idx]
                 inside[t] = inside.get(t, 0) + 1
-            counts = self.tuple_counts[name]
-            seeded = {t for t, c in inside.items() if c == counts[t]}
-            seeded.update(
-                t
-                for t in self.database.relation(name).rows()
-                if t not in counts
-            )
+            postings = self.tuple_rows[name]
+            seeded = {t for t, c in inside.items() if c == len(postings[t])}
+            seeded.update(self._unreached[name])
             parts[name] = seeded
         return Delta(self.database.schema, parts)
 
@@ -194,25 +199,19 @@ class IndexedInterventionEvaluator:
         """U rows whose projections all survive ``D − Δ``.
 
         By construction of program P (closure + reduction) these are
-        exactly the rows of ``U(D − Δ^φ)``.
+        exactly the rows of ``U(D − Δ^φ)``.  The dead rows are the union
+        of the postings of Δ's tuples; the survivors are collected in
+        ascending row order, so the aggregates over them always sum in
+        one order.
         """
-        deleted_sets = {
-            name: delta.rows_for(name)
-            for name in self.database.schema.relation_names
-            if delta.rows_for(name)
-        }
-        if not deleted_sets:
-            return set(range(self._n))
-        survivors: Set[int] = set()
-        for idx in range(self._n):
-            dead = False
-            for name, deleted in deleted_sets.items():
-                if self.row_tuples[name][idx] in deleted:
-                    dead = True
-                    break
-            if not dead:
-                survivors.add(idx)
-        return survivors
+        dead: Set[int] = set()
+        for name, rows in delta.parts().items():
+            postings = self.tuple_rows[name]
+            for t in rows:
+                ids = postings.get(t)
+                if ids:
+                    dead.update(ids)
+        return set(filterfalse(dead.__contains__, range(self._n)))
 
     def _aggregate_over(self, q: AggregateQuery, row_ids: Set[int]) -> Value:
         relevant = self.agg_rows[q.name] & row_ids

@@ -19,9 +19,7 @@ the single-wide-table shape of the paper's natality experiments, where
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 from ..core.numquery import AggregateQuery, double_ratio_query, ratio_query
 from ..core.question import UserQuestion
@@ -29,6 +27,9 @@ from ..engine.aggregates import count_star
 from ..engine.database import Database
 from ..engine.expressions import Col, Comparison, Const, conj
 from ..engine.schema import DatabaseSchema, single_table_schema
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Paper-reported row count of the full dataset (Section 5.1).
 FULL_SCALE_ROWS = 4_007_106
@@ -44,7 +45,7 @@ SEX_VALUES = ("M", "F")
 YESNO_VALUES = ("yes", "no")
 
 #: Race marginals from the Figure 7 column sums.
-_RACE_P = np.array([0.762, 0.158, 0.012, 0.068])
+_RACE_P = (0.762, 0.158, 0.012, 0.068)
 
 _MARRIED_P = {"White": 0.62, "Black": 0.29, "AmInd": 0.40, "Asian": 0.85}
 _SMOKING_P = {"White": 0.10, "Black": 0.08, "AmInd": 0.20, "Asian": 0.02}
@@ -146,6 +147,8 @@ def schema(noise_attributes: int = 0) -> DatabaseSchema:
 
 
 def _odds_lookup(values: Sequence[str], odds: Dict[str, float]) -> np.ndarray:
+    import numpy as np
+
     return np.array([odds[v] for v in values])
 
 
@@ -161,8 +164,11 @@ def generate(
     APGAR outcome — stand-ins for the real file's 233-column width,
     useful for stressing wide attribute sweeps.
     """
+    import numpy as np  # only generating natality needs numpy
+
+    race_p = np.array(_RACE_P)
     rng = np.random.default_rng(seed)
-    race_idx = rng.choice(len(RACE_VALUES), size=rows, p=_RACE_P / _RACE_P.sum())
+    race_idx = rng.choice(len(RACE_VALUES), size=rows, p=race_p / race_p.sum())
 
     marital_idx = np.empty(rows, dtype=np.int64)
     tobacco_idx = np.empty(rows, dtype=np.int64)

@@ -1,16 +1,17 @@
 """FK cascade closure index: Δ^φ by index probes instead of iteration.
 
-Program **P** (:mod:`repro.core.intervention`) reaches Δ^φ by a
-fixpoint loop whose worst case is Θ(n) iterations (Example 3.7's
-back-and-forth chains).  Most of that work is *data independent*: the
-tuples a single deletion transitively forces — through the standard
-cascade (deleting a referenced tuple deletes its referencing tuples)
-and the back-and-forth cascade (deleting a referencing tuple deletes
-the tuple it references, Definition 2.5) — depend only on the database
-instance, never on φ.  This module precomputes them once per database:
+Program **P** (:mod:`repro.core.intervention`) reaches Δ^φ by stages
+whose worst case is Θ(n) iterations (Example 3.7's back-and-forth
+chains).  Most of that work is *data independent*: the tuples a single
+deletion transitively forces — through the standard cascade (deleting
+a referenced tuple deletes its referencing tuples) and the
+back-and-forth cascade (deleting a referencing tuple deletes the tuple
+it references, Definition 2.5) — depend only on the database instance,
+never on φ.  This module precomputes them once per database:
 
 * every stored tuple gets a dense integer id (relations are laid out
-  contiguously, so per-relation id ranges are intervals);
+  contiguously, so per-relation id ranges are intervals); the ids are
+  those of the database's :class:`~repro.engine.reduction.DeltaReducer`;
 * the cascade edges form a directed graph over those ids; strongly
   connected components (every back-and-forth pair is a 2-cycle) are
   condensed with an iterative Tarjan pass;
@@ -23,15 +24,16 @@ instance, never on φ.  This module precomputes them once per database:
 What closures cannot precompute is Rule (ii)'s *support loss*: a tuple
 dies when its **last** join partner dies, which depends on how many
 partners φ's seeds happened to hit.  :meth:`ClosureIndex.delta_from_seeds`
-therefore alternates closure probes with a bounded semijoin repair
-(the Yannakakis full reducer of :mod:`repro.engine.reduction`): union
-the closures of all newly deleted tuples, reduce the residual, feed
-the dropped tuples' closures back in, and stop at quiescence.  All of
-program P's rules are monotone (Proposition 3.1), so this chaotic
-schedule reaches the **same least fixpoint** — byte-identical deltas,
-and therefore byte-identical explanation tables — while each repair
-round makes at least one naive iteration of progress, so the round
-count never exceeds the certified fixpoint bound.
+therefore alternates closure probes with a repair: the round's newly
+deleted tuples go to one :class:`~repro.engine.reduction.SupportLoss`,
+which reports exactly the tuples a full semijoin reduction of the
+residual would drop, and their closures feed the next round, until
+quiescence.  All of program P's rules are monotone (Proposition 3.1),
+so this chaotic schedule reaches the **same least fixpoint** —
+byte-identical deltas, and therefore byte-identical explanation
+tables — while each repair round makes at least one naive iteration of
+progress, so the round count never exceeds the certified fixpoint
+bound.
 
 The index is cached per database content version
 (:func:`ClosureIndex.for_database`) and eagerly invalidated through
@@ -43,16 +45,15 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Set, Tuple
 
 from ..errors import ReproError
 from ..obs import get_registry, phase
 from .database import Database, Delta
-from .reduction import RowSets, reduce_row_sets
+from .reduction import DeltaReducer
 from .relation import Relation
 from .schema import DatabaseSchema
 from .types import Row
-from .universal import JoinTree
 
 #: Inclusive ``(start, stop)`` id intervals — the posting-list encoding.
 Runs = Tuple[Tuple[int, int], ...]
@@ -108,7 +109,10 @@ class ClosureIndex:
         self._stale = False
         self._db_ref: "weakref.ref[Database]" = weakref.ref(database)
         with phase("closure.build") as ph:
-            self._assign_ids(database)
+            self._reducer = DeltaReducer.for_database(database)
+            self._ids = self._reducer.ids
+            self._entries = self._reducer.entries
+            self._n = len(self._entries)
             edges = self._cascade_edges(database)
             scc_of, components = _condense(self._n, edges)
             self._scc_of = scc_of
@@ -129,25 +133,6 @@ class ClosureIndex:
 
     # -- construction ------------------------------------------------------
 
-    def _assign_ids(self, database: Database) -> None:
-        """Dense ids, one contiguous interval per relation."""
-        self._ids: Dict[str, Dict[Row, int]] = {}
-        self._entries: List[Tuple[str, Row]] = []
-        self._snapshot: Dict[str, List[Row]] = {}
-        self._offsets: Dict[str, int] = {}
-        next_id = 0
-        for name in self.schema.relation_names:
-            rows = database.relation(name).row_list()
-            self._offsets[name] = next_id
-            self._snapshot[name] = rows
-            idmap: Dict[Row, int] = {}
-            for row in rows:
-                idmap[row] = next_id
-                self._entries.append((name, row))
-                next_id += 1
-            self._ids[name] = idmap
-        self._n = next_id
-
     def _cascade_edges(self, database: Database) -> List[Set[int]]:
         """``u -> v`` iff deleting tuple *u* deterministically deletes *v*."""
         edges: List[Set[int]] = [set() for _ in range(self._n)]
@@ -157,14 +142,11 @@ class ClosureIndex:
             src_pos = source_rel.schema.indexes_of(fk.source_attrs)
             tgt_pos = target_rel.schema.indexes_of(fk.target_attrs)
             target_ids: Dict[Row, List[int]] = {}
-            tgt_idmap = self._ids[fk.target]
-            for row in self._snapshot[fk.target]:
+            for row, tid in self._ids[fk.target].items():
                 key = tuple(row[i] for i in tgt_pos)
-                target_ids.setdefault(key, []).append(tgt_idmap[row])
-            src_idmap = self._ids[fk.source]
-            for row in self._snapshot[fk.source]:
+                target_ids.setdefault(key, []).append(tid)
+            for row, sid in self._ids[fk.source].items():
                 key = tuple(row[i] for i in src_pos)
-                sid = src_idmap[row]
                 for tid in target_ids.get(key, ()):
                     # Standard cascade: target gone => source gone.
                     edges[tid].add(sid)
@@ -187,7 +169,7 @@ class ClosureIndex:
         drops the cache entry instead of waiting for the next token
         mismatch.
         """
-        token = _version_token(database)
+        token = database.version_token()
         cached = getattr(database, "_closure_index_cache", None)
         if cached is not None and cached[0] == token:
             index: ClosureIndex = cached[1]
@@ -259,18 +241,14 @@ class ClosureIndex:
 
     # -- Δ^φ ---------------------------------------------------------------
 
-    def delta_from_seeds(
-        self,
-        seeds: Delta,
-        *,
-        join_tree: Optional[JoinTree] = None,
-    ) -> ClosureDelta:
+    def delta_from_seeds(self, seeds: Delta) -> ClosureDelta:
         """The least fixpoint of program P above *seeds*, by probing.
 
         Each round (1) unions the precomputed closures of every tuple
-        newly deleted since the last round and (2) runs one full
-        semijoin reduction of the residual to catch support-loss
-        deletions, whose closures feed the next round.  Quiescence is
+        newly deleted since the last round and (2) hands the round's
+        new tuples to the support-loss repair, whose drops — exactly
+        what a full semijoin reduction of the residual would drop —
+        feed the next round.  Quiescence is
         reached within the certified fixpoint bound (each round
         dominates one naive iteration), and typically in one round —
         the whole Example 3.7 zig-zag is a single closure.
@@ -280,6 +258,7 @@ class ClosureIndex:
             deleted: Set[int] = set()
             extra: Dict[str, Set[Row]] = {}
             queue: List[int] = []
+            support = self._reducer.start()
             seed_new = 0
             for name, rows in seeds.parts().items():
                 idmap = self._ids[name]
@@ -293,11 +272,14 @@ class ClosureIndex:
                     elif rid not in deleted:
                         deleted.add(rid)
                         queue.append(rid)
-            tree = join_tree or JoinTree(self.schema)
             new_by_round: List[Dict[str, int]] = []
             rounds = 0
             probes = 0
             first = True
+            # Every id deleted this round, seeds included, goes to the
+            # repair; the ids it drops were alive, so none is counted
+            # twice.
+            fresh: List[int] = list(queue)
             while True:
                 closure_new = 0
                 for rid in queue:
@@ -307,10 +289,14 @@ class ClosureIndex:
                         for i in range(start, stop + 1):
                             if i not in deleted:
                                 deleted.add(i)
+                                fresh.append(i)
                                 contributed += 1
                     _PROBE_ROWS.observe(float(contributed))
                     closure_new += contributed
-                reduce_new, queue = self._repair(deleted, tree)
+                queue = support.drop(fresh)
+                deleted.update(queue)
+                reduce_new = len(queue)
+                fresh = []
                 new_by_rule = {
                     label: count
                     for label, count in (
@@ -345,43 +331,8 @@ class ClosureIndex:
             probes=probes,
         )
 
-    def _repair(
-        self, deleted: Set[int], tree: JoinTree
-    ) -> Tuple[int, List[int]]:
-        """One full semijoin reduction; returns (count, newly dead ids)."""
-        residual: RowSets = {}
-        for name in self.schema.relation_names:
-            offset = self._offsets[name]
-            residual[name] = {
-                row
-                for i, row in enumerate(self._snapshot[name], start=offset)
-                if i not in deleted
-            }
-        probe = {name: set(rows) for name, rows in residual.items()}
-        reduce_row_sets(self.schema, probe, tree)
-        dropped: List[int] = []
-        for name in self.schema.relation_names:
-            idmap = self._ids[name]
-            for row in residual[name] - probe[name]:
-                rid = idmap[row]
-                if rid not in deleted:
-                    deleted.add(rid)
-                    dropped.append(rid)
-        return len(dropped), dropped
-
 
 # -- graph plumbing ---------------------------------------------------------
-
-
-def _version_token(
-    database: Database,
-) -> Tuple[Tuple[str, int, int, int], ...]:
-    return tuple(
-        (name, id(rel), rel.version, len(rel))
-        for name, rel in (
-            (n, database.relations[n]) for n in database.relation_names
-        )
-    )
 
 
 def _condense(

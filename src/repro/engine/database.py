@@ -34,10 +34,12 @@ class Database:
             for name, rows in relations.items():
                 self.relation(name).insert_many(rows)
         # Derived state keyed by version_token(): the content fingerprint,
-        # and U(D), which universal_table builds and content_fingerprint
-        # drops once a write has made it stale.
+        # and U(D) and program P's DeltaReducer, which universal_table and
+        # DeltaReducer.for_database build and content_fingerprint drops
+        # once a write has made them stale.
         self._fingerprint_cache: Optional[Tuple[tuple, str]] = None
         self._universal_cache: Optional[tuple] = None
+        self._reducer_cache: Optional[tuple] = None
 
     # -- access ---------------------------------------------------------
 
@@ -103,15 +105,19 @@ class Database:
         every row.
 
         A memoized ``U(D)`` (:func:`~repro.engine.universal.universal_table`)
-        from an earlier version is dropped here too, so a database that
-        is written and then only fingerprinted, as the service does on
-        every request and mutation, does not keep the old ``U`` and the
-        relations it pins alive.
+        or :class:`~repro.engine.reduction.DeltaReducer` from an earlier
+        version is dropped here too, so a database that is written and
+        then only fingerprinted, as the service does on every request
+        and mutation, does not keep the old ones and the relations they
+        pin alive.
         """
         token = self.version_token()
         universal = self._universal_cache
         if universal is not None and universal[0] != token:
             self._universal_cache = None
+        reducer = self._reducer_cache
+        if reducer is not None and reducer[0] != token:
+            self._reducer_cache = None
         cached = self._fingerprint_cache
         if cached is not None and cached[0] == token:
             return cached[1]

@@ -18,15 +18,16 @@ Algorithm 1 can select it automatically.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import QueryError
 from .aggregates import AggregateSpec
 from .cube import grouping_sets
 from .table import Table
 from .types import NULL, Row, Value, is_null
+
+if TYPE_CHECKING:
+    import numpy as np
 
 SUPPORTED_KINDS = ("count_star", "count_distinct")
 
@@ -40,6 +41,8 @@ def _factorize(
     table: Table, column: str, *, allow_null: bool = False
 ) -> Tuple[np.ndarray, List[Value]]:
     """Map a column to integer codes plus the decoding list."""
+    import numpy as np
+
     mapping: Dict[Value, int] = {}
     values: List[Value] = []
     codes = np.empty(len(table), dtype=np.int64)
@@ -71,6 +74,8 @@ def cube_numpy(
     Semantically identical to :func:`repro.engine.cube.cube` restricted
     to ``count_star`` / ``count_distinct`` aggregates.
     """
+    import numpy as np  # imported on first use: most runs never cube
+
     if not supports(aggregates):
         unsupported = [a.kind for a in aggregates if a.kind not in SUPPORTED_KINDS]
         raise QueryError(

@@ -1,4 +1,4 @@
-"""Semijoin reduction (the Yannakakis full reducer) for acyclic schemas.
+"""Semijoin reduction: the Yannakakis full reducer and its delta form.
 
 A database is *semijoin-reduced* (the paper's term; "globally
 consistent" in [Abiteboul-Hull-Vianu]) when every tuple of every
@@ -9,11 +9,9 @@ classic two-pass semijoin program achieves this:
 1. bottom-up: for each edge (child, parent), ``parent ⋉ child``;
 2. top-down:  for each edge (child, parent), ``child ⋉ parent``.
 
-Rule (ii) of the paper's recursive program **P** is exactly this
-reduction applied to ``R_i - Δ_i``, so the fixpoint loop in
-:mod:`repro.core.intervention` calls :func:`reduce_row_sets` on plain
-row-set dictionaries for speed, while :func:`semijoin_reduce` offers
-the same service at the :class:`Database` level.
+:func:`reduce_row_sets` runs that program on plain row-set
+dictionaries, and :func:`semijoin_reduce` offers the same service at
+the :class:`Database` level.
 
 Cyclic schemas (``require_acyclic=False``; TPC-H's partsupp diamond)
 add the join tree's :attr:`~repro.engine.universal.JoinTree.residual_edges`
@@ -24,11 +22,24 @@ deterministic.  Note that for a cyclic join graph pairwise consistency
 is necessary but not sufficient for global consistency; program P's
 rule (i) restores the global property by seeding every tuple outside
 ``Π_{A_i}(σ_{¬φ} U(D))`` directly.
+
+Either way the reducer keeps exactly the tuples that have a partner
+on every foreign key, both sides, once the partnerless ones are gone
+transitively.  Rule (ii) of the paper's recursive program **P** asks
+for that reduction of ``D − Δ`` after every step, and Δ only grows.
+:class:`DeltaReducer` therefore answers it by *deletion propagation*
+instead of re-reducing D: built once per database version, it keeps
+each foreign key's key → tuples postings for both sides and D's own
+partnerless tuples.  A :class:`SupportLoss` (one per Δ) counts the
+partners each key has lost; a tuple dies when the last partner on some
+edge dies, and the worklist runs on transitively.  The work is
+|Δ| times the fan-out, not |D|, and the tuples it reports are exactly
+``residual − reduce_row_sets(residual)``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .database import Database, Delta
 from .schema import DatabaseSchema, ForeignKey
@@ -150,3 +161,153 @@ def semijoin_reduce(
     for name, rows in rowsets.items():
         reduced.relations[name].insert_many(rows)
     return reduced, removed
+
+
+class DeltaReducer:
+    """Foreign-key support postings of one database version.
+
+    Every stored tuple gets a dense integer id (relations contiguous,
+    in schema order).  For each foreign key — join-tree and residual
+    edges alike — and each of its sides, the tuples are grouped by join
+    key; a group's *partner* is the other side's group with the same
+    key.  Keys compare as tuples, as in :func:`reduce_row_sets`, so a
+    NULL key value matches NULL.  Use :meth:`for_database` to share one
+    reducer per database version.
+    """
+
+    def __init__(self, database: Database) -> None:
+        schema = database.schema
+        self.schema = schema
+        #: relation -> row -> dense id, in :meth:`Relation.row_list` order.
+        self.ids: Dict[str, Dict[Row, int]] = {}
+        #: dense id -> (relation, row).
+        self.entries: List[Tuple[str, Row]] = []
+        for name in schema.relation_names:
+            idmap: Dict[Row, int] = {}
+            for row in database.relation(name).row_list():
+                idmap[row] = len(self.entries)
+                self.entries.append((name, row))
+            self.ids[name] = idmap
+        self._members: List[List[int]] = []
+        self._partner: List[int] = []
+        self._groups_of: List[List[int]] = [[] for _ in self.entries]
+        for fk in schema.foreign_keys:
+            source, target = (
+                self._group(fk, side) for side in (fk.source, fk.target)
+            )
+            for own, other in ((source, target), (target, source)):
+                for key, group in own.items():
+                    self._partner[group] = other.get(key, -1)
+        #: Tuples of D with no partner on some edge; every Δ drops them.
+        self.unsupported: Tuple[int, ...] = tuple(
+            {
+                rid
+                for group, partner in enumerate(self._partner)
+                if partner < 0
+                for rid in self._members[group]
+            }
+        )
+        #: Per back-and-forth key: referenced key -> target rows (rule iii).
+        self.referenced: Dict[ForeignKey, Dict[Row, List[Row]]] = {}
+        for fk in schema.back_and_forth_keys:
+            pos = schema.relation(fk.target).indexes_of(fk.target_attrs)
+            by_key: Dict[Row, List[Row]] = {}
+            for row in self.ids[fk.target]:
+                by_key.setdefault(tuple(row[i] for i in pos), []).append(row)
+            self.referenced[fk] = by_key
+
+    def _group(self, fk: ForeignKey, side: str) -> Dict[Row, int]:
+        """Group *side*'s tuples by their *fk* join key; key -> group."""
+        pos = self.schema.relation(side).indexes_of(_edge_attrs(fk, side))
+        groups: Dict[Row, int] = {}
+        for row, rid in self.ids[side].items():
+            key = tuple(row[i] for i in pos)
+            group = groups.get(key)
+            if group is None:
+                group = groups[key] = len(self._members)
+                self._members.append([])
+                self._partner.append(-1)
+            self._members[group].append(rid)
+            self._groups_of[rid].append(group)
+        return groups
+
+    @classmethod
+    def for_database(cls, database: Database) -> "DeltaReducer":
+        """The reducer of *database*'s current version, built once.
+
+        Kept on the database against :meth:`Database.version_token`,
+        like ``U(D)``; a write makes the next call build afresh.
+        """
+        token = database.version_token()
+        cached = database._reducer_cache
+        if cached is not None and cached[0] == token:
+            reducer: DeltaReducer = cached[2]
+            return reducer
+        database._reducer_cache = None
+        # Pin the relations so the ids in the token cannot be reused.
+        pinned = tuple(database.relations[n] for n in database.relation_names)
+        reducer = cls(database)
+        database._reducer_cache = (token, pinned, reducer)
+        return reducer
+
+    def start(self) -> "SupportLoss":
+        """Fresh support-loss state for one Δ, starting from Δ = ∅."""
+        return SupportLoss(self)
+
+
+class SupportLoss:
+    """The tuples one growing Δ has killed, and the partners each
+    foreign-key group has lost.
+
+    After :meth:`drop` has been handed every tuple of Δ, :attr:`dead`
+    is Δ plus ``(D − Δ) − reduce_row_sets(D − Δ)``: removal is
+    monotone, so feeding Δ in any number of steps gives the same set.
+    """
+
+    def __init__(self, reducer: DeltaReducer) -> None:
+        self._reducer = reducer
+        #: Dense ids of every tuple deleted or dropped so far.
+        self.dead: Set[int] = set()
+        self._lost: Dict[int, int] = {}
+        self._pending: Tuple[int, ...] = reducer.unsupported
+
+    def drop(self, ids: Iterable[int]) -> List[int]:
+        """Delete the tuples *ids*; return the ids that lose their last
+        partner on some edge as a result, transitively.
+
+        The returned ids were alive before the call and are not among
+        *ids*.  The first call also drops D's own partnerless tuples.
+        """
+        dead = self.dead
+        work: List[int] = []
+        for rid in ids:
+            if rid not in dead:
+                dead.add(rid)
+                work.append(rid)
+        dropped: List[int] = []
+        for rid in self._pending:
+            if rid not in dead:
+                dead.add(rid)
+                dropped.append(rid)
+        self._pending = ()
+        work.extend(dropped)
+        reducer = self._reducer
+        members, partner, groups_of = (
+            reducer._members,
+            reducer._partner,
+            reducer._groups_of,
+        )
+        lost = self._lost
+        while work:
+            for group in groups_of[work.pop()]:
+                count = lost.get(group, 0) + 1
+                lost[group] = count
+                if count == len(members[group]) and partner[group] >= 0:
+                    # The last tuple with this key is gone: every
+                    # partner on the other side loses its support.
+                    for rid in members[partner[group]]:
+                        if rid not in dead:
+                            dead.add(rid)
+                            dropped.append(rid)
+                            work.append(rid)
+        return dropped

@@ -123,7 +123,13 @@ class IncrementalSession:
         self.patches = 0
         self.fallbacks = 0
         self.last_stats: Optional[RefreshStats] = None
-        self._initialize()
+        try:
+            self._initialize()
+        except BaseException:
+            # No session object reaches the caller, so nothing else
+            # could ever detach the log from the database's relations.
+            self.log.detach()
+            raise
 
     # -- lifecycle -------------------------------------------------------
 

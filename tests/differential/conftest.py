@@ -37,10 +37,10 @@ DATASETS = (
 #: The execution-knob differentials (backend, auto resolution)
 #: additionally sweep the six other TPC-H questions and natality's
 #: Q_Marital.  The method and strategy differentials stay on
-#: DATASETS: the indexed evaluator is count-family only, and
-#: ``brand-revenue`` is the sum question the exact-vs-cube NULL-vs-0
-#: seam (docs/datasets.md) keeps out of the *method* comparison —
-#: cube-vs-cube across execution knobs is not affected by it.
+#: DATASETS: ``brand-revenue`` is the sum question the exact-vs-cube
+#: NULL-vs-0 seam (docs/datasets.md) keeps out of the *method*
+#: comparison — cube-vs-cube across execution knobs is not affected
+#: by it.
 EXECUTION_DATASETS = DATASETS + (
     "tpch-europe-bump",
     "tpch-region-share",

@@ -210,6 +210,29 @@ class TestFailedRefresh:
             )
 
 
+class TestFailedConstruction:
+    def test_failed_initial_build_detaches_the_log(self):
+        """A session whose first build raises never reaches its
+        caller, so the constructor itself must unsubscribe its
+        mutation log from every relation."""
+        db = Database(
+            single_table_schema("T", ["id", "g", "h"], ["id"]),
+            {"T": [(1, "a", "x"), (2, "a", NULL), (3, "b", "y")]},
+        )
+        question = UserQuestion.high(
+            single_query(
+                AggregateQuery(
+                    "q",
+                    AggregateSpec("count_star", None, "q"),
+                    Comparison("=", Col("T.g"), Const("a")),
+                )
+            )
+        )
+        with pytest.raises(QueryError, match="no column 'T.nope'"):
+            IncrementalSession(db, question, ("T.nope",))
+        assert db.relation("T")._subscribers == []
+
+
 def _single_table(rows, kind="count", argument="T.x"):
     db = Database(
         single_table_schema("T", ["id", "g", "x"], ["id"]), {"T": rows}

@@ -11,7 +11,9 @@ between the two runs:
 * **Refinement monotonicity** — for a refinement ``φ' ⊇ φ`` (a
   superset of atoms), ``σ_φ'(U) ⊆ σ_φ(U)``, so Δ^φ remains a valid
   intervention for φ' and Theorem 3.3 minimality forces
-  ``Δ^φ' ⊆ Δ^φ``.
+  ``Δ^φ' ⊆ Δ^φ``.  It needs no oracle, so it is checked under both
+  program-P schedules on the running example, the Example 3.7 chains
+  and a tiny DBLP instance too.
 * **Exact additivity** — on the running-example schema with the
   back-and-forth key, ``count(distinct Publication.pubid)`` filtered
   on attributes of the counted relation is intervention-additive:
@@ -30,6 +32,7 @@ from repro.core.cube_algorithm import MU_AGGR
 from repro.core.explainer import Explainer
 from repro.core.numquery import AggregateQuery, single_query
 from repro.core.question import UserQuestion
+from repro.datasets import chains, dblp
 from repro.datasets import running_example as rex
 from repro.engine.aggregates import count_distinct
 from repro.engine.database import Database
@@ -186,6 +189,88 @@ class TestRefinementMonotonicity:
         coarse = compute_intervention(db, phi).delta
         fine = compute_intervention(db, refined).delta
         assert fine.issubset(coarse)
+
+
+def _universal_pools(db, columns):
+    """(relation, attribute) → the values that column takes in U(D)."""
+    universal = universal_table(db)
+    return {
+        tuple(column.split(".", 1)): sorted(set(universal.column(column)))
+        for column in columns
+    }
+
+
+@st.composite
+def explanations_from(draw, pools, max_atoms=2):
+    keys = draw(
+        st.lists(
+            st.sampled_from(sorted(pools)), min_size=1, max_size=max_atoms, unique=True
+        )
+    )
+    return Explanation(
+        tuple(
+            AtomicPredicate(rel, attr, "=", draw(st.sampled_from(pools[rel, attr])))
+            for rel, attr in keys
+        )
+    )
+
+
+@st.composite
+def refinements(draw, pools):
+    """(φ, φ') with φ' = φ plus one equality atom on another column."""
+    phi = draw(explanations_from(pools, max_atoms=1))
+    used = {(a.relation, a.attribute) for a in phi.atoms}
+    rel, attr = draw(st.sampled_from(sorted(k for k in pools if k not in used)))
+    value = draw(st.sampled_from(pools[rel, attr]))
+    return phi, Explanation(phi.atoms + (AtomicPredicate(rel, attr, "=", value),))
+
+
+def _assert_refinement_contained(db, phi, refined):
+    for strategy in ("fixpoint", "closure"):
+        coarse = compute_intervention(db, phi, strategy=strategy).delta
+        fine = compute_intervention(db, refined, strategy=strategy).delta
+        assert fine.issubset(coarse), strategy
+
+
+_CHAIN_COLUMNS = ("R1.a", "R2.b", "R3.c", "R3.a", "R3.b")
+_DBLP_COLUMNS = (
+    "Author.name",
+    "Author.inst",
+    "Author.dom",
+    "Publication.year",
+    "Publication.venue",
+)
+
+
+class TestRefinementMonotonicityBothSchedules:
+    @settings(max_examples=30)
+    @given(db=small_databases(), data=st.data())
+    def test_running_example(self, db, data):
+        phi, refined = data.draw(refinements(ATOM_POOLS))
+        _assert_refinement_contained(db, phi, refined)
+
+    @settings(max_examples=20)
+    @given(
+        p=st.integers(1, 16),
+        shape=st.sampled_from(["two-keys", "one-key"]),
+        data=st.data(),
+    )
+    def test_chains(self, p, shape, data):
+        if shape == "two-keys":
+            db = chains.example_37_database(p)
+        else:
+            db, _ = chains.single_back_and_forth_chain(p)
+        pools = _universal_pools(db, _CHAIN_COLUMNS)
+        phi, refined = data.draw(refinements(pools))
+        _assert_refinement_contained(db, phi, refined)
+
+    @settings(max_examples=20)
+    @given(seed=st.sampled_from([2014, 2015]), data=st.data())
+    def test_tiny_dblp(self, seed, data):
+        db = dblp.generate(scale=0.02, seed=seed)
+        pools = _universal_pools(db, _DBLP_COLUMNS)
+        phi, refined = data.draw(refinements(pools))
+        _assert_refinement_contained(db, phi, refined)
 
 
 class TestExactAdditivity:

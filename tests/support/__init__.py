@@ -10,6 +10,8 @@ Production never runs this code; reprolint's RL009 keeps it out of
   reference for column-at-a-time filtering;
 * :mod:`support.intervention` — Definitions 2.5/2.6 checked directly,
   the semijoin-reduction test and the definitional reduction;
+* :mod:`support.program_p` — program P's naive schedules, the oracles
+  for the semi-naive fixpoint and the closure repair;
 * :mod:`support.causality` — the data causal graph G_D and the
   Proposition 3.10 bound;
 * :mod:`support.topk` — the production self-join's dominated rows as a
