@@ -90,20 +90,20 @@ class ExplanationTable:
     def content_fingerprint(self) -> str:
         """A sha256 over the canonical content of the table *M*.
 
-        Backend- and method-independent: rows are hashed as a sorted
-        multiset, NULL/DUMMY render as distinct sentinels, and integral
-        floats collapse to their integer rendering (SQL backends hand
-        back ``2.0`` where the engine keeps ``2``).  Two explanation
-        tables fingerprint identically iff they have the same columns
-        and the same canonical rows — the equality the differential
-        test battery asserts across backends and methods.
+        Backend- and method-independent: the hash covers the ``repr``
+        of the columns and the sorted multiset of canonical cell tuples,
+        so no cell text can forge a separator.  NULL/DUMMY render as
+        distinct sentinels, and integral floats collapse to their
+        integer rendering (SQL backends hand back ``2.0`` where the
+        engine keeps ``2``).  Two explanation tables fingerprint
+        identically iff they have the same columns and the same
+        canonical rows — the equality the differential test battery
+        asserts across backends and methods.
         """
-        lines = sorted(
-            "\x1f".join(_canonical_cell(v) for v in row)
-            for row in self.table.rows()
+        rows = sorted(
+            tuple(map(_canonical_cell, row)) for row in self.table.rows()
         )
-        head = "\x1f".join(self.table.columns)
-        payload = "\x1e".join([head, *lines])
+        payload = repr((tuple(self.table.columns), rows))
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     def __len__(self) -> int:

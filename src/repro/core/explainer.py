@@ -53,7 +53,6 @@ from ..engine.types import DUMMY, NULL, Row, Value, is_null
 from ..engine.universal import universal_table
 from ..errors import ExplanationError
 from ..obs import phase
-from .additivity import analyze_additivity
 from .candidates import enumerate_explanations
 from .cube_algorithm import (
     MU_AGGR,
@@ -228,10 +227,9 @@ class Explainer:
     # -- analysis -----------------------------------------------------------
 
     def additivity_report(self) -> "AdditivityCertificate":
-        """Is the question's query intervention-additive here?"""
-        return analyze_additivity(
-            self.database, self.question.query, universal=self.universal
-        )
+        """Is the question's query intervention-additive here?  The
+        :meth:`certificate`'s verdict, so it is checked once."""
+        return self.certificate().additivity
 
     def certificate(self) -> "PlanCertificate":
         """The (cached) static plan certificate for this explainer.

@@ -261,18 +261,17 @@ class FixpointStrategy(_StrategyBase):
         """Rule (iii): backward cascade along back-and-forth FKs.
 
         For ``R_j.fk ↔ R_i.pk``: every R_i tuple whose primary key is
-        referenced by a *deleted* R_j tuple must be deleted.  Tuples
+        referenced by a *deleted* R_j tuple must be deleted; the
+        reducer's :attr:`~DeltaReducer.referenced` maps each R_j tuple
+        to them (a NULL foreign key references nothing).  Tuples
         referenced by earlier stages' deletions are in Δ already, so
         only the previous stage's new R_j tuples *fresh* are probed.
         """
         found: Dict[str, Set[Row]] = {}
         for fk in self._bf_keys:
             index = reducer.referenced[fk]
-            src_pos = self.schema.relation(fk.source).indexes_of(
-                fk.source_attrs
-            )
             for row in fresh.get(fk.source, ()):
-                targets = index.get(tuple(row[i] for i in src_pos))
+                targets = index.get(row)
                 if targets:
                     found.setdefault(fk.target, set()).update(targets)
         return found

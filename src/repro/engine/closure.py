@@ -35,10 +35,11 @@ tables — while each repair round makes at least one naive iteration of
 progress, so the round count never exceeds the certified fixpoint
 bound.
 
-The index is cached per database content version
-(:func:`ClosureIndex.for_database`) and eagerly invalidated through
-the relation mutation-subscriber API, so service deployments running
-``POST /v1/mutate`` never probe a stale closure.
+The index is a :meth:`~repro.engine.database.Database.derived` entry
+(:func:`ClosureIndex.for_database`), so a write retires it together
+with the reducer and ``U(D)``.  It also subscribes to its relations and
+marks itself stale on their first write, so a caller still holding it
+gets :class:`StaleClosureIndexError` instead of a pre-write answer.
 """
 
 from __future__ import annotations
@@ -107,13 +108,12 @@ class ClosureIndex:
     def __init__(self, database: Database) -> None:
         self.schema: DatabaseSchema = database.schema
         self._stale = False
-        self._db_ref: "weakref.ref[Database]" = weakref.ref(database)
         with phase("closure.build") as ph:
             self._reducer = DeltaReducer.for_database(database)
             self._ids = self._reducer.ids
             self._entries = self._reducer.entries
             self._n = len(self._entries)
-            edges = self._cascade_edges(database)
+            edges = self._cascade_edges()
             scc_of, components = _condense(self._n, edges)
             self._scc_of = scc_of
             self._runs = _reachable_runs(components, scc_of, edges)
@@ -133,51 +133,34 @@ class ClosureIndex:
 
     # -- construction ------------------------------------------------------
 
-    def _cascade_edges(self, database: Database) -> List[Set[int]]:
+    def _cascade_edges(self) -> List[Set[int]]:
         """``u -> v`` iff deleting tuple *u* deterministically deletes *v*."""
         edges: List[Set[int]] = [set() for _ in range(self._n)]
         for fk in self.schema.foreign_keys:
-            source_rel = database.relation(fk.source)
-            target_rel = database.relation(fk.target)
-            src_pos = source_rel.schema.indexes_of(fk.source_attrs)
-            tgt_pos = target_rel.schema.indexes_of(fk.target_attrs)
-            target_ids: Dict[Row, List[int]] = {}
-            for row, tid in self._ids[fk.target].items():
-                key = tuple(row[i] for i in tgt_pos)
-                target_ids.setdefault(key, []).append(tid)
-            for row, sid in self._ids[fk.source].items():
-                key = tuple(row[i] for i in src_pos)
-                for tid in target_ids.get(key, ()):
-                    # Standard cascade: target gone => source gone.
-                    edges[tid].add(sid)
-                    if fk.back_and_forth:
-                        # Back-and-forth cascade: source gone => target
-                        # gone.  Together these form a 2-cycle, which
-                        # is why the condensation pass matters.
-                        edges[sid].add(tid)
+            for sources, targets in self._reducer.joined[fk]:
+                # Standard cascade: target gone => source gone.
+                for tid in targets:
+                    edges[tid].update(sources)
+                if fk.back_and_forth:
+                    # Back-and-forth cascade: source gone => target gone.
+                    # Together these form a 2-cycle, which is why the
+                    # condensation pass matters.
+                    for sid in sources:
+                        edges[sid].update(targets)
         return edges
 
     # -- caching / invalidation --------------------------------------------
 
     @classmethod
     def for_database(cls, database: Database) -> "ClosureIndex":
-        """The (cached) closure index for *database*'s current contents.
+        """The closure index of *database*'s current version, built once.
 
-        Memoized against the relations' mutation counters exactly like
-        :meth:`Database.content_fingerprint`; additionally the index
-        subscribes to every relation, so the first mutation *eagerly*
-        drops the cache entry instead of waiting for the next token
-        mismatch.
+        A :meth:`Database.derived` entry, like the reducer it takes its
+        ids from.  An index invalidated by hand, with no write since,
+        is not served: the caller gets a fresh one.
         """
-        token = database.version_token()
-        cached = getattr(database, "_closure_index_cache", None)
-        if cached is not None and cached[0] == token:
-            index: ClosureIndex = cached[1]
-            if not index.stale:
-                return index
-        index = cls(database)
-        setattr(database, "_closure_index_cache", (token, index))
-        return index
+        index = database.derived("closure_index", lambda: cls(database))
+        return cls(database) if index.stale else index
 
     def _make_invalidator(
         self,
@@ -190,24 +173,21 @@ class ClosureIndex:
             deleted: Tuple[Row, ...],
         ) -> None:
             index = index_ref()
-            if index is not None:
+            if index is None:  # dropped without a write: stop listening
+                relation.unsubscribe(_invalidate)
+            else:
                 index.invalidate()
 
         return _invalidate
 
     def invalidate(self) -> None:
-        """Mark the index stale and detach it from its database."""
+        """Mark the index stale and unsubscribe it from its relations."""
         if self._stale:
             return
         self._stale = True
         for rel in self._subscribed:
             rel.unsubscribe(self._invalidator)
         self._subscribed = []
-        database = self._db_ref()
-        if database is not None:
-            cached = getattr(database, "_closure_index_cache", None)
-            if cached is not None and cached[1] is self:
-                setattr(database, "_closure_index_cache", None)
 
     @property
     def stale(self) -> bool:

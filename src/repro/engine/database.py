@@ -5,17 +5,24 @@ relation.  A :class:`Delta` is "a set of tuples to be deleted from D"
 (Section 2.2): one subset per relation.  The intervention fixpoint in
 :mod:`repro.core.intervention` manipulates Deltas; ``D - delta`` is
 :meth:`Database.subtract`.
+
+State that is a function of D alone (the content fingerprint, ``U(D)``,
+program P's delta reducer, the cascade closure index) is kept in one
+per-version memo, :meth:`Database.derived`; a write retires it all.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import TypeVar
 
 from ..errors import IntegrityError, SchemaError
 from .relation import Relation
 from .schema import DatabaseSchema
-from .types import Row, Value
+from .types import Row, Value, join_key
+
+_T = TypeVar("_T")
 
 
 class Database:
@@ -33,13 +40,8 @@ class Database:
         if relations is not None:
             for name, rows in relations.items():
                 self.relation(name).insert_many(rows)
-        # Derived state keyed by version_token(): the content fingerprint,
-        # and U(D) and program P's DeltaReducer, which universal_table and
-        # DeltaReducer.for_database build and content_fingerprint drops
-        # once a write has made them stale.
-        self._fingerprint_cache: Optional[Tuple[tuple, str]] = None
-        self._universal_cache: Optional[tuple] = None
-        self._reducer_cache: Optional[tuple] = None
+        # derived()'s slot: (version token, pinned relations, {kind: value}).
+        self._derived_cache: Optional[Tuple[tuple, tuple, Dict[str, Any]]] = None
 
     # -- access ---------------------------------------------------------
 
@@ -90,6 +92,25 @@ class Database:
             for name, rel in ((n, self.relations[n]) for n in self.relation_names)
         )
 
+    def derived(self, kind: str, build: Callable[[], _T]) -> _T:
+        """The *kind* entry of this version's derived state, built once.
+
+        *build* computes a value of the database alone.  It runs on the
+        first request for *kind* at the current :meth:`version_token`;
+        the first request of any kind after a write retires every entry
+        and the relations they pin.  The token is read before *build*
+        runs, so a write during a build makes the next call build again.
+        """
+        token = self.version_token()
+        slot = self._derived_cache
+        if slot is None or slot[0] != token:
+            # Pin the relations: their ids, which the token holds, must
+            # not be reused while it lives.
+            slot = self._derived_cache = (token, tuple(self.relations.values()), {})
+        if kind not in slot[2]:
+            slot[2][kind] = build()
+        return slot[2][kind]
+
     def content_fingerprint(self) -> str:
         """A stable SHA-256 digest of the schema and every tuple.
 
@@ -97,30 +118,15 @@ class Database:
         the same fingerprint regardless of insertion order, process,
         or platform — it is the content-addressed identity used by the
         service-layer result cache (:mod:`repro.service`).  The digest
-        is memoized against the relations' mutation counters, so
-        repeated calls are cheap and any mutation (insert, delete,
-        clear, or swapping a relation object) invalidates it.  Each
-        relation keeps its sorted row digests current across writes
-        (:meth:`Relation.row_digests`), so only the first call hashes
-        every row.
-
-        A memoized ``U(D)`` (:func:`~repro.engine.universal.universal_table`)
-        or :class:`~repro.engine.reduction.DeltaReducer` from an earlier
-        version is dropped here too, so a database that is written and
-        then only fingerprinted, as the service does on every request
-        and mutation, does not keep the old ones and the relations they
-        pin alive.
+        is a :meth:`derived` entry, so repeated calls are cheap and any
+        mutation (insert, delete, clear, or swapping a relation object)
+        invalidates it.  Each relation keeps its sorted row digests
+        current across writes (:meth:`Relation.row_digests`), so only
+        the first call hashes every row.
         """
-        token = self.version_token()
-        universal = self._universal_cache
-        if universal is not None and universal[0] != token:
-            self._universal_cache = None
-        reducer = self._reducer_cache
-        if reducer is not None and reducer[0] != token:
-            self._reducer_cache = None
-        cached = self._fingerprint_cache
-        if cached is not None and cached[0] == token:
-            return cached[1]
+        return self.derived("fingerprint", self._digest)
+
+    def _digest(self) -> str:
         h = hashlib.sha256()
         h.update(str(self.schema).encode("utf-8"))
         for fk in self.schema.foreign_keys:
@@ -130,9 +136,7 @@ class Database:
             h.update(name.encode("utf-8"))
             # One joined update keeps the hashing itself at C speed.
             h.update(b"".join(self.relations[name].row_digests()))
-        digest = h.hexdigest()
-        self._fingerprint_cache = (token, digest)
-        return digest
+        return h.hexdigest()
 
     # -- integrity --------------------------------------------------------
 
@@ -140,21 +144,22 @@ class Database:
         """Verify every foreign key references an existing target tuple.
 
         Raises :class:`IntegrityError` on the first dangling reference.
-        Primary keys are enforced at insertion time by
-        :class:`Relation`, so only referential integrity is checked
-        here.
+        A foreign key with a NULL component references nothing, as in
+        SQL, so it is never dangling.  Primary keys are enforced at
+        insertion time by :class:`Relation`, so only referential
+        integrity is checked here.
         """
         for fk in self.schema.foreign_keys:
             source = self.relation(fk.source)
             target = self.relation(fk.target)
+            tgt_pos = target.schema.indexes_of(fk.target_attrs)
             target_keys = {
-                tuple(row[i] for i in target.schema.indexes_of(fk.target_attrs))
-                for row in target
+                join_key(tuple(row[i] for i in tgt_pos)) for row in target
             }
             src_pos = source.schema.indexes_of(fk.source_attrs)
             for row in source:
-                key = tuple(row[i] for i in src_pos)
-                if key not in target_keys:
+                key = join_key(tuple(row[i] for i in src_pos))
+                if key is not None and key not in target_keys:
                     raise IntegrityError(
                         f"dangling foreign key {fk}: {fk.source} row {row} "
                         f"references missing key {key}"
@@ -245,18 +250,6 @@ class Delta:
         merged = {
             name: self._parts[name] | other._parts[name]
             for name in self._parts
-        }
-        return Delta(self.schema, merged)
-
-    def with_rows(
-        self, relation: str, rows: Iterable[Sequence[Value]]
-    ) -> "Delta":
-        """A new delta with *rows* added to *relation*'s part."""
-        if relation not in self._parts:
-            raise SchemaError(f"no relation named {relation!r}")
-        merged = dict(self._parts)
-        merged[relation] = self._parts[relation] | {
-            tuple(r) for r in rows
         }
         return Delta(self.schema, merged)
 

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..errors import QueryError
 from ..obs import phase
 from .table import Table
-from .types import NULL, Row, Value, is_null
+from .types import NULL, Row, Value, join_key
 
 
 def full_outer_join(
@@ -53,7 +53,7 @@ def full_outer_join(
     right_index: Dict[Row, List[int]] = {}
     right_null_idx: List[int] = []
     for j, key in enumerate(zip(*right_key_cols)):
-        if any(is_null(v) for v in key):
+        if join_key(key) is None:
             right_null_idx.append(j)
         else:
             right_index.setdefault(key, []).append(j)
@@ -68,7 +68,7 @@ def full_outer_join(
     matched_keys = set()
     left_keys = list(zip(*left_key_cols)) if on else [()] * len(left)
     for i, key in enumerate(left_keys):
-        if not any(is_null(v) for v in key) and key in right_index:
+        if join_key(key) is not None and key in right_index:
             matched_keys.add(key)
             for j in right_index[key]:
                 pairs.append((i, j))

@@ -25,7 +25,10 @@ rule (i) restores the global property by seeding every tuple outside
 
 Either way the reducer keeps exactly the tuples that have a partner
 on every foreign key, both sides, once the partnerless ones are gone
-transitively.  Rule (ii) of the paper's recursive program **P** asks
+transitively.  A key with a NULL component has no partner
+(:func:`~repro.engine.types.join_key`), just as ``U(D)`` never joins it,
+so on an acyclic schema the reduction keeps exactly ``Π_{A_i}(U(D))``.
+Rule (ii) of the paper's recursive program **P** asks
 for that reduction of ``D − Δ`` after every step, and Δ only grows.
 :class:`DeltaReducer` therefore answers it by *deletion propagation*
 instead of re-reducing D: built once per database version, it keeps
@@ -39,43 +42,38 @@ edge dies, and the worklist runs on transitively.  The work is
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .database import Database, Delta
 from .schema import DatabaseSchema, ForeignKey
-from .types import Row
+from .types import Row, join_key
 from .universal import JoinTree
 
 RowSets = Dict[str, Set[Row]]
 
 
 def _semijoin_in_place(
-    schema: DatabaseSchema,
-    rowsets: RowSets,
-    keep: str,
-    keep_attrs: Sequence[str],
-    probe: str,
-    probe_attrs: Sequence[str],
+    schema: DatabaseSchema, rowsets: RowSets, keep: str, probe: str, fk: ForeignKey
 ) -> bool:
-    """``rowsets[keep] ⋉ rowsets[probe]`` in place; True if rows dropped."""
-    keep_pos = schema.relation(keep).indexes_of(keep_attrs)
-    probe_pos = schema.relation(probe).indexes_of(probe_attrs)
+    """``rowsets[keep] ⋉ rowsets[probe]`` on *fk*, in place; True if rows
+    dropped."""
+    keep_pos = schema.relation(keep).indexes_of(_edge_attrs(fk, keep))
+    probe_pos = schema.relation(probe).indexes_of(_edge_attrs(fk, probe))
     probe_keys = {
-        tuple(row[i] for i in probe_pos) for row in rowsets[probe]
+        join_key(tuple(row[i] for i in probe_pos)) for row in rowsets[probe]
     }
+    probe_keys.discard(None)
     survivors = {
         row
         for row in rowsets[keep]
-        if tuple(row[i] for i in keep_pos) in probe_keys
+        if join_key(tuple(row[i] for i in keep_pos)) in probe_keys
     }
     changed = len(survivors) != len(rowsets[keep])
     rowsets[keep] = survivors
     return changed
 
 
-def _edge_attrs(
-    fk: ForeignKey, side: str
-) -> Tuple[str, ...]:
+def _edge_attrs(fk: ForeignKey, side: str) -> Tuple[str, ...]:
     """The join attributes of *fk* on relation *side*."""
     return fk.source_attrs if side == fk.source else fk.target_attrs
 
@@ -92,44 +90,22 @@ def reduce_row_sets(
     an acyclic schema implies global consistency.
     """
     tree = join_tree or JoinTree(schema)
+    # (kept side, probed side, fk): bottom-up, top-down, then both
+    # directions of every residual edge.
+    schedule = (
+        [(parent, child, fk) for child, parent, fk in tree.bottom_up_edges()]
+        + [(child, parent, fk) for child, parent, fk in tree.top_down_edges()]
+        + [
+            pair
+            for fk in tree.residual_edges
+            for pair in ((fk.source, fk.target, fk), (fk.target, fk.source, fk))
+        ]
+    )
 
     def sweep() -> bool:
         changed = False
-        for child, parent, fk in tree.bottom_up_edges():
-            changed |= _semijoin_in_place(
-                schema,
-                rowsets,
-                parent,
-                _edge_attrs(fk, parent),
-                child,
-                _edge_attrs(fk, child),
-            )
-        for child, parent, fk in tree.top_down_edges():
-            changed |= _semijoin_in_place(
-                schema,
-                rowsets,
-                child,
-                _edge_attrs(fk, child),
-                parent,
-                _edge_attrs(fk, parent),
-            )
-        for fk in tree.residual_edges:
-            changed |= _semijoin_in_place(
-                schema,
-                rowsets,
-                fk.source,
-                _edge_attrs(fk, fk.source),
-                fk.target,
-                _edge_attrs(fk, fk.target),
-            )
-            changed |= _semijoin_in_place(
-                schema,
-                rowsets,
-                fk.target,
-                _edge_attrs(fk, fk.target),
-                fk.source,
-                _edge_attrs(fk, fk.source),
-            )
+        for keep, probe, fk in schedule:
+            changed |= _semijoin_in_place(schema, rowsets, keep, probe, fk)
         return changed
 
     if not tree.residual_edges:
@@ -148,19 +124,11 @@ def semijoin_reduce(
     The removed tuples are the *dangling* tuples that participate in no
     universal tuple.  The input database is not modified.
     """
-    rowsets: RowSets = {
-        name: set(rel.rows()) for name, rel in database.relations.items()
-    }
-    original = {name: set(rows) for name, rows in rowsets.items()}
+    original = {name: rel.rows() for name, rel in database.relations.items()}
+    rowsets: RowSets = {name: set(rows) for name, rows in original.items()}
     reduce_row_sets(database.schema, rowsets, join_tree)
-    removed = Delta(
-        database.schema,
-        {name: original[name] - rowsets[name] for name in rowsets},
-    )
-    reduced = Database(database.schema)
-    for name, rows in rowsets.items():
-        reduced.relations[name].insert_many(rows)
-    return reduced, removed
+    removed = {name: original[name] - rowsets[name] for name in rowsets}
+    return Database(database.schema, rowsets), Delta(database.schema, removed)
 
 
 class DeltaReducer:
@@ -170,9 +138,12 @@ class DeltaReducer:
     in schema order).  For each foreign key — join-tree and residual
     edges alike — and each of its sides, the tuples are grouped by join
     key; a group's *partner* is the other side's group with the same
-    key.  Keys compare as tuples, as in :func:`reduce_row_sets`, so a
-    NULL key value matches NULL.  Use :meth:`for_database` to share one
-    reducer per database version.
+    key.  A tuple whose key has a NULL component is in no group and has
+    no partner, as in :func:`reduce_row_sets`.  Program P's other two
+    uses of the keys read the same groups: :attr:`joined` gives the
+    closure index its cascade edges and :attr:`referenced` gives rule
+    (iii) its targets.  Use :meth:`for_database` to share one reducer
+    per database version.
     """
 
     def __init__(self, database: Database) -> None:
@@ -191,37 +162,55 @@ class DeltaReducer:
         self._members: List[List[int]] = []
         self._partner: List[int] = []
         self._groups_of: List[List[int]] = [[] for _ in self.entries]
+        keyless: Set[int] = set()
+        #: Per foreign key: (source ids, target ids) of each join key
+        #: both sides share.
+        self.joined: Dict[ForeignKey, List[Tuple[List[int], List[int]]]] = {}
         for fk in schema.foreign_keys:
             source, target = (
-                self._group(fk, side) for side in (fk.source, fk.target)
+                self._group(fk, side, keyless) for side in (fk.source, fk.target)
             )
-            for own, other in ((source, target), (target, source)):
-                for key, group in own.items():
-                    self._partner[group] = other.get(key, -1)
+            self.joined[fk] = []
+            for key, group in source.items():
+                partner = target.get(key)
+                if partner is not None:
+                    self._partner[group], self._partner[partner] = partner, group
+                    self.joined[fk].append(
+                        (self._members[group], self._members[partner])
+                    )
         #: Tuples of D with no partner on some edge; every Δ drops them.
         self.unsupported: Tuple[int, ...] = tuple(
-            {
+            keyless.union(
                 rid
                 for group, partner in enumerate(self._partner)
                 if partner < 0
                 for rid in self._members[group]
-            }
+            )
         )
-        #: Per back-and-forth key: referenced key -> target rows (rule iii).
-        self.referenced: Dict[ForeignKey, Dict[Row, List[Row]]] = {}
-        for fk in schema.back_and_forth_keys:
-            pos = schema.relation(fk.target).indexes_of(fk.target_attrs)
-            by_key: Dict[Row, List[Row]] = {}
-            for row in self.ids[fk.target]:
-                by_key.setdefault(tuple(row[i] for i in pos), []).append(row)
-            self.referenced[fk] = by_key
+        #: Per back-and-forth key: source row -> the target rows it
+        #: references (rule iii).
+        self.referenced: Dict[ForeignKey, Dict[Row, List[Row]]] = {
+            fk: {
+                self.entries[sid][1]: [self.entries[tid][1] for tid in targets]
+                for sources, targets in self.joined[fk]
+                for sid in sources
+            }
+            for fk in schema.back_and_forth_keys
+        }
 
-    def _group(self, fk: ForeignKey, side: str) -> Dict[Row, int]:
-        """Group *side*'s tuples by their *fk* join key; key -> group."""
+    def _group(self, fk: ForeignKey, side: str, keyless: Set[int]) -> Dict[Row, int]:
+        """Group *side*'s tuples by their *fk* join key; key -> group.
+
+        A tuple whose key has a NULL component joins nothing: it goes
+        to *keyless* instead.
+        """
         pos = self.schema.relation(side).indexes_of(_edge_attrs(fk, side))
         groups: Dict[Row, int] = {}
         for row, rid in self.ids[side].items():
-            key = tuple(row[i] for i in pos)
+            key = join_key(tuple(row[i] for i in pos))
+            if key is None:
+                keyless.add(rid)
+                continue
             group = groups.get(key)
             if group is None:
                 group = groups[key] = len(self._members)
@@ -235,20 +224,10 @@ class DeltaReducer:
     def for_database(cls, database: Database) -> "DeltaReducer":
         """The reducer of *database*'s current version, built once.
 
-        Kept on the database against :meth:`Database.version_token`,
-        like ``U(D)``; a write makes the next call build afresh.
+        A :meth:`Database.derived` entry, like ``U(D)``; a write makes
+        the next call build afresh.
         """
-        token = database.version_token()
-        cached = database._reducer_cache
-        if cached is not None and cached[0] == token:
-            reducer: DeltaReducer = cached[2]
-            return reducer
-        database._reducer_cache = None
-        # Pin the relations so the ids in the token cannot be reused.
-        pinned = tuple(database.relations[n] for n in database.relation_names)
-        reducer = cls(database)
-        database._reducer_cache = (token, pinned, reducer)
-        return reducer
+        return database.derived("reducer", lambda: cls(database))
 
     def start(self) -> "SupportLoss":
         """Fresh support-loss state for one Δ, starting from Δ = ∅."""

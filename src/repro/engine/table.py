@@ -42,7 +42,7 @@ from ..errors import QueryError
 from .columnstore import ColumnStore
 from .expressions import Environment, Expression, select_positions
 from .relation import JoinIndexes, Relation
-from .types import Row, Value, is_null, sort_key
+from .types import Row, Value, is_null, join_key, sort_key
 
 
 class Table:
@@ -375,9 +375,10 @@ class Table:
         """Hash index mapping key tuples to *row positions* (read-only).
 
         Built once from column slices; callers gather matching rows by
-        position afterwards.  Rows with NULL keys are excluded (they
-        never equi-join).  On a :meth:`from_relation` view the index is
-        the relation snapshot's, shared by every view of that version.
+        position afterwards.  Rows with NULL keys are excluded: they
+        never equi-join (:func:`~repro.engine.types.join_key`).  On a
+        :meth:`from_relation` view the index is the relation snapshot's,
+        shared by every view of that version.
         """
         pos = self.positions(columns)
         cache = self._index_cache
@@ -389,7 +390,7 @@ class Table:
         index: Dict[Row, List[int]] = {}
         cols = [self.store().column(i) for i in pos]
         for i, key in enumerate(zip(*cols)):
-            if any(is_null(v) for v in key):
+            if join_key(key) is None:
                 continue
             index.setdefault(key, []).append(i)
         if cache is not None:

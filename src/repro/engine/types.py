@@ -21,14 +21,14 @@ safe, but :func:`is_null` / :func:`is_dummy` read better in call sites.
 from __future__ import annotations
 
 from functools import total_ordering
-from typing import Any, Tuple, Union
+from typing import Any, Optional, Tuple, Union
 
 
 class _Null:
     """Singleton SQL NULL.  Never equal to anything, including itself
     under SQL semantics; Python-level ``==`` is identity so the marker
     can live inside dict keys and sets (needed for hash joins that must
-    *not* match nulls — those sites must check :func:`is_null` first).
+    *not* match nulls — those sites key through :func:`join_key`).
     """
 
     _instance = None
@@ -102,6 +102,12 @@ Row = Tuple[Value, ...]
 def is_null(value: Any) -> bool:
     """Return True iff *value* is the engine NULL marker."""
     return value is NULL
+
+
+def join_key(key: Row) -> Optional[Row]:
+    """*key* as an equi-join key, or None when a component is NULL: as
+    in SQL, a NULL key joins nothing, not even another NULL."""
+    return None if NULL in key else key
 
 
 def is_dummy(value: Any) -> bool:

@@ -18,6 +18,10 @@ the paper's predicate syntax ``[R_i.A op c]``.  Join columns from both
 sides are kept (e.g. both ``Authored.id`` and ``Author.id`` appear,
 always equal within a row), so projecting a universal row onto any
 relation's attribute set is a simple column selection.
+
+``U`` is a function of D alone, so :func:`universal_table` keeps it as
+a :meth:`~repro.engine.database.Database.derived` entry: built once per
+database version and shared by every φ and every caller until a write.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from ..obs import phase
 from .database import Database
 from .schema import DatabaseSchema, ForeignKey
 from .table import Table
+from .types import join_key
 
 
 class JoinTree:
@@ -67,12 +72,10 @@ class JoinTree:
         self.traversal_order = order
         #: parent[r] = (parent relation, fk joining r to parent); root absent.
         self.parent: Dict[str, Tuple[str, ForeignKey]] = {}
-        joined: Set[str] = {self.root}
         for name, fk in order[1:]:
             assert fk is not None
             other = fk.target if fk.source == name else fk.source
             self.parent[name] = (other, fk)
-            joined.add(name)
         #: Foreign keys not used by the BFS spanning tree (cycle-closing
         #: edges of a ``require_acyclic=False`` schema).  Both endpoints
         #: are always in the tree, so these become row filters on the
@@ -121,20 +124,13 @@ def universal_table(database: Database) -> Table:
     schema this is just the qualified table.
 
     ``U`` depends on the database alone, so it is built once per
-    database version and kept on *database*: every caller on an
-    unchanged database shares one (immutable) table.  The version token
-    is read before the build, so a write that races the build leaves a
-    stale token behind and the next call builds again.
+    database version (:meth:`Database.derived`): every caller on an
+    unchanged database shares one (immutable) table.
     """
-    token = database.version_token()
-    cached = database._universal_cache
-    if cached is not None and cached[0] == token:
-        return cached[2]
-    # Retire the stale U first so two versions are never held at once.
-    database._universal_cache = None
-    # The relation objects are kept with the token so their ids, which
-    # the token holds, cannot be reused by new objects while it lives.
-    pinned = tuple(database.relations[name] for name in database.relation_names)
+    return database.derived("universal", lambda: _build(database))
+
+
+def _build(database: Database) -> Table:
     tree = JoinTree(database.schema)
     with phase(
         "universal_table", relations=len(database.schema.relations)
@@ -160,7 +156,6 @@ def universal_table(database: Database) -> Table:
         for fk in tree.residual_edges:
             result = _filter_residual(result, fk)
         ph.annotate(rows=len(result))
-    database._universal_cache = (token, pinned, result)
     return result
 
 
@@ -168,18 +163,15 @@ def _filter_residual(table: Table, fk: ForeignKey) -> Table:
     """Keep rows satisfying a cycle-closing foreign key's equality.
 
     Both sides of *fk* are already joined in, so the constraint is a
-    plain per-row comparison of the two qualified column tuples.
+    plain per-row comparison of the two qualified column tuples; a NULL
+    key matches nothing, as in the tree joins.
     """
-    source_cols = [
-        table.column(c) for c in fk_join_columns(fk, fk.source)
-    ]
-    target_cols = [
-        table.column(c) for c in fk_join_columns(fk, fk.target)
-    ]
+    source = zip(*(table.column(c) for c in fk_join_columns(fk, fk.source)))
+    target = zip(*(table.column(c) for c in fk_join_columns(fk, fk.target)))
     keep = [
         i
-        for i in range(len(table))
-        if all(s[i] == t[i] for s, t in zip(source_cols, target_cols))
+        for i, (s, t) in enumerate(zip(source, target))
+        if s == t and join_key(s) is not None
     ]
     if len(keep) == len(table):
         return table

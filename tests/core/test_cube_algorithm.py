@@ -223,3 +223,23 @@ class TestOptions:
         assert rows[2001] == (2, 0)
         # year=2011 appears only in the VLDB cube: v_qs filled with 0.
         assert rows[2011] == (0, 1)
+
+
+class TestContentFingerprint:
+    @staticmethod
+    def table(row):
+        from repro.core.cube_algorithm import ExplanationTable
+        from repro.engine.table import Table
+
+        return ExplanationTable(
+            table=Table(["R.a", "R.b", "v_q", MU_INTERV, MU_AGGR], [row]),
+            attributes=("R.a", "R.b"),
+            aggregate_names=("q",),
+            q_original={"q": 0},
+        )
+
+    def test_separator_text_in_a_cell_cannot_forge_a_row(self):
+        # Joined with a bare \x1f, both rows read "s:a\x1fs:b\x1fs:c".
+        left = self.table(("a\x1fs:b", "c", 1, 1.0, 1.0))
+        right = self.table(("a", "b\x1fs:c", 1, 1.0, 1.0))
+        assert left.content_fingerprint() != right.content_fingerprint()

@@ -105,6 +105,26 @@ class TestMethods:
         assert len(unchecked) > 1
 
 
+class TestAdditivity:
+    def test_checked_once_for_report_and_certificate(self, monkeypatch):
+        import repro.analysis.additivity as additivity
+        import repro.analysis.analyzer as analyzer
+
+        calls = []
+        certify = additivity.certify_additivity
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return certify(*args, **kwargs)
+
+        monkeypatch.setattr(additivity, "certify_additivity", counting)
+        monkeypatch.setattr(analyzer, "certify_additivity", counting)
+        explainer = Explainer(rex.database(), sigmod_question(), ATTRS)
+        report = explainer.additivity_report()
+        assert explainer.certificate().additivity is report
+        assert len(calls) == 1
+
+
 class TestTop:
     def test_top_by_intervention(self):
         ex = Explainer(rex.database(), sigmod_question(), ATTRS)

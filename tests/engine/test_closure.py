@@ -59,6 +59,18 @@ class TestEncoding:
             index.closure_runs("Author", ("nope", "x", "y", "z"))
 
 
+class TestSubscription:
+    def test_a_dropped_index_stops_listening_at_the_next_write(self):
+        import gc
+
+        db = rex.database()
+        author = db.relation("Author")
+        ClosureIndex(db)
+        gc.collect()
+        author.delete_many([first_row(db, "Author")])
+        assert author._subscribers == []
+
+
 class TestProbes:
     def test_closure_rows_match_fixpoint_single_seed(self):
         db = rex.database()

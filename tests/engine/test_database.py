@@ -55,6 +55,75 @@ class TestDatabase:
         assert "Author=3" in repr(db)
 
 
+class TestDerived:
+    """One per-version memo holds U, the reducer, the fingerprint and
+    the closure index; a write retires them together."""
+
+    @staticmethod
+    def build_all(db):
+        from repro.engine.closure import ClosureIndex
+        from repro.engine.reduction import DeltaReducer
+        from repro.engine.universal import universal_table
+
+        return (
+            universal_table(db),
+            DeltaReducer.for_database(db),
+            ClosureIndex.for_database(db),
+            db.content_fingerprint(),
+        )
+
+    def test_each_kind_is_built_once_per_version(self, db):
+        first = self.build_all(db)
+        again = self.build_all(db)
+        assert all(a is b for a, b in zip(first, again))
+        calls = []
+        assert db.derived("probe", lambda: calls.append(1) or len(calls)) == 1
+        assert db.derived("probe", lambda: calls.append(1) or len(calls)) == 1
+
+    def test_one_write_retires_every_kind(self, db):
+        import gc
+        import weakref
+
+        universal, reducer, index, fingerprint = self.build_all(db)
+        refs = [weakref.ref(reducer), weakref.ref(index)]
+        del reducer, index
+        db.relation("Author").delete_many([rex.R1])
+        assert db.content_fingerprint() != fingerprint
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
+        assert list(db._derived_cache[2]) == ["fingerprint"]
+        rebuilt = self.build_all(db)
+        assert rebuilt[0] is not universal
+        assert rebuilt[2].tuple_count == db.total_rows()
+
+    def test_a_fingerprint_read_after_a_swap_releases_the_old_relations(self, db):
+        import gc
+        import weakref
+
+        self.build_all(db)
+        old = weakref.ref(db.relation("Publication"))
+        db.relations["Publication"] = db.relation("Publication").without([rex.T2])
+        gc.collect()
+        assert old() is not None  # pinned by the stale version's entries
+        db.content_fingerprint()
+        gc.collect()
+        assert old() is None
+
+    def test_a_write_during_a_build_builds_again(self, db):
+        builds = []
+
+        def build():
+            builds.append(len(db.relation("Author")))
+            if len(builds) == 1:
+                db.relation("Author").delete_many([rex.R1])
+            return len(builds)
+
+        assert db.derived("probe", build) == 1
+        assert db.derived("probe", build) == 2
+        assert db.derived("probe", build) == 2
+        assert builds == [3, 2]
+
+
 class TestDelta:
     def test_empty(self, db):
         delta = Delta.empty(db.schema)
@@ -77,10 +146,6 @@ class TestDelta:
         u = a | b
         assert u.size() == 3
         assert rex.R1 in u["Author"] and rex.R2 in u["Author"]
-
-    def test_with_rows(self, db):
-        delta = Delta.empty(db.schema).with_rows("Author", [rex.R1])
-        assert delta.size() == 1
 
     def test_subset_order(self, db):
         small = Delta(db.schema, {"Author": [rex.R1]})

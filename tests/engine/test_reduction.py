@@ -115,3 +115,68 @@ class TestFullReducer:
             single_table_schema("T", ["k"], ["k"]), {"T": [(1,), (2,)]}
         )
         assert database_is_reduced(db)
+
+
+class TestNullJoinKeys:
+    """A NULL join key joins nothing on every path: ``U(D)``, the
+    semijoin reducer, program P's support postings and cascades, and
+    the integrity check all read it as SQL does."""
+
+    @staticmethod
+    def null_keyed_db():
+        from repro.engine.types import NULL
+
+        return Database(
+            rex.schema(),
+            {
+                "Author": [("A1", "JG", "UW", "edu"), (NULL, "RR", "MS", "com")],
+                "Authored": [("A1", "P1"), (NULL, "P2")],
+                "Publication": [("P1", 2001, "SIGMOD"), ("P2", 2002, "VLDB")],
+            },
+        )
+
+    def test_reducer_drops_what_u_never_joins(self):
+        db = self.null_keyed_db()
+        assert len(universal_table(db)) == 1
+        reduced, removed = semijoin_reduce(db)
+        assert {n: len(removed.rows_for(n)) for n in db.relation_names} == {
+            "Author": 1,
+            "Authored": 1,
+            "Publication": 1,
+        }
+        assert ("P2", 2002, "VLDB") in removed.rows_for("Publication")
+        assert reduced == Database(db.schema, oracle_reduce(db))
+
+    def test_delta_reducer_calls_them_unsupported(self):
+        from repro.engine.reduction import DeltaReducer
+
+        db = self.null_keyed_db()
+        reducer = DeltaReducer.for_database(db)
+        dropped = {reducer.entries[rid] for rid in reducer.start().drop(())}
+        _, removed = semijoin_reduce(db)
+        assert dropped == {
+            (n, row) for n in db.relation_names for row in removed.rows_for(n)
+        }
+
+    def test_both_schedules_delete_the_dangling_tuples(self):
+        from repro.core.intervention import make_strategy
+        from repro.core.predicates import AtomicPredicate, Explanation
+
+        db = self.null_keyed_db()
+        phi = Explanation.of(AtomicPredicate("Author", "name", "=", "JG"))
+        for strategy in ("fixpoint", "closure"):
+            delta = make_strategy(db, strategy=strategy).compute(phi).delta
+            assert [len(delta.rows_for(n)) for n in db.relation_names] == [2, 2, 2]
+
+    def test_a_null_foreign_key_is_no_reference(self):
+        from repro.engine.types import NULL
+
+        db = Database(
+            rex.schema(),
+            {
+                "Author": [("A1", "JG", "UW", "edu")],
+                "Authored": [("A1", "P1"), (NULL, "P1")],
+                "Publication": [("P1", 2001, "SIGMOD")],
+            },
+        )
+        db.check_integrity()  # SQL: a NULL foreign key references nothing

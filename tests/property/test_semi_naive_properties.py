@@ -47,8 +47,8 @@ oracle_settings = settings(max_examples=30)
 @st.composite
 def null_key_databases(draw, back_and_forth=True):
     """A running-example population where some foreign-key values are
-    NULL, plus optional NULL-keyed Author / Publication rows: a NULL
-    key joins a NULL key, and anything else dangles."""
+    NULL, plus optional NULL-keyed Author / Publication rows.  A NULL
+    key joins nothing, so every NULL-keyed tuple dangles."""
     db = draw(small_databases(back_and_forth=back_and_forth))
     authored = []
     for author, pub in sorted(db.relation("Authored").rows()):

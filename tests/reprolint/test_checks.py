@@ -392,6 +392,9 @@ class TestRL009ProductionCaller:
         files[caller] = """\
         from repro.core.lib import only_tested
         """
+        if caller.startswith("src/"):
+            # A caller inside src/ counts once the entry point reaches it.
+            files["src/repro/cli.py"] += "import repro.service.app\n"
         assert lint(files, select={"RL009"}).active == []
 
     def test_patch_point_string_is_a_caller(self, lint):
@@ -419,6 +422,47 @@ class TestRL009ProductionCaller:
         orphan = [f for f in found if f.path == "src/repro/core/orphan.py"]
         assert [f.line for f in orphan] == [1]
         assert "module repro.core.orphan" in orphan[0].message
+
+    def test_modules_that_only_import_each_other(self, lint):
+        files = dict(self.LIB)
+        files["src/repro/core/ping.py"] = """\
+        def ping():
+            from .pong import pong
+
+            return pong()
+        """
+        files["src/repro/core/pong.py"] = """\
+        from .ping import ping
+
+
+        def pong():
+            return ping
+        """
+        found = only(lint(files, select={"RL009"}), "RL009")
+        assert sorted(f.path for f in found if f.line == 1) == [
+            "src/repro/core/ping.py",
+            "src/repro/core/pong.py",
+        ]
+
+    def test_a_package_reaches_what_its_own_statements_use(self, lint):
+        files = dict(self.LIB)
+        files["src/repro/backends/__init__.py"] = """\
+        from .listed import Listed
+        from .plugin import Plugin
+
+        __all__ = ["Listed"]
+        REGISTRY = [Plugin]
+        """
+        for name in ("listed", "plugin"):
+            files[f"src/repro/backends/{name}.py"] = f"""\
+            class {name.title()}:
+                pass
+            """
+        files["src/repro/cli.py"] += "import repro.backends\n"
+        found = only(lint(files, select={"RL009"}), "RL009")
+        assert [f.path for f in found if f.line == 1] == [
+            "src/repro/backends/listed.py"
+        ]
 
     def test_pragma_with_reason_suppresses(self, lint):
         files = dict(self.LIB)

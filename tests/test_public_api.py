@@ -105,83 +105,21 @@ class TestTopLevel:
 class TestNoOrphanModules:
     """ROADMAP: "no module that only its own tests import".
 
-    Walks the ``src/repro`` import graph with ``ast`` (function-level
-    and TYPE_CHECKING imports included) from the entry points and
-    fails on any module nothing reaches.  A package ``__init__`` is a
-    re-export, not a use: ``from ..engine import Table`` reaches
-    ``engine.table`` through it, but the ``__init__`` listing a module
-    does not keep that module alive.
+    RL009's module rule owns the check: it walks the import graph from
+    the entry points and from every caller outside ``src/``.
     """
 
-    #: What a user runs.
-    ENTRY_POINTS = ("repro.__main__", "repro.cli")
-    #: Public leaf APIs: documented paper/CLI surface that the package
-    #: itself only re-exports (or, for the backends, registers from
-    #: ``backends/__init__``).  Keep this list short and literal.
-    PUBLIC_LEAVES = (
-        "repro.core.rewrite",  # Section 4.1 schema rewriting
-        "repro.backends.sqlite_backend",
-        "repro.backends.duckdb_backend",
-    )
-
-    @staticmethod
-    def _graph():
-        import ast
+    def test_every_module_is_reachable_from_an_entry_point(self):
+        import subprocess
+        import sys
         from pathlib import Path
 
-        root = Path(repro.__file__).parent
-        is_package, imports = {}, {}
-        for path in sorted(root.rglob("*.py")):
-            parts = path.relative_to(root.parent).with_suffix("").parts
-            package = parts[-1] == "__init__"
-            name = ".".join(parts[:-1] if package else parts)
-            is_package[name] = package
-            base = name if package else name.rpartition(".")[0]
-            found = []
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if isinstance(node, ast.Import):
-                    found += [(alias.name, None) for alias in node.names]
-                elif isinstance(node, ast.ImportFrom):
-                    target = node.module or ""
-                    if node.level:
-                        up = base.split(".")
-                        up = up[: len(up) - node.level + 1]
-                        target = ".".join(up + ([target] if target else []))
-                    found += [(target, alias.name) for alias in node.names]
-            imports[name] = [
-                (t, n) for t, n in found if t.split(".")[0] == "repro"
-            ]
-        return is_package, imports
-
-    def test_every_module_is_reachable_from_an_entry_point(self):
-        is_package, imports = self._graph()
-
-        def resolve(target, name, seen=()):
-            """The module ``from target import name`` really uses."""
-            if name is None:
-                return target
-            if f"{target}.{name}" in is_package:
-                return f"{target}.{name}"
-            if is_package.get(target) and (target, name) not in seen:
-                for t, n in imports[target]:
-                    if n == name:
-                        return resolve(t, n, seen + ((target, name),))
-            return target
-
-        for root in self.ENTRY_POINTS + self.PUBLIC_LEAVES:
-            assert root in is_package, f"stale exemption: {root}"
-        live, stack = set(), list(self.ENTRY_POINTS + self.PUBLIC_LEAVES)
-        while stack:
-            module = stack.pop()
-            if module in live or module not in is_package:
-                continue
-            live.add(module)
-            if not is_package[module]:
-                stack.extend(resolve(t, n) for t, n in imports[module])
-        orphans = sorted(
-            m for m, package in is_package.items() if not package and m not in live
+        proc = subprocess.run(
+            [sys.executable, "-m", "tools.reprolint", "--select", "RL009", "src"],
+            cwd=Path(__file__).resolve().parents[1],
+            capture_output=True,
+            text=True,
         )
-        assert orphans == [], (
-            "modules nothing in src/ uses (delete them, or wire them in): "
-            f"{orphans}"
-        )
+        orphans = [line for line in proc.stdout.splitlines() if "module repro." in line]
+        assert orphans == [], "\n".join(orphans)
+        assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -124,16 +124,6 @@ def str_constants(tree: ast.AST) -> Iterator[Tuple[str, int]]:
             yield node.value, node.lineno
 
 
-def call_name(node: ast.Call) -> Optional[str]:
-    """Trailing attribute/name of the called object (``a.b.c()`` → ``c``)."""
-    func = node.func
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    if isinstance(func, ast.Name):
-        return func.id
-    return None
-
-
 def module_constant_strings(tree: ast.Module) -> Dict[str, str]:
     """UPPER_CASE module-level names assigned a single string literal."""
     out: Dict[str, str] = {}

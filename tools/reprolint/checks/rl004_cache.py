@@ -5,8 +5,9 @@ structure cached on a :class:`Relation`/:class:`Database` keeps serving
 after the underlying rows change.  The repo has two sanctioned guards:
 
 * **mutation-version keying** — the code reading the cache also reads a
-  ``version`` token and compares/keys by it (``Database``'s fingerprint
-  memo, ``ClosureIndex.for_database``), or
+  ``version`` token and compares/keys by it (``Database.derived``'s one
+  per-version slot, which holds the fingerprint, ``U(D)``, the delta
+  reducer and the closure index), or
 * **subscriber invalidation** — the module registers via
   ``.subscribe(...)`` and somewhere clears/None-s the cached attribute
   when notified.

@@ -3,11 +3,14 @@
 A top-level public function or class in ``src/`` is dead surface when
 nothing uses it but tests and package ``__init__`` re-exports.  Use in
 its own module counts, except inside the symbol's own body: a public
-helper its module calls is alive.  A module is dead when all of its
-public symbols are unused and nothing imports the module itself.  Callers
-are looked up in ``conventions.CALLER_ROOTS`` under the repo root
-whatever paths were given on the command line, so linting ``src``
-alone sees the same callers as linting everything.
+helper its module calls is alive.  A module is dead when no import
+chain reaches it from an entry point (``__main__``, ``ENTRY_MODULES``)
+or from a caller outside ``src/``: modules that only import each other
+are dead together.  ``from package import name`` reaches the module the
+``__init__`` takes *name* from; an ``__init__`` reaches only what its
+own statements use.  Callers are looked up in ``conventions.CALLER_ROOTS``
+under the repo root whatever paths were given on the command line, so
+linting ``src`` alone sees the same callers as linting everything.
 
 What counts as a reference, by name: a ``Name`` or attribute access, an
 imported alias, or a ``"repro.module:Name"`` string (the benchmark's
@@ -27,7 +30,7 @@ import ast
 from collections import defaultdict
 from typing import Dict, Iterator, List, Set, Tuple
 
-from ..conventions import CALLER_ROOTS
+from ..conventions import CALLER_ROOTS, ENTRY_MODULES
 from ..framework import Check, Finding, Project, SourceFile, register
 
 _ENTRY_MODULES = {"__init__", "__main__"}
@@ -56,10 +59,9 @@ def _is_all_assignment(node: ast.stmt) -> bool:
     return any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets)
 
 
-def _references(file: SourceFile, nodes: List[ast.stmt]) -> Tuple[Set[str], Set[str]]:
-    """(names, imported modules) the statements *nodes* of *file* use."""
+def _references(file: SourceFile, nodes: List[ast.stmt]) -> Set[str]:
+    """The names the statements *nodes* of *file* use."""
     names: Set[str] = set()
-    modules: Set[str] = set()
     reexporter = file.rel.startswith("src/") and file.path.stem == "__init__"
     for top in nodes:
         if reexporter and (
@@ -71,20 +73,71 @@ def _references(file: SourceFile, nodes: List[ast.stmt]) -> Tuple[Set[str], Set[
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
-            elif isinstance(node, ast.Import):
-                modules.update(alias.name for alias in node.names)
             elif isinstance(node, ast.ImportFrom):
-                base = _resolve_from(file, node)
-                modules.add(base)
-                for alias in node.names:
-                    names.add(alias.name)
-                    modules.add(f"{base}.{alias.name}")
+                names.update(alias.name for alias in node.names)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 target, sep, attr = node.value.partition(":")
                 if sep and target.startswith("repro"):
-                    modules.add(target)
                     names.add(attr.split(".")[0])
-    return names, modules
+    return names
+
+
+def _imports(file: SourceFile, tree: ast.Module) -> List[Tuple[str, str]]:
+    """``(module, name)`` per import in *tree*, ``name`` empty for a whole
+    module; function-level imports and patch-point strings included."""
+    out: List[Tuple[str, str]] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.extend((alias.name, "") for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = _resolve_from(file, node)
+            out.extend((base, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            target, sep, _ = node.value.partition(":")
+            if sep and target.startswith("repro"):
+                out.append((target, ""))
+    return out
+
+
+def _live_modules(callers: List[SourceFile]) -> Set[str]:
+    """The ``src/`` modules an import chain reaches from an entry point
+    or from a caller outside ``src/``."""
+    imports: Dict[str, List[Tuple[str, str]]] = {}
+    packages: Dict[str, Set[str]] = {}  # package -> names its body uses
+    roots = list(ENTRY_MODULES)
+    for file in callers:
+        if file.tree is None:
+            continue
+        key = _module_name(file) if file.rel.startswith("src/") else file.rel
+        imports[key] = _imports(file, file.tree)
+        if key == file.rel or file.path.stem == "__main__":
+            roots.append(key)
+        elif file.path.stem == "__init__":
+            packages[key] = _references(file, file.tree.body)
+
+    def resolve(module: str, name: str, seen: Set[str]) -> str:
+        """The module that ``from module import name`` takes *name* from."""
+        if not name or f"{module}.{name}" in imports:
+            return f"{module}.{name}" if name else module
+        if module in packages and module not in seen:
+            for source, imported in imports[module]:
+                if imported == name:
+                    return resolve(source, name, seen | {module})
+        return module
+
+    live: Set[str] = set()
+    while roots:
+        module = roots.pop()
+        if module in live or module not in imports:
+            continue
+        live.add(module)
+        body = packages.get(module)
+        for source, name in imports[module]:
+            if body is None or name in body:
+                roots.append(resolve(source, name, set()))
+            if body is None:
+                roots.append(source)
+    return live
 
 
 def _public_definitions(tree: ast.Module) -> List[ast.stmt]:
@@ -113,21 +166,19 @@ class ProductionCallerCheck(Check):
             return
         #: name / dotted module -> the caller files that use it.
         users: Dict[str, Set[str]] = defaultdict(set)
-        importers: Dict[str, Set[str]] = defaultdict(set)
-        for file in project.tree_files(CALLER_ROOTS):
+        callers = project.tree_files(CALLER_ROOTS)
+        for file in callers:
             if file.tree is None:
                 continue
-            names, modules = _references(file, file.tree.body)
-            for name in names:
+            for name in _references(file, file.tree.body):
                 users[name].add(file.rel)
-            for module in modules:
-                importers[module].add(file.rel)
+        live = _live_modules(callers)
         for file in targets:
             tree = file.tree
             if tree is None:
                 continue
             own = _module_name(file)
-            per_stmt = [_references(file, [stmt])[0] for stmt in tree.body]
+            per_stmt = [_references(file, [stmt]) for stmt in tree.body]
             definitions = _public_definitions(tree)
             dead = [
                 node
@@ -139,13 +190,12 @@ class ProductionCallerCheck(Check):
                     if stmt is not node
                 )
             ]
-            imported = bool(importers[own] - {file.rel})
-            if not imported and definitions and len(dead) == len(definitions):
+            if own not in live:
                 yield self.finding(
                     file,
                     1,
-                    f"module {own} has no production caller: only tests or "
-                    "package re-exports import it",
+                    f"module {own} has no production caller: no import chain "
+                    "reaches it from an entry point or from code outside src/",
                 )
                 continue
             for node in dead:

@@ -115,6 +115,9 @@ HISTOGRAM_SERIES_SUFFIXES: Tuple[str, ...] = ("_count", "_sum", "_bucket")
 #: deliberately absent: a symbol only tests use has no production caller.
 CALLER_ROOTS: Tuple[str, ...] = ("src", "tools", "benchmarks", "examples")
 
+#: Modules a user runs besides any ``__main__`` (the console script).
+ENTRY_MODULES: Tuple[str, ...] = ("repro.cli",)
+
 RS_LINTER_MODULE = "src/repro/analysis/linter.py"
 RS_DOC = "docs/analysis.md"
 RL_DOC = "docs/static_analysis.md"
