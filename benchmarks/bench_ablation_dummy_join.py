@@ -1,14 +1,18 @@
 """E15 — ablation: the Section 4.2 null→dummy join optimization.
 
-Algorithm 1 joins the m per-aggregate cubes.  Cube rows carry NULL for
-"don't care" attributes, and NULL ≠ NULL kills the equi-join, so the
-paper rewrites NULL to a dummy constant first.  The alternative —
+The paper's Algorithm 1 joins m per-aggregate cubes.  Cube rows carry
+NULL for "don't care" attributes, and NULL ≠ NULL kills the equi-join,
+so the paper rewrites NULL to a dummy constant first.  The alternative —
 a null-aware join that compares key tuples pairwise — is quadratic.
 Expected shape: the dummy rewrite wins, increasingly so as the cubes
 grow (more attributes).
 
-Production has one path (rewrite, then hash join); the baseline lives
-here: :func:`naive_null_aware_join` below, fed into the same public
+Production builds *M* from one conditional-aggregate cube and joins
+nothing.  The paper's per-aggregate pipeline lives here,
+:class:`CubeInputs` (per-q_j cube, numpy-vectorized where
+:mod:`repro.engine.fastpath` supports the aggregate, then
+``dummy_rewrite`` and ``full_outer_join_many``), with its quadratic
+baseline :func:`naive_null_aware_join`; both feed the same public
 ``finalize_explanation_table`` step.
 """
 
@@ -27,6 +31,7 @@ from repro.engine import (
     full_outer_join_many,
     universal_table,
 )
+from repro.engine import fastpath
 
 ATTR_COUNTS = [2, 3, 4]
 
@@ -75,21 +80,21 @@ def naive_null_aware_join(cubes, on):
 
 
 class CubeInputs:
-    """Steps 1–2 of Algorithm 1, shared by both join plans."""
+    """Steps 1–2 of the paper's Algorithm 1, shared by both join plans:
+    u_j and one cube per aggregate query."""
 
-    def __init__(self, database, question, attributes):
+    def __init__(self, database, question, attributes, *, universal=None):
         self.question = question
         self.attributes = list(attributes)
-        u = universal_table(database)
+        u = universal if universal is not None else universal_table(database)
         self.q_original = question.query.aggregate_values(u)
-        self.cubes = [
-            cube(
-                q.filtered(u),
-                self.attributes,
-                (AggregateSpec(q.aggregate.kind, q.aggregate.argument, f"v_{q.name}"),),
+        self.cubes = []
+        for q in question.query.aggregates:
+            spec = (
+                AggregateSpec(q.aggregate.kind, q.aggregate.argument, f"v_{q.name}"),
             )
-            for q in question.query.aggregates
-        ]
+            kernel = fastpath.cube_numpy if fastpath.supports(spec) else cube
+            self.cubes.append(kernel(q.filtered(u), self.attributes, spec))
 
     def _finalize(self, joined):
         return finalize_explanation_table(

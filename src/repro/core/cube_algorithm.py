@@ -3,14 +3,21 @@
 Given an intervention-additive numerical query ``Q = E(q_1 … q_m)`` and
 relevant attributes ``A'``:
 
-1. compute ``u_j = q_j(D)`` on the original database;
-2. for each ``q_j`` compute a data cube over ``σ_{w_j}(U)`` grouped by
-   ``A'``, holding ``v_j(φ) = q_j(D_φ)`` per cube row φ;
-3. rewrite cube NULLs to the DUMMY constant and full-outer-join the m
-   cubes on ``A'`` (missing explanations get the aggregate's
-   empty-input default, i.e. 0 for counts);
-4. per row, ``μ_interv(φ) = sign_i × E(u_1 − v_1, …, u_m − v_m)`` and
-   ``μ_aggr(φ) = sign_a × E(v_1, …, v_m)``.
+1. select ``σ_{w_j}(U)`` once per aggregate query ``q_j``;
+2. compute one conditional-aggregate cube over ``A'``
+   (:func:`~repro.engine.cube.conditional_cube`): aggregate ``j`` reads
+   only ``σ_{w_j}(U)``, so each row φ holds ``v_j(φ) = q_j(D_φ)`` for
+   every ``j`` at once, DUMMY marks "don't care", and an explanation
+   with no rows for ``q_j`` reads its empty-input value (0 for counts).
+   The grand-total row gives ``u_j = q_j(D)``;
+3. per row, ``μ_interv(φ) = sign_i × E(u_1 − v_1, …, u_m − v_m)`` and
+   ``μ_aggr(φ) = sign_a × E(v_1, …, v_m)``, one column at a time.
+
+The paper instead cubes each ``q_j`` separately, rewrites the cube
+NULLs to DUMMY and full-outer-joins the m cubes, because SQL Server
+runs one ``WITH CUBE`` per query; the SQL backends
+(:mod:`repro.backends`) still do, and share step 3 through
+:func:`finalize_explanation_table`.
 
 The materialized result (the paper's table *M*) is wrapped in
 :class:`ExplanationTable`, which the top-K strategies of
@@ -25,14 +32,12 @@ contemplates.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
-from ..engine.cube import cube, dummy_rewrite
-from ..engine.groupby import scalar_aggregate
-from ..engine.joins import full_outer_join_many
+from ..engine.cube import conditional_cube
 from ..engine.table import Table
-from ..engine.types import NULL, Value, is_dummy, is_null
+from ..engine.types import DUMMY, NULL, Value, is_dummy, is_null
 from ..engine.universal import universal_table
 from ..engine.database import Database
 from ..errors import ExplanationError
@@ -147,8 +152,7 @@ def build_explanation_table(
 
     ``attributes`` are qualified universal columns (the relevant set
     A').  ``support_threshold`` drops explanations where *no* aggregate
-    reaches the threshold (Section 5.1.1 uses 1000).  The cube is the
-    columnar one, numpy-vectorized via ``use_fastpath`` where supported.
+    reaches the threshold (Section 5.1.1 uses 1000).
 
     ``certificate`` is a data-resolved
     :class:`~repro.analysis.additivity.AdditivityCertificate` for this
@@ -163,7 +167,8 @@ def build_explanation_table(
     module's native path), ``"sqlite"`` / ``"duckdb"`` (push the whole
     algorithm into a real DBMS — see :mod:`repro.backends`), or any
     :class:`~repro.backends.ExecutionBackend` instance.
-    ``use_fastpath`` only applies to the in-memory path.
+    ``use_fastpath`` is accepted for compatibility and chooses nothing:
+    one cube kernel serves every in-memory build.
     """
     if backend != "memory":
         from ..backends import MemoryBackend, get_backend
@@ -189,32 +194,43 @@ def build_explanation_table(
                 certificate = analyze_additivity(database, query, universal=u)
             certificate.raise_if_not_additive()
 
-    # Steps 1-2: one selection σ_{w_j}(U) per aggregate query feeds
-    # both u_j = q_j(D) and the cube of v_j(φ).
-    from ..engine import fastpath
-
-    q_original: Dict[str, Value] = {}
-    cubes: List[Table] = []
+    # Steps 1-2: one selection σ_{w_j}(U) per aggregate query, one cube
+    # with an m-vector of states per group.
+    specs = [
+        replace(q.aggregate, alias=f"v_{q.name}") for q in query.aggregates
+    ]
+    sources = []
     for q in query.aggregates:
-        with phase("cube_aggregate", aggregate=q.name) as cube_ph:
-            source = q.filtered(u)
-            q_original[q.name] = scalar_aggregate(source, q.aggregate)
-            spec = type(q.aggregate)(
-                q.aggregate.kind, q.aggregate.argument, f"v_{q.name}"
-            )
-            if use_fastpath and fastpath.supports((spec,)):
-                c = fastpath.cube_numpy(source, attributes, (spec,))
-            else:
-                c = cube(source, attributes, (spec,))
-            cube_ph.annotate(rows_in=len(source))
-            c = dummy_rewrite(c, attributes)
-            cube_ph.annotate(groups=len(c))
-            cubes.append(c)
+        with phase("select", aggregate=q.name) as select_ph:
+            sources.append(q.filtered(u))
+            select_ph.annotate(rows=len(sources[-1]))
+    joined = conditional_cube(sources, attributes, specs, dont_care=DUMMY)
+    return table_from_cube(
+        joined, question, attributes, support_threshold=support_threshold
+    )
 
-    # Step 3: combine the m cubes on the explanation columns.
-    joined = full_outer_join_many(cubes, attributes, fill=NULL)
 
-    # Steps 3b/4: fill defaults, μ columns, support filter.
+def table_from_cube(
+    joined: Table,
+    question: UserQuestion,
+    attributes: Sequence[str],
+    *,
+    support_threshold: Optional[float] = None,
+) -> ExplanationTable:
+    """*M* from Algorithm 1's conditional-aggregate cube.
+
+    *joined* has the attributes (DUMMY for "don't care") and one
+    ``v_<name>`` column per aggregate, the grand total last, as
+    :func:`~repro.engine.cube.conditional_cube` and
+    :func:`~repro.engine.cube.cube_from_base_states` emit it.  The grand
+    total gives ``u_j = q_j(D)``; step 3 adds μ and applies the support
+    filter.  The cold build and the incremental delta builder share it.
+    """
+    # grouping_sets() lists the empty set last: the grand total u_j.
+    q_original = {
+        q.name: joined.column(f"v_{q.name}")[-1]
+        for q in question.query.aggregates
+    }
     with phase("finalize", rows=len(joined)):
         return finalize_explanation_table(
             joined,
@@ -233,45 +249,44 @@ def finalize_explanation_table(
     *,
     support_threshold: Optional[float] = None,
 ) -> ExplanationTable:
-    """Steps 3b–4 of Algorithm 1: defaults, μ columns, support filter.
+    """The last step of Algorithm 1: μ columns and the support filter.
 
-    *joined* is the m-way combination of the per-aggregate cubes: the
-    explanation attributes (DUMMY marking "don't care") plus one
-    ``v_<name>`` column per aggregate, with NULL where an explanation
-    was missing from a cube.  Shared by the in-memory path above and
-    the SQL execution backends (:mod:`repro.backends`), which marshal
-    their in-database join result into *joined* and delegate here so
-    the degree arithmetic — including the ±∞ division conventions of
-    the engine expression evaluator — is identical across backends.
+    *joined* holds the explanation attributes (DUMMY marking "don't
+    care") plus one ``v_<name>`` column per aggregate.  A NULL there
+    reads as the aggregate's empty-input value (0 for counts): the SQL
+    execution backends (:mod:`repro.backends`) marshal the paper's
+    m-way outer join of per-aggregate cubes into *joined*, and a group
+    missing from one cube arrives as NULL.  Sharing this step keeps the
+    degree arithmetic — including the ±∞ division conventions of the
+    engine expression evaluator — identical across backends.
+
+    E is evaluated one column at a time
+    (:meth:`~repro.engine.expressions.Expression.evaluate_columns`), once
+    over the ``v_j`` columns and once over the ``u_j − v_j`` columns.
     """
     query = question.query
     value_columns = [f"v_{q.name}" for q in query.aggregates]
     joined = _fill_missing_values(joined, query, value_columns)
 
-    # Step 4: μ columns, computed from the v_j column slices — the
-    # attribute columns pass through untouched (zero copy).
+    # μ columns from the v_j column slices — the attribute columns pass
+    # through untouched (zero copy).
     n = len(joined)
     names = [q.name for q in query.aggregates]
-    value_cols = [joined.column(c) for c in value_columns]
-    interv_sign = question.intervention_sign
-    aggr_sign = question.aggravation_sign
-    mu_interv_col: List[Value] = []
-    mu_aggr_col: List[Value] = []
-    value_tuples = zip(*value_cols) if value_cols else (() for _ in range(n))
-    for vals in value_tuples:
-        values = dict(zip(names, vals))
-        interv_env = {
-            name: _subtract(q_original[name], values[name])
-            for name in values
-        }
-        mu_i = query.evaluate_environment(interv_env)
-        if not is_null(mu_i):
-            mu_i = interv_sign * mu_i
-        mu_a = query.evaluate_environment(values)
-        if not is_null(mu_a):
-            mu_a = aggr_sign * mu_a
-        mu_interv_col.append(mu_i)
-        mu_aggr_col.append(mu_a)
+    values = {
+        name: joined.column(c) for name, c in zip(names, value_columns)
+    }
+    remainders = {
+        name: _remainders(q_original[name], col)
+        for name, col in values.items()
+    }
+    mu_interv_col = _signed(
+        question.intervention_sign,
+        query.expression.evaluate_columns(remainders, n),
+    )
+    mu_aggr_col = _signed(
+        question.aggravation_sign,
+        query.expression.evaluate_columns(values, n),
+    )
     m = Table.from_columns(
         list(joined.columns) + [MU_INTERV, MU_AGGR],
         joined.column_arrays() + [mu_interv_col, mu_aggr_col],
@@ -298,10 +313,15 @@ def finalize_explanation_table(
     )
 
 
-def _subtract(original: Value, restricted: Value) -> Value:
-    if is_null(original) or is_null(restricted):
-        return NULL
-    return original - restricted
+def _remainders(original: Value, restricted: List[Value]) -> List[Value]:
+    """``u_j − v_j`` per row, NULL if either side is NULL."""
+    if is_null(original):
+        return [NULL] * len(restricted)
+    return [NULL if is_null(v) else original - v for v in restricted]
+
+
+def _signed(sign: int, column: List[Value]) -> List[Value]:
+    return [v if is_null(v) else sign * v for v in column]
 
 
 def add_hybrid_column(

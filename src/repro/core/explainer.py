@@ -303,16 +303,15 @@ class Explainer:
         method: str = "cube",
         *,
         check_additivity: bool = True,
-        use_fastpath: bool = True,
     ) -> ExplanationTable:
         """Build the table *M* with the chosen method.
 
-        The table is cached per method at the default keywords; the
-        two cube-path keywords (see :func:`build_explanation_table`)
-        bypass the cache when set.
+        The table is cached per method at the default keywords;
+        ``check_additivity=False`` (see :func:`build_explanation_table`)
+        bypasses the cache.
         """
         method = self.resolve_method(method)
-        cacheable = check_additivity and use_fastpath
+        cacheable = check_additivity
         if cacheable and method in self._tables:
             return self._tables[method]
         with phase(
@@ -329,7 +328,6 @@ class Explainer:
                     universal=self.universal,
                     check_additivity=check_additivity,
                     support_threshold=self.support_threshold,
-                    use_fastpath=use_fastpath,
                     backend=self.backend,
                     certificate=self.certificate().additivity,
                 )

@@ -8,7 +8,7 @@ The explanation framework cares about two of these in particular:
 ``count_star`` and ``count_distinct`` are the aggregates for which the
 paper proves intervention-additivity conditions (Section 4.1).
 
-COUNT(*), COUNT(expr), COUNT(DISTINCT expr) and integer SUM also have
+COUNT(*), COUNT(expr), COUNT(DISTINCT expr) and SUM also have
 an exact inverse of :meth:`Accumulator.merge`:
 :meth:`AggregateSpec.retractable` makes accumulators that support
 :meth:`Accumulator.retract`, which is how incremental maintenance
@@ -17,6 +17,7 @@ an exact inverse of :meth:`Accumulator.merge`:
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Set, Type
@@ -173,101 +174,125 @@ class _DistinctMultiset(CountDistinctAccumulator):
 
 
 class SumAccumulator(Accumulator):
-    """SUM(expr): NULL if no non-NULL inputs (SQL semantics)."""
+    """SUM(expr): NULL if no non-NULL inputs (SQL semantics).
+
+    The total is exact, so it depends neither on the order rows arrive
+    in nor on the tree of :meth:`merge` calls that built it: ints add
+    as ints, and each finite float enters as ``n / 2**e``
+    (:meth:`float.as_integer_ratio`) into one integer numerator over
+    the largest power-of-two denominator seen.  :meth:`result` divides
+    once, which rounds correctly — the value ``math.fsum`` returns.
+    Infinities and NaNs are counted apart and combine as IEEE 754 adds
+    them.  A sum over ints alone stays an int.  Because every part is an
+    integer, :meth:`retract` is the exact inverse of :meth:`merge`.
+    """
+
+    _kind = "SUM"
 
     def __init__(self) -> None:
-        self.total: float = 0
         self.count = 0  # non-NULL inputs
+        self.floats = 0  # of which floats: the result is a float iff > 0
+        self.ints = 0  # exact sum of the int inputs
+        self.num = 0  # the finite float inputs sum to num / 2**exp
+        self.exp = 0
+        self.inf = 0  # +inf, -inf and NaN inputs
+        self.ninf = 0
+        self.nan = 0
 
     def add(self, value: Value) -> None:
-        if is_null(value):
-            return
-        if not isinstance(value, (int, float)):
-            raise QueryError(f"SUM over non-numeric value {value!r}")
-        self.total += value
-        self.count += 1
+        self.add_repeat(value, 1)
 
     def add_repeat(self, value: Value, count: int) -> None:
         if count <= 0 or is_null(value):
             return
-        if not isinstance(value, (int, float)):
-            raise QueryError(f"SUM over non-numeric value {value!r}")
-        self.total += value * count
+        if isinstance(value, float):
+            self._add_float(value, count)
+        elif isinstance(value, int):
+            self.ints += value * count
+        else:
+            raise QueryError(f"{self._kind} over non-numeric value {value!r}")
         self.count += count
+
+    def _add_float(self, value: float, count: int) -> None:
+        self.floats += count
+        try:
+            num, den = value.as_integer_ratio()
+        except OverflowError:
+            if value > 0:
+                self.inf += count
+            else:
+                self.ninf += count
+        except ValueError:
+            self.nan += count
+        else:
+            self._add_fraction(num * count, den.bit_length() - 1)
+
+    def _add_fraction(self, num: int, exp: int) -> None:
+        """Add ``num / 2**exp`` to the float part."""
+        if exp > self.exp:
+            self.num <<= exp - self.exp
+            self.exp = exp
+        self.num += num << (self.exp - exp)
+
+    def _fold(self, other: "SumAccumulator", sign: int) -> None:
+        self.count += sign * other.count
+        self.floats += sign * other.floats
+        self.ints += sign * other.ints
+        self._add_fraction(sign * other.num, other.exp)
+        self.inf += sign * other.inf
+        self.ninf += sign * other.ninf
+        self.nan += sign * other.nan
 
     def merge(self, other: "Accumulator") -> None:
         if other.count:  # type: ignore[attr-defined]
-            self.total += other.total  # type: ignore[attr-defined]
-            self.count += other.count  # type: ignore[attr-defined]
-
-    def result(self) -> Value:
-        return self.total if self.count else NULL
-
-
-class _IntegerSum(SumAccumulator):
-    """SUM over integers only, so it retracts exactly.
-
-    Float addition is not associative, so a float total maintained
-    under merges and retractions can differ in its last bits from a
-    fresh sum: a float input raises ``IncrementalError("float-sum")``.
-    """
-
-    def add(self, value: Value) -> None:
-        _reject_float(value)
-        super().add(value)
-
-    def add_repeat(self, value: Value, count: int) -> None:
-        _reject_float(value)
-        super().add_repeat(value, count)
+            self._fold(other, 1)  # type: ignore[arg-type]
 
     def retract(self, other: "Accumulator") -> None:
-        self.total -= other.total  # type: ignore[attr-defined]
-        self.count -= other.count  # type: ignore[attr-defined]
-        if self.count < 0 or (self.count == 0 and self.total != 0):
+        self._fold(other, -1)  # type: ignore[arg-type]
+        parts = (self.floats, self.inf, self.ninf, self.nan)
+        if min(self.count, *parts) < 0 or (
+            self.count == 0 and (self.ints or self.num or any(parts))
+        ):
             raise _conservation(
-                f"left {self.count} values summing to {self.total}"
+                f"left {self.count} values summing to {self._total()}"
             )
 
-
-def _reject_float(value: Value) -> None:
-    if isinstance(value, float):
-        raise IncrementalError(
-            f"SUM over float {value!r}: float retraction is not exact",
-            reason="float-sum",
+    def _total(self, count: int = 1) -> Value:
+        """The exact total divided by *count*, rounded once."""
+        if self.nan or (self.inf and self.ninf):
+            return math.nan
+        if self.inf or self.ninf:
+            return math.inf if self.inf else -math.inf
+        return _divide(
+            (self.ints << self.exp) + self.num, count << self.exp
         )
 
+    def result(self) -> Value:
+        if not self.count:
+            return NULL
+        return self._total() if self.floats else self.ints
 
-class AvgAccumulator(Accumulator):
-    """AVG(expr): NULL if no non-NULL inputs."""
 
-    def __init__(self) -> None:
-        self.total: float = 0
-        self.count = 0
+def _divide(num: int, den: int) -> float:
+    """``num / den`` correctly rounded, ±inf past the float range."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
 
-    def add(self, value: Value) -> None:
-        if is_null(value):
-            return
-        if not isinstance(value, (int, float)):
-            raise QueryError(f"AVG over non-numeric value {value!r}")
-        self.total += value
-        self.count += 1
 
-    def add_repeat(self, value: Value, count: int) -> None:
-        if count <= 0 or is_null(value):
-            return
-        if not isinstance(value, (int, float)):
-            raise QueryError(f"AVG over non-numeric value {value!r}")
-        self.total += value * count
-        self.count += count
+class AvgAccumulator(SumAccumulator):
+    """AVG(expr): the exact SUM divided by the count, rounded once;
+    NULL if no non-NULL inputs."""
 
-    def merge(self, other: "Accumulator") -> None:
-        self.total += other.total  # type: ignore[attr-defined]
-        self.count += other.count  # type: ignore[attr-defined]
+    _kind = "AVG"
 
     def result(self) -> Value:
-        if self.count == 0:
+        if not self.count:
             return NULL
-        return self.total / self.count
+        if not self.floats:
+            return self.ints / self.count
+        return self._total(self.count)
 
 
 class MinAccumulator(Accumulator):
@@ -333,7 +358,7 @@ _RETRACTABLE: Dict[str, Type[Accumulator]] = {
     "count_star": CountStarAccumulator,
     "count": CountAccumulator,
     "count_distinct": _DistinctMultiset,
-    "sum": _IntegerSum,
+    "sum": SumAccumulator,
 }
 
 
@@ -368,8 +393,8 @@ class AggregateSpec:
         """This aggregate, with accumulators that support
         :meth:`Accumulator.retract`.
 
-        COUNT(DISTINCT) keeps a multiset instead of a set, and SUM
-        rejects float inputs.  AVG, MIN and MAX have no exact inverse:
+        COUNT(DISTINCT) keeps a multiset instead of a set; SUM's exact
+        total retracts as it is.  AVG, MIN and MAX are not offered:
         asking for them raises :class:`~repro.errors.QueryError`.
         """
         if self.kind not in _RETRACTABLE:

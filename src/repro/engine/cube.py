@@ -2,34 +2,50 @@
 
 The cube over grouping attributes ``g1 … gd`` is the union of the
 group-bys over all ``2^d`` subsets of the attributes, with the
-attributes *outside* each subset set to NULL ("don't care").  Each cube
-row therefore corresponds to one candidate explanation: the non-NULL
-(attribute, value) pairs are the equality predicates of the conjunction
-(Example 4.1).
+attributes *outside* each subset set to a "don't care" marker (NULL in
+SQL).  Each cube row therefore corresponds to one candidate
+explanation: the remaining (attribute, value) pairs are the equality
+predicates of the conjunction (Example 4.1).
 
-:func:`cube` is columnar: group the zipped dimension columns at full
-granularity once, then *roll the partial aggregate states up* into all
-``2^d`` grouping sets via accumulator merges.  Work is
-``O(rows + 2^d · distinct_keys)`` instead of the row-at-a-time
-``O(rows · 2^d)``.  When every aggregate is COUNT(*), the whole pass
-collapses to a ``Counter`` over the key columns.  The row-wise oracles
-it is held equal to live in the test suite (``tests/support/cube.py``).
+The kernel is a *conditional-aggregate* cube: aggregate ``j`` reads its
+own source table, so Algorithm 1's m queries ``q_j`` over
+``σ_{w_j}(U)`` are one cube with an m-vector of states per group
+instead of m cubes joined afterwards.  :func:`cube` is its
+one-source case.
 
-Section 4.2's optimization — rewriting NULL markers to the DUMMY
-constant so the m cubes can be equi-joined — lives in
-:func:`dummy_rewrite`.
+1. **Base pass** (:func:`base_states`): each source is grouped once at
+   full granularity, and its aggregates' states land in the m-vector of
+   that key.  A row in no source is never read.  The states are ints
+   when every aggregate is COUNT(*), accumulators otherwise.
+2. **Lattice rollup**: the cuboids are visited by decreasing number of
+   kept dimensions, and each is rolled up from its smallest parent (the
+   computed cuboid with one more dimension and the fewest groups) into
+   fresh states — a parent is shared by several children (Gray et
+   al.'s data cube; Harinarayan–Rajaraman–Ullman).
+3. **Emit**: one row per group, cuboids in :func:`grouping_sets` order
+   and groups in first-occurrence order, with the don't-care marker in
+   the dropped positions.  The grand total (last row) always exists.
+
+Work is ``O(rows + Σ_cuboids |smallest parent|)``.  The row-wise
+oracles the kernel is held equal to live in the test suite
+(``tests/support/cube.py``).
+
+Section 4.2's rewrite of the cube's NULL markers to the DUMMY constant,
+which lets m separate cubes be equi-joined, is :func:`dummy_rewrite`;
+Algorithm 1 emits DUMMY directly and needs no join.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from itertools import combinations
-from typing import Dict, List, Sequence, Tuple, Union
+from operator import itemgetter
+from typing import Callable, Dict, List, Sequence, Tuple, Union
 
 from ..errors import QueryError
 from ..obs import phase
 from .aggregates import Accumulator, AggregateSpec
-from .groupby import accumulate_groups, group_rows
+from .groupby import group_rows
 from .table import Table
 from .types import DUMMY, NULL, Row, Value
 
@@ -47,180 +63,254 @@ def grouping_sets(dimensions: Sequence[str]) -> List[Tuple[str, ...]]:
     return sets
 
 
-# One group's rolled-up state: a plain int on the COUNT(*)-only fast
-# path, a list of accumulators otherwise.
-_GroupState = Union[int, List[Accumulator]]
+# One group's m-vector of states: ints when every aggregate is
+# COUNT(*), accumulators otherwise.
+_GroupState = Union[List[int], List[Accumulator]]
+
+#: A cuboid: its groups' states keyed by the kept dimensions' values.
+_Cuboid = Dict[Row, _GroupState]
 
 
 def base_states(
-    table: Table,
+    sources: Sequence[Table],
     dimensions: Sequence[str],
     aggregates: Sequence[AggregateSpec],
-) -> Tuple[Dict[Row, _GroupState], bool]:
-    """Full-granularity partial states: one entry per distinct key.
+) -> Tuple[_Cuboid, bool]:
+    """Full-granularity m-vectors of states: one entry per distinct key.
 
-    The first half of the cube: groups the table once at full
-    dimension granularity (a ``Counter`` over the zipped dimension
-    columns when every aggregate is COUNT(*)) and rejects NULL
-    dimension values.  Every state supports ``merge`` (integer
-    addition / :meth:`Accumulator.merge`), which is what lets
-    :func:`rollup_states` derive every coarser grouping set from these
-    states without rescanning *table*.
-    Returns the state map and whether the fast count path was taken.
+    ``sources[j]`` feeds ``aggregates[j]``; sources that are the same
+    table object are grouped once.  A key occurs if some source has a
+    row with it, and an aggregate whose source has none keeps its empty
+    state (0 for COUNT(*), a fresh accumulator otherwise).  Rejects
+    NULL dimension values.  Returns the states and whether every
+    aggregate is COUNT(*) (states are then lists of ints).
     """
     dims = list(dimensions)
-    d = len(dims)
+    m = len(aggregates)
     count_only = all(a.kind == "count_star" for a in aggregates)
+    feeds: Dict[int, Tuple[Table, List[int]]] = {}
+    for j, source in enumerate(sources):
+        feeds.setdefault(id(source), (source, []))[1].append(j)
 
-    base: Dict[Row, _GroupState]
-    with phase("cube.base_groups", rows=len(table), dims=d) as base_ph:
-        if count_only:
-            if d:
-                key_cols = [table.column(dim) for dim in dims]
-                base = dict(Counter(zip(*key_cols)))
-            else:
-                n = len(table)
-                base = {(): n} if n else {}
-            for key in base:
-                _reject_null_dimensions(key, dims)
-        else:
-            groups = group_rows(table, dims)
-            for key in groups:
-                _reject_null_dimensions(key, dims)
-            base = accumulate_groups(table, groups, aggregates)
+    base: _Cuboid = {}
+    rows = sum(len(source) for source, _ in feeds.values())
+    with phase("cube.base_groups", rows=rows, dims=len(dims)) as base_ph:
+        for source, js in feeds.values():
+            if count_only:
+                if dims:
+                    counts = Counter(zip(*(source.column(d) for d in dims)))
+                else:
+                    counts = {(): len(source)} if len(source) else {}
+                for key, count in counts.items():
+                    state = base.get(key)
+                    if state is None:
+                        _reject_null_dimensions(key, dims)
+                        state = base[key] = [0] * m
+                    for j in js:
+                        state[j] += count
+                continue
+            arg_cols = [
+                (j, None if arg is None else source.column(arg))
+                for j, arg in ((j, aggregates[j].argument) for j in js)
+            ]
+            for key, indices in group_rows(source, dims).items():
+                state = base.get(key)
+                if state is None:
+                    _reject_null_dimensions(key, dims)
+                    state = base[key] = _empty_state(aggregates, False)
+                for j, col in arg_cols:
+                    if col is None:
+                        state[j].add_repeat(None, len(indices))
+                    else:
+                        state[j].add_many(col[i] for i in indices)
         base_ph.annotate(groups=len(base), count_only=count_only)
     return base, count_only
 
 
-def rollup_states(
-    base: Dict[Row, _GroupState],
-    dimensions: Sequence[str],
-    aggregates: Sequence[AggregateSpec],
-    masks: Sequence[Tuple[bool, ...]],
-    count_only: bool,
-) -> Dict[Row, _GroupState]:
-    """Merge full-granularity *base* states into one entry per *mask*.
-
-    Each mask is a boolean keep-vector over ``dimensions``; dropped
-    positions become NULL ("don't care").  The full mask reuses the
-    base states without copying.
-    """
-    dims = list(dimensions)
-    d = len(dims)
-    out: Dict[Row, _GroupState] = {}
-    for mask in masks:
-        kept = ",".join(dim for dim, keep in zip(dims, mask) if keep)
-        with phase("cube.grouping_set") as set_ph:
-            before = len(out)
-            if d == 0 or all(mask):
-                # Full granularity: share the base states as-is.  Masked
-                # keys always contain at least one NULL while base keys
-                # never do, so nothing ever merges into these entries.
-                out.update(base)
-            elif count_only:
-                for key, count in base.items():
-                    masked = tuple(
-                        v if keep else NULL for v, keep in zip(key, mask)
-                    )
-                    out[masked] = out.get(masked, 0) + count
-            else:
-                for key, parts in base.items():
-                    masked = tuple(
-                        v if keep else NULL for v, keep in zip(key, mask)
-                    )
-                    accs = out.get(masked)
-                    if accs is None:
-                        accs = [a.make_accumulator() for a in aggregates]
-                        out[masked] = accs
-                    for acc, part in zip(accs, parts):
-                        acc.merge(part)
-            set_ph.annotate(set=f"({kept})", groups=len(out) - before)
-    return out
-
-
-def cube_from_base_states(
-    base: Dict[Row, _GroupState],
-    dimensions: Sequence[str],
-    aggregates: Sequence[AggregateSpec],
-    count_only: bool,
-) -> Table:
-    """Finish a cube from full-granularity base states.
-
-    The second half of :func:`cube`: roll the states up into all
-    ``2^d`` grouping sets, add the always-present grand-total row, and
-    emit the result table.  The incremental delta builder feeds this
-    with the states it maintains under writes; running the *identical*
-    rollup/emit code is what keeps patched tables byte-identical in
-    content to cold ones.
-    """
-    masks = [
-        tuple(d in s for d in dimensions)
-        for s in grouping_sets(dimensions)
-    ]
-    groups = rollup_states(base, dimensions, aggregates, masks, count_only)
-    grand_total: Row = (NULL,) * len(dimensions)
-    if grand_total not in groups:
-        groups[grand_total] = _default_state(aggregates, count_only)
-    return _emit(dimensions, aggregates, groups, count_only)
-
-
-def _emit(
-    dimensions: Sequence[str],
-    aggregates: Sequence[AggregateSpec],
-    groups: Dict[Row, _GroupState],
-    count_only: bool,
-) -> Table:
-    aliases = [a.alias for a in aggregates]
-    n_aggs = len(aggregates)
-    if count_only:
-        out_rows = [
-            key + (count,) * n_aggs for key, count in groups.items()
-        ]
-    else:
-        out_rows = [
-            key + tuple(acc.result() for acc in accs)
-            for key, accs in groups.items()
-        ]
-    return Table._trusted(list(dimensions) + aliases, rows=out_rows)
-
-
-def _default_state(
+def _empty_state(
     aggregates: Sequence[AggregateSpec], count_only: bool
 ) -> _GroupState:
     if count_only:
-        return 0
+        return [0] * len(aggregates)
     return [a.make_accumulator() for a in aggregates]
 
 
-def _validate_aggregates(
-    table: Table, aggregates: Sequence[AggregateSpec]
-) -> List[str]:
-    aliases = [a.alias for a in aggregates]
-    if len(set(aliases)) != len(aliases):
-        raise QueryError(f"duplicate aggregate aliases: {aliases}")
-    for a in aggregates:
-        if a.argument is not None:
-            table.position(a.argument)  # raise early on unknown columns
-    return aliases
+def _cuboids(
+    base: _Cuboid,
+    dimensions: Sequence[str],
+    aggregates: Sequence[AggregateSpec],
+    count_only: bool,
+) -> List[Tuple[Tuple[int, ...], _Cuboid]]:
+    """Every cuboid, in :func:`grouping_sets` order, as (kept dimension
+    positions, states keyed by the kept values).
+
+    The full cuboid is *base* itself; every other one is rolled up from
+    its smallest parent into fresh states, leaving the parent intact.
+    """
+    full = tuple(range(len(dimensions)))
+    done: Dict[Tuple[int, ...], _Cuboid] = {}
+    order = [
+        kept
+        for size in range(len(full), -1, -1)
+        for kept in combinations(full, size)
+    ]
+    for kept in order:
+        with phase("cube.grouping_set") as set_ph:
+            if kept == full:
+                child = base
+            else:
+                parent_kept = min(
+                    (
+                        tuple(sorted(kept + (extra,)))
+                        for extra in full
+                        if extra not in kept
+                    ),
+                    key=lambda p: len(done[p]),
+                )
+                child = _rollup(
+                    done[parent_kept],
+                    _projection([parent_kept.index(i) for i in kept]),
+                    aggregates,
+                    count_only,
+                )
+            if not kept and not child:
+                # The grand total exists even when no source has a row.
+                child = {(): _empty_state(aggregates, count_only)}
+            done[kept] = child
+            names = ",".join(dimensions[i] for i in kept)
+            set_ph.annotate(set=f"({names})", groups=len(child))
+    return [(kept, done[kept]) for kept in order]
 
 
-def validate_cube_args(
-    table: Table,
+def _rollup(
+    parent: _Cuboid,
+    project: Callable[[Row], Row],
+    aggregates: Sequence[AggregateSpec],
+    count_only: bool,
+) -> _Cuboid:
+    """Merge *parent*'s states into fresh ones keyed by ``project(key)``."""
+    child: _Cuboid = {}
+    if count_only:
+        for key, state in parent.items():
+            key = project(key)
+            into = child.get(key)
+            if into is None:
+                child[key] = state[:]
+            else:
+                for j, count in enumerate(state):
+                    into[j] += count
+        return child
+    for key, state in parent.items():
+        key = project(key)
+        into = child.get(key)
+        if into is None:
+            into = child[key] = _empty_state(aggregates, False)
+        for acc, part in zip(into, state):
+            acc.merge(part)
+    return child
+
+
+def _projection(positions: List[int]) -> Callable[[Row], Row]:
+    """The function that keeps *positions* of a key tuple."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    if positions:
+        (i,) = positions
+        return lambda key: (key[i],)
+    return lambda key: ()
+
+
+def cube_from_base_states(
+    base: _Cuboid,
+    dimensions: Sequence[str],
+    aggregates: Sequence[AggregateSpec],
+    count_only: bool,
+    *,
+    dont_care: Value = NULL,
+) -> Table:
+    """Finish a cube from full-granularity :func:`base_states`.
+
+    Rolls the states up the lattice and emits the table: columns
+    ``dimensions + aggregate aliases``, *dont_care* in the dropped
+    positions, the grand total last.  *base* is read, never changed.
+    The incremental delta builder feeds this with the states it
+    maintains under writes; running the *identical* rollup and emit is
+    what keeps patched tables identical in content to cold ones.
+    """
+    d = len(dimensions)
+    dim_cols: List[List[Value]] = [[] for _ in range(d)]
+    value_cols: List[List[Value]] = [[] for _ in aggregates]
+    nrows = 0
+    for kept, cuboid in _cuboids(base, dimensions, aggregates, count_only):
+        n = len(cuboid)
+        nrows += n
+        kept_cols = dict(zip(kept, zip(*cuboid))) if kept else {}
+        for i, col in enumerate(dim_cols):
+            col.extend(kept_cols[i] if i in kept_cols else [dont_care] * n)
+        states = cuboid.values()
+        for j, col in enumerate(value_cols):
+            if count_only:
+                col.extend([state[j] for state in states])
+            else:
+                col.extend([state[j].result() for state in states])
+    return Table.from_columns(
+        list(dimensions) + [a.alias for a in aggregates],
+        dim_cols + value_cols,
+        nrows=nrows,
+    )
+
+
+def _validate_cube_args(
+    sources: Sequence[Table],
     dimensions: Sequence[str],
     aggregates: Sequence[AggregateSpec],
 ) -> None:
-    """The shared argument checks of :func:`cube`.
-
-    Raises :class:`~repro.errors.QueryError` for duplicate dimensions,
+    """Raise :class:`~repro.errors.QueryError` for no aggregate, a
+    source count other than one per aggregate, duplicate dimensions,
     unknown columns, duplicate aggregate aliases, or aliases clashing
-    with dimensions.
-    """
+    with dimensions."""
+    if not aggregates:
+        raise QueryError("a cube needs at least one aggregate")
+    if len(sources) != len(aggregates):
+        raise QueryError(
+            f"{len(aggregates)} aggregates need as many sources, "
+            f"not {len(sources)}"
+        )
     if len(set(dimensions)) != len(dimensions):
         raise QueryError(f"duplicate cube dimensions: {dimensions}")
-    table.positions(dimensions)
-    aliases = _validate_aggregates(table, aggregates)
+    aliases = [a.alias for a in aggregates]
+    if len(set(aliases)) != len(aliases):
+        raise QueryError(f"duplicate aggregate aliases: {aliases}")
     if set(aliases) & set(dimensions):
         raise QueryError("aggregate aliases clash with cube dimensions")
+    for source, aggregate in zip(sources, aggregates):
+        source.positions(dimensions)  # raise early on unknown columns
+        if aggregate.argument is not None:
+            source.position(aggregate.argument)
+
+
+def conditional_cube(
+    sources: Sequence[Table],
+    dimensions: Sequence[str],
+    aggregates: Sequence[AggregateSpec],
+    *,
+    dont_care: Value = NULL,
+) -> Table:
+    """One cube whose aggregate ``j`` reads only ``sources[j]``.
+
+    Equal to cubing each source by its own aggregate and full-outer-
+    joining the cubes on the dimensions, with every aggregate missing
+    from a group reading its value over no rows (0 for counts, NULL
+    otherwise).  *dont_care* marks the dropped dimensions.
+    """
+    _validate_cube_args(sources, dimensions, aggregates)
+    with phase("cube", dims=len(dimensions)) as ph:
+        base, count_only = base_states(sources, dimensions, aggregates)
+        result = cube_from_base_states(
+            base, dimensions, aggregates, count_only, dont_care=dont_care
+        )
+        ph.annotate(groups=len(result))
+    return result
 
 
 def cube(
@@ -228,22 +318,15 @@ def cube(
     dimensions: Sequence[str],
     aggregates: Sequence[AggregateSpec],
 ) -> Table:
-    """Single-pass columnar data cube.
+    """The data cube of *table*: :func:`conditional_cube` with every
+    aggregate reading *table*.
 
     Output columns are ``dimensions + aggregate aliases``; "don't care"
     dimensions carry NULL.  Groups are only emitted for value
     combinations present in the data (plus the grand-total row, which
     always exists, even on empty input).
     """
-    validate_cube_args(table, dimensions, aggregates)
-
-    with phase("cube", rows=len(table), dims=len(dimensions)) as ph:
-        base, count_only = base_states(table, dimensions, aggregates)
-        result = cube_from_base_states(
-            base, dimensions, aggregates, count_only
-        )
-        ph.annotate(groups=len(result))
-    return result
+    return conditional_cube([table] * len(aggregates), dimensions, aggregates)
 
 
 def _reject_null_dimensions(

@@ -2,7 +2,9 @@
 
 Expressions are evaluated against an *environment*: a mapping from
 column names to values (a row of the universal relation, a cube row,
-or a joined row).  The AST supports the numeric operators the paper
+or a joined row), or over many rows at once given column-wise
+(:meth:`Expression.evaluate_columns`, through the same scalar
+functions).  The AST supports the numeric operators the paper
 allows in numerical query expressions ``E`` (``+ - * / log exp``,
 Eq. (1)) plus comparisons and boolean connectives used by candidate
 explanation predicates.
@@ -16,7 +18,9 @@ the only place the engine consumes booleans).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from itertools import compress, repeat
 from typing import (
     Callable,
     Dict,
@@ -34,7 +38,6 @@ from ..errors import QueryError
 from .types import (
     NULL,
     Value,
-    is_null,
     sql_eq,
     sql_ge,
     sql_gt,
@@ -56,6 +59,22 @@ class Expression:
     def columns(self) -> Tuple[str, ...]:
         """All column names referenced by this expression."""
         raise NotImplementedError
+
+    def evaluate_columns(
+        self, columns: Mapping[str, Sequence[Value]], nrows: int
+    ) -> List[Value]:
+        """:meth:`evaluate` on each of *nrows* environments given column-wise.
+
+        Row ``i``'s environment maps each name to ``columns[name][i]``.
+        Constants, columns and arithmetic evaluate one column at a time
+        through the same scalar functions as :meth:`evaluate`; any other
+        node builds an environment per row.
+        """
+        names = self.columns()
+        if not names:
+            return [self.evaluate({})] * nrows
+        cols = [Col(name).evaluate_columns(columns, nrows) for name in names]
+        return [self.evaluate(dict(zip(names, vals))) for vals in zip(*cols)]
 
     # Operator sugar so expressions compose naturally: Col("x") + 1 etc.
     def __add__(self, other: "ExpressionLike") -> "Arithmetic":
@@ -126,6 +145,11 @@ class Const(Expression):
     def evaluate(self, env: Environment) -> Value:
         return self.value
 
+    def evaluate_columns(
+        self, columns: Mapping[str, Sequence[Value]], nrows: int
+    ) -> List[Value]:
+        return [self.value] * nrows
+
     def columns(self) -> Tuple[str, ...]:
         return ()
 
@@ -145,6 +169,14 @@ class Col(Expression):
         except KeyError:
             raise QueryError(f"unknown column {self.name!r} in expression") from None
 
+    def evaluate_columns(
+        self, columns: Mapping[str, Sequence[Value]], nrows: int
+    ) -> List[Value]:
+        try:
+            return list(columns[self.name])
+        except KeyError:
+            raise QueryError(f"unknown column {self.name!r} in expression") from None
+
     def columns(self) -> Tuple[str, ...]:
         return (self.name,)
 
@@ -153,10 +185,26 @@ class Col(Expression):
 
 
 _ARITH_OPS: Dict[str, Callable[[float, float], float]] = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
 }
+
+
+def _arithmetic(op: str, a: Value, b: Value) -> Value:
+    """``a op b`` on one pair of values: NULL in, NULL out; ``x/0`` is
+    ±inf and ``0/0`` NULL; a non-numeric operand raises."""
+    if a is NULL or b is NULL:
+        return NULL
+    if not isinstance(a, (int, float)) or not isinstance(b, (int, float)):
+        raise QueryError(f"arithmetic {op} on non-numeric values {a!r}, {b!r}")
+    if op == "/":
+        if b == 0:
+            if a == 0:
+                return NULL
+            return math.inf if a > 0 else -math.inf
+        return a / b
+    return _ARITH_OPS[op](a, b)
 
 
 @dataclass(frozen=True)
@@ -180,27 +228,47 @@ class Arithmetic(Expression):
             raise QueryError(f"unknown arithmetic operator {self.op!r}")
 
     def evaluate(self, env: Environment) -> Value:
-        a = self.left.evaluate(env)
-        b = self.right.evaluate(env)
-        if is_null(a) or is_null(b):
-            return NULL
-        if not isinstance(a, (int, float)) or not isinstance(b, (int, float)):
-            raise QueryError(
-                f"arithmetic {self.op} on non-numeric values {a!r}, {b!r}"
+        return _arithmetic(
+            self.op, self.left.evaluate(env), self.right.evaluate(env)
+        )
+
+    def evaluate_columns(
+        self, columns: Mapping[str, Sequence[Value]], nrows: int
+    ) -> List[Value]:
+        return list(
+            map(
+                _arithmetic,
+                repeat(self.op),
+                self.left.evaluate_columns(columns, nrows),
+                self.right.evaluate_columns(columns, nrows),
             )
-        if self.op == "/":
-            if b == 0:
-                if a == 0:
-                    return NULL
-                return math.inf if a > 0 else -math.inf
-            return a / b
-        return _ARITH_OPS[self.op](a, b)
+        )
 
     def columns(self) -> Tuple[str, ...]:
         return tuple(dict.fromkeys(self.left.columns() + self.right.columns()))
 
     def __str__(self) -> str:
         return f"({self.left} {self.op} {self.right})"
+
+
+def _unary(op: str, v: Value) -> Value:
+    """``op(v)`` on one value: NULL in, NULL out; ``log`` of a
+    non-positive value is NULL; a non-numeric operand raises."""
+    if v is NULL:
+        return NULL
+    if not isinstance(v, (int, float)):
+        raise QueryError(f"unary {op} on non-numeric value {v!r}")
+    if op == "neg":
+        return -v
+    if op == "abs":
+        return abs(v)
+    if op == "exp":
+        return math.exp(v)
+    # log: NULL for non-positive arguments (SQL would error; the
+    # explanation ranking treats undefined degrees as missing).
+    if v <= 0:
+        return NULL
+    return math.log(v)
 
 
 @dataclass(frozen=True)
@@ -215,22 +283,18 @@ class Unary(Expression):
             raise QueryError(f"unknown unary operator {self.op!r}")
 
     def evaluate(self, env: Environment) -> Value:
-        v = self.operand.evaluate(env)
-        if is_null(v):
-            return NULL
-        if not isinstance(v, (int, float)):
-            raise QueryError(f"unary {self.op} on non-numeric value {v!r}")
-        if self.op == "neg":
-            return -v
-        if self.op == "abs":
-            return abs(v)
-        if self.op == "exp":
-            return math.exp(v)
-        # log: NULL for non-positive arguments (SQL would error; the
-        # explanation ranking treats undefined degrees as missing).
-        if v <= 0:
-            return NULL
-        return math.log(v)
+        return _unary(self.op, self.operand.evaluate(env))
+
+    def evaluate_columns(
+        self, columns: Mapping[str, Sequence[Value]], nrows: int
+    ) -> List[Value]:
+        return list(
+            map(
+                _unary,
+                repeat(self.op),
+                self.operand.evaluate_columns(columns, nrows),
+            )
+        )
 
     def columns(self) -> Tuple[str, ...]:
         return self.operand.columns()
@@ -472,10 +536,16 @@ def _compare_const(
     positions: Iterable[int],
     constant_first: bool,
 ) -> List[int]:
-    """Positions where ``column op constant`` (or ``constant op column``)."""
+    """Positions where ``column op constant`` (or ``constant op column``).
+
+    Against a non-NULL constant, ``=`` is plain ``==``: NULL equals only
+    itself, so that is exactly :func:`sql_eq`.
+    """
     if constant is NULL:
         return []
-    fn = _COMPARATORS[op]
+    fn = operator.eq if op == "=" else _COMPARATORS[op]
     if constant_first:
-        return [i for i, v in zip(positions, column) if fn(constant, v)]
-    return [i for i, v in zip(positions, column) if fn(v, constant)]
+        hits = map(fn, repeat(constant), column)
+    else:
+        hits = map(fn, column, repeat(constant))
+    return list(compress(positions, hits))

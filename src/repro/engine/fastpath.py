@@ -1,9 +1,8 @@
-"""Vectorized (numpy) cube for count aggregates.
+"""Vectorized (numpy) per-aggregate cube for count aggregates.
 
-The pure-Python cube walks every row once per grouping set with dict
-lookups; at the paper's data scale (millions of rows) that dominates
-Algorithm 1's cost.  This module provides a drop-in replacement for
-``count(*)`` and ``count(distinct col)`` cubes:
+The paper's Algorithm 1 cubes each aggregate query separately; this
+module is that per-aggregate cube for ``count(*)`` and
+``count(distinct col)``:
 
 1. factorize each dimension column into integer codes;
 2. per grouping set, fold the selected codes into one mixed-radix key
@@ -11,9 +10,12 @@ Algorithm 1's cost.  This module provides a drop-in replacement for
 3. ``np.unique(keys, return_counts=True)`` gives the group counts; for
    distinct counts, deduplicate (key, argument-code) pairs first.
 
-Output is bit-identical to :func:`repro.engine.cube.cube` (Python ints,
-NULL markers for don't-care dimensions), verified by tests, so
-Algorithm 1 can select it automatically.
+Output is equal to :func:`repro.engine.cube.cube` (Python ints, NULL
+markers for don't-care dimensions), verified by tests.  Algorithm 1 no
+longer uses it: one conditional-aggregate cube
+(:func:`repro.engine.cube.conditional_cube`) builds every in-memory
+table *M*.  It remains the per-aggregate kernel of the paper's pipeline
+in ``benchmarks/bench_ablation_dummy_join.py``.
 """
 
 from __future__ import annotations

@@ -1,24 +1,24 @@
-"""Delta cubes: exact incremental maintenance of per-aggregate states.
+"""Delta cubes: exact incremental maintenance of the cube's base states.
 
-The cold cube path (Algorithm 1) computes, per aggregate ``q_j``, the
-full-granularity base states of ``σ_{w_j}(U)`` grouped by the
-candidate attributes, rolls them up into all ``2^d`` grouping sets,
-and joins the per-aggregate cubes into the explanation table.  The
-only part of that pipeline that touches all ``n`` rows is the base
-state construction — everything downstream is proportional to the
-number of *distinct* attribute keys.
+The cold cube path (Algorithm 1) computes the full-granularity
+m-vectors of states of one conditional-aggregate cube — aggregate
+``q_j`` over ``σ_{w_j}(U)``, grouped by the candidate attributes —
+rolls them up the lattice of ``2^d`` grouping sets, and computes the μ
+columns.  The only part of that pipeline that touches all ``n`` rows is
+the base state construction — everything downstream is proportional to
+the number of *distinct* attribute keys.
 
-:class:`DeltaCubeBuilder` keeps those base states resident, built by
-the cold path's own :func:`~repro.engine.cube.base_states` with
-:meth:`~repro.engine.aggregates.AggregateSpec.retractable`
+:class:`DeltaCubeBuilder` keeps those base states resident in one map,
+built by the cold path's own :func:`~repro.engine.cube.base_states`
+with :meth:`~repro.engine.aggregates.AggregateSpec.retractable`
 accumulators, so a mutation batch is applied by cubing only the
 delta's universal rows and folding the result in with
 :meth:`~repro.engine.aggregates.Accumulator.merge` and
-:meth:`~repro.engine.aggregates.Accumulator.retract`.  A COUNT(*) row
-count rides along every aggregate, so a group whose rows are all
-retracted leaves the states.  A float SUM argument raises
-:class:`~repro.errors.IncrementalError` (``float-sum``) and the
-session falls back; AVG, MIN and MAX cannot retract at all.
+:meth:`~repro.engine.aggregates.Accumulator.retract`.  Unless every
+``q_j`` is COUNT(*) (whose counts are their own row counts), a COUNT(*)
+of ``σ_{w_j}(U)``'s rows rides along each ``q_j``, so a group whose
+rows are all retracted leaves the states.  AVG, MIN and MAX cannot
+retract.
 
 For a mutated relation ``R_i`` the delta's universal rows follow the
 standard sequential delta rule for multilinear joins: process mutated
@@ -31,12 +31,10 @@ zero raises :class:`~repro.errors.IncrementalError` instead of
 producing a silently wrong table.
 
 Emission (:meth:`DeltaCubeBuilder.table`) feeds the maintained states
-through the *identical* cold pipeline —
-:func:`~repro.engine.cube.cube_from_base_states`,
-:func:`~repro.engine.cube.dummy_rewrite`,
-:func:`~repro.engine.joins.full_outer_join_many`,
-:func:`~repro.core.cube_algorithm.finalize_explanation_table` — so a
-patched table is byte-identical in content to a cold rebuild.
+through the cold path's own rollup and emit,
+:func:`~repro.engine.cube.cube_from_base_states`, and its
+:func:`~repro.core.cube_algorithm.table_from_cube`, so a patched table
+is identical in content to a cold rebuild.
 """
 
 from __future__ import annotations
@@ -55,29 +53,23 @@ from typing import (
 )
 
 from ..engine.aggregates import count_star
-from ..engine.cube import base_states, cube_from_base_states, dummy_rewrite
+from ..engine.cube import base_states, cube_from_base_states
 from ..engine.database import Database
-from ..engine.joins import full_outer_join_many
 from ..engine.relation import Relation
 from ..engine.table import Table
-from ..engine.types import NULL, Row, Value
+from ..engine.types import DUMMY, Row
 from ..engine.universal import universal_table
 from ..errors import IncrementalError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (core sits above us)
     from ..core.cube_algorithm import ExplanationTable
-    from ..core.numquery import AggregateQuery
     from ..core.question import UserQuestion
 
 __all__ = ["DeltaApplyStats", "DeltaCubeBuilder"]
 
-#: The row count maintained beside every aggregate: a group leaves the
-#: states when a retraction brings it to zero.
-_ROWS = count_star("rows")
-
-#: One group's base state: a plain row count on the COUNT(*) fast path
-#: of :func:`~repro.engine.cube.base_states`, else ``[rows, value]``
-#: accumulators.
+#: One group's base state: the m-vector of
+#: :func:`~repro.engine.cube.base_states` — counts when every ``q_j`` is
+#: COUNT(*), else m value accumulators followed by m row counts.
 _State = Any
 
 
@@ -89,77 +81,6 @@ class DeltaApplyStats:
     delta_rows_added: int = 0
     delta_rows_removed: int = 0
     groups_touched: int = 0
-
-
-class _MaintainedAggregate:
-    """The base states of one aggregate query ``q_j`` over ``σ_{w_j}(U)``."""
-
-    def __init__(self, query: "AggregateQuery") -> None:
-        self.query = query
-        self.name = query.name
-        # Aliased exactly like the cold path's per-aggregate cube.
-        self.spec = replace(query.aggregate, alias=f"v_{query.name}")
-        self._specs = (_ROWS, self.spec.retractable())
-        self.count_only = False
-        self.states: Dict[Row, _State] = {}
-
-    def states_of(
-        self, universal: Table, attributes: Sequence[str]
-    ) -> Dict[Row, _State]:
-        """The base states of ``σ_{w_j}`` over *universal*."""
-        states, self.count_only = base_states(
-            self.query.filtered(universal), attributes, self._specs
-        )
-        return states
-
-    def fold(self, contribution: Mapping[Row, _State], sign: int) -> None:
-        """Merge (+1) or retract (-1) a contribution's states."""
-        states = self.states
-        for key, part in contribution.items():
-            state = states.get(key)
-            if state is None:
-                if sign < 0:
-                    raise IncrementalError(
-                        f"{self.name}: retraction of unknown group {key!r}",
-                        reason="conservation",
-                    )
-                states[key] = part
-                continue
-            if self.count_only:
-                rows = states[key] = state + sign * part
-                if rows < 0:
-                    raise IncrementalError(
-                        f"{self.name}: negative count after retraction at "
-                        f"group {key!r}",
-                        reason="conservation",
-                    )
-            else:
-                for acc, piece in zip(state, part):
-                    (acc.merge if sign > 0 else acc.retract)(piece)
-                rows = state[0].result()
-                if rows == 0 and state[1].result() != self.spec.default_value:
-                    raise IncrementalError(
-                        f"{self.name}: group {key!r} reached zero rows with "
-                        "a non-empty residual state",
-                        reason="conservation",
-                    )
-            if rows == 0:
-                del states[key]
-
-    def cube(self, attributes: Sequence[str]) -> Table:
-        """The cold path's cube over the maintained states.
-
-        The rollup reads the states without changing them: it shares
-        the full-granularity ones and merges into fresh accumulators.
-        """
-        states = (
-            self.states
-            if self.count_only
-            else {key: state[1:] for key, state in self.states.items()}
-        )
-        return cube_from_base_states(
-            states, attributes, (self.spec,), self.count_only
-        )
 
 
 class DeltaCubeBuilder:
@@ -187,9 +108,19 @@ class DeltaCubeBuilder:
         self.question = question
         self.attributes = tuple(attributes)
         self.support_threshold = support_threshold
-        self._aggregates = [
-            _MaintainedAggregate(q) for q in question.query.aggregates
-        ]
+        self._queries = question.query.aggregates
+        # Aliased exactly like the cold path's cube.
+        self._specs = tuple(
+            replace(q.aggregate, alias=f"v_{q.name}") for q in self._queries
+        )
+        maintained = tuple(spec.retractable() for spec in self._specs)
+        self._count_only = all(s.kind == "count_star" for s in self._specs)
+        if not self._count_only:
+            maintained += tuple(
+                count_star(f"rows_{q.name}") for q in self._queries
+            )
+        self._maintained = maintained
+        self._states: Dict[Row, _State] = {}
         self.reset(universal=universal)
 
     def reset(self, *, universal: Optional[Table] = None) -> None:
@@ -202,9 +133,7 @@ class DeltaCubeBuilder:
             if universal is not None
             else universal_table(self.database)
         )
-        states = [a.states_of(u, self.attributes) for a in self._aggregates]
-        for aggregate, fresh in zip(self._aggregates, states):
-            aggregate.states = fresh
+        self._states = self._states_of(u)
 
     # -- delta application -------------------------------------------------
 
@@ -216,8 +145,8 @@ class DeltaCubeBuilder:
         The database must already be at its *post*-mutation state (the
         log records as writes land, so this is the natural call
         order).  Every contribution is computed before any is folded,
-        so an error while cubing the delta (a NULL dimension, a float
-        SUM) leaves the states untouched.  A conservation violation
+        so an error while cubing the delta (a NULL dimension) leaves
+        the states untouched.  A conservation violation
         while folding raises :class:`~repro.errors.IncrementalError`;
         the builder's states are then stale and must be :meth:`reset`
         before further use.
@@ -231,7 +160,7 @@ class DeltaCubeBuilder:
         if not mutated:
             return stats
         stats.relations = len(mutated)
-        contributions: List[Tuple[int, List[Dict[Row, _State]]]] = []
+        contributions: List[Tuple[int, Dict[Row, _State]]] = []
         # Old states of not-yet-processed mutated relations, rebuilt
         # from the live (new) state: R_old = (R_new - I) ∪ D.  The
         # first mutated relation is never read at its old state, so
@@ -261,12 +190,48 @@ class DeltaCubeBuilder:
                 stats.delta_rows_added += len(delta_u)
                 contributions.append((+1, self._states_of(delta_u)))
         touched: set = set()
-        for sign, parts in contributions:
-            for aggregate, part in zip(self._aggregates, parts):
-                aggregate.fold(part, sign)
-                touched.update(part)
+        for sign, part in contributions:
+            self._fold(part, sign)
+            touched.update(part)
         stats.groups_touched = len(touched)
         return stats
+
+    def _fold(self, contribution: Mapping[Row, _State], sign: int) -> None:
+        """Merge (+1) or retract (-1) a contribution's states."""
+        states = self._states
+        m = len(self._specs)
+        for key, part in contribution.items():
+            state = states.get(key)
+            if state is None:
+                if sign < 0:
+                    raise IncrementalError(
+                        f"retraction of unknown group {key!r}",
+                        reason="conservation",
+                    )
+                states[key] = part
+                continue
+            if self._count_only:
+                for j, count in enumerate(part):
+                    state[j] += sign * count
+                rows = state
+                if min(rows) < 0:
+                    raise IncrementalError(
+                        f"negative count after retraction at group {key!r}",
+                        reason="conservation",
+                    )
+            else:
+                for acc, piece in zip(state, part):
+                    (acc.merge if sign > 0 else acc.retract)(piece)
+                rows = [acc.result() for acc in state[m:]]
+                for spec, acc, count in zip(self._specs, state, rows):
+                    if count == 0 and acc.result() != spec.default_value:
+                        raise IncrementalError(
+                            f"{spec.alias}: group {key!r} reached zero rows "
+                            "with a non-empty residual state",
+                            reason="conservation",
+                        )
+            if not any(rows):
+                del states[key]
 
     def _delta_universal(
         self,
@@ -283,40 +248,41 @@ class DeltaCubeBuilder:
             temp.relations[other] = relation
         return universal_table(temp)
 
-    def _states_of(self, delta_universal: Table) -> List[Dict[Row, _State]]:
-        return [
-            a.states_of(delta_universal, self.attributes)
-            for a in self._aggregates
-        ]
+    def _states_of(self, universal: Table) -> Dict[Row, _State]:
+        """The base states of every ``σ_{w_j}`` over *universal*."""
+        sources = [q.filtered(universal) for q in self._queries]
+        if not self._count_only:
+            sources += sources  # the row counts read the same rows
+        states, _ = base_states(sources, self.attributes, self._maintained)
+        return states
 
     # -- emission ----------------------------------------------------------
 
     def table(self) -> "ExplanationTable":
         """The explanation table for the maintained state.
 
-        Runs the identical downstream pipeline as the cold build
-        (rollup, dummy rewrite, m-way outer join, finalize), so the
+        Runs the cold build's rollup, emit and finalize, so the
         result's content fingerprint matches a cold rebuild exactly.
         """
         # Upward import: core sits above incremental in the layering.
-        from ..core.cube_algorithm import finalize_explanation_table
+        from ..core.cube_algorithm import table_from_cube
 
-        attributes = list(self.attributes)
-        cubes = []
-        q_original: Dict[str, Value] = {}
-        for aggregate in self._aggregates:
-            cube_table = aggregate.cube(attributes)
-            # grouping_sets() lists the empty set last, so the cube's
-            # last row is the grand total u_j = q_j(D).
-            q_original[aggregate.name] = cube_table.column(
-                aggregate.spec.alias
-            )[-1]
-            cubes.append(dummy_rewrite(cube_table, attributes))
-        joined = full_outer_join_many(cubes, attributes, fill=NULL)
-        return finalize_explanation_table(
+        m = len(self._specs)
+        states = (
+            self._states
+            if self._count_only
+            else {key: state[:m] for key, state in self._states.items()}
+        )
+        joined = cube_from_base_states(
+            states,
+            self.attributes,
+            self._specs,
+            self._count_only,
+            dont_care=DUMMY,
+        )
+        return table_from_cube(
             joined,
             self.question,
             self.attributes,
-            q_original,
             support_threshold=self.support_threshold,
         )

@@ -57,7 +57,6 @@ REASON_NEEDS_ITERATIVE = "needs-iterative"
 REASON_METHOD = "method"
 REASON_VERDICT_CHANGED = "verdict-changed"
 REASON_CONSERVATION = "conservation"
-REASON_FLOAT_SUM = "float-sum"
 
 
 @dataclass
@@ -168,29 +167,21 @@ class IncrementalSession:
         elif not explainer.certificate().additivity.all_exact_cube:
             self._static_reason = REASON_NEEDS_ITERATIVE
         if self._static_reason is None:
-            try:
-                self._builder = DeltaCubeBuilder(
-                    self.database,
-                    self.question,
-                    self.attributes,
-                    support_threshold=self.support_threshold,
-                    universal=explainer.universal,
-                )
-                self._table = self._builder.table()
-            except IncrementalError as exc:
-                self._disarm(exc.reason)
-        if self._table is None:
+            self._builder = DeltaCubeBuilder(
+                self.database,
+                self.question,
+                self.attributes,
+                support_threshold=self.support_threshold,
+                universal=explainer.universal,
+            )
+            self._table = self._builder.table()
+        else:
             self._table = explainer.explanation_table(self.method)
         self.last_stats = RefreshStats(
             strategy="initial",
             base_fingerprint=self.log.base_fingerprint,
             fingerprint=self.log.base_fingerprint,
         )
-
-    def _disarm(self, reason: str) -> None:
-        """Give up on patching this plan; future refreshes rebuild."""
-        self._builder = None
-        self._static_reason = reason
 
     # -- properties ------------------------------------------------------
 
@@ -295,12 +286,8 @@ class IncrementalSession:
         explainer = self._make_explainer()
         self._table = explainer.explanation_table(self.method)
         if self._builder is not None:
-            # Re-arm patching from the fresh state; a rebuild failure
-            # (a float SUM argument) disarms for good.
-            try:
-                self._builder.reset(universal=explainer.universal)
-            except IncrementalError as exc:
-                self._disarm(exc.reason)
+            # Re-arm patching from the fresh state.
+            self._builder.reset(universal=explainer.universal)
         self.fallbacks += 1
         stats.strategy = "rebuilt"
         stats.reason = reason

@@ -1,5 +1,7 @@
 """Tests for Algorithm 1 — degrees via the data cube."""
 
+import random
+
 import pytest
 
 from repro.core.cube_algorithm import (
@@ -12,9 +14,11 @@ from repro.core.numquery import AggregateQuery, ratio_query, single_query
 from repro.core.question import UserQuestion
 from repro.datasets import natality
 from repro.datasets import running_example as rex
-from repro.engine.aggregates import count_distinct, count_star
+from repro.engine.aggregates import agg_sum, count_distinct, count_star
+from repro.engine.database import Database
 from repro.engine.expressions import Col, Comparison, Const
-from repro.engine.types import is_dummy
+from repro.engine.schema import single_table_schema
+from repro.engine.types import NULL, is_dummy
 from repro.errors import NotAdditiveError, QueryError
 
 
@@ -243,3 +247,82 @@ class TestContentFingerprint:
         left = self.table(("a\x1fs:b", "c", 1, 1.0, 1.0))
         right = self.table(("a", "b\x1fs:c", 1, 1.0, 1.0))
         assert left.content_fingerprint() != right.content_fingerprint()
+
+
+def _cents_database(rows):
+    schema = single_table_schema("T", ["id", "g", "h", "w", "x"], ["id"])
+    return Database(schema, {"T": rows})
+
+
+def _cents_question():
+    return UserQuestion.high(
+        ratio_query(
+            AggregateQuery("q1", agg_sum("T.x", "q1")),
+            AggregateQuery(
+                "q2",
+                agg_sum("T.x", "q2"),
+                Comparison("=", Col("T.w"), Const("p")),
+            ),
+        )
+    )
+
+
+class TestOrderIndependence:
+    """*M* is a function of the database, not of its row order: a float
+    SUM is exact whatever order its rows arrive in or merge tree it
+    rolls up through (ROADMAP 3(g))."""
+
+    def test_cent_sums_forwards_and_reversed(self):
+        rng = random.Random(2014)
+        rows = [
+            (
+                i,
+                rng.choice("abcde"),
+                rng.choice("xyz"),
+                rng.choice("pq"),
+                rng.randint(1, 99_999) / 100,
+            )
+            for i in range(3000)
+        ]
+        attributes = ["T.g", "T.h"]
+        question = _cents_question()
+        forwards = build_explanation_table(
+            _cents_database(rows), question, attributes, check_additivity=False
+        )
+        backwards = build_explanation_table(
+            _cents_database(rows[::-1]),
+            question,
+            attributes,
+            check_additivity=False,
+        )
+        assert forwards.content_fingerprint() == backwards.content_fingerprint()
+
+
+class TestNullDimension:
+    """A NULL in an explanation attribute of a selected row is still
+    refused (ROADMAP 3(h) changes that); one in a row no ``q_j``
+    selects is never read."""
+
+    def test_null_in_a_selected_row_raises(self):
+        db = _cents_database([(1, "a", NULL, "p", 1.5), (2, "b", "x", "q", 2.0)])
+        with pytest.raises(QueryError, match="cube dimension 'T.h' contains NULL"):
+            build_explanation_table(
+                db, _cents_question(), ["T.g", "T.h"], check_additivity=False
+            )
+
+    def test_null_in_an_unselected_row_is_not_read(self):
+        db = _cents_database([(1, "a", NULL, "q", 1.5), (2, "b", "x", "p", 2.0)])
+        question = UserQuestion.high(
+            single_query(
+                AggregateQuery(
+                    "q",
+                    agg_sum("T.x", "q"),
+                    Comparison("=", Col("T.w"), Const("p")),
+                )
+            )
+        )
+        m = build_explanation_table(
+            db, question, ["T.g", "T.h"], check_additivity=False
+        )
+        assert m.q_original == {"q": 2.0}
+        assert len(m) == 4

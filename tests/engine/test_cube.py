@@ -4,7 +4,7 @@ import pytest
 
 from repro.engine.aggregates import agg_sum, count_star
 from repro.engine.expressions import Col
-from repro.engine.cube import cube, dummy_rewrite, grouping_sets
+from repro.engine.cube import conditional_cube, cube, dummy_rewrite, grouping_sets
 from repro.engine.table import Table
 from repro.engine.types import DUMMY, NULL
 from repro.errors import QueryError
@@ -122,6 +122,39 @@ class TestCubeProperties:
     def test_zero_dimensions(self, name_year):
         result = cube(name_year, [], [count_star("c")])
         assert result.rows() == [(6,)]
+
+
+class TestConditionalCube:
+    """Aggregate j reads only source j, as a full outer join of the
+    per-source cubes would."""
+
+    def test_a_group_in_one_source_only(self, name_year):
+        jg = name_year.filter(Col("name").eq("JG"))
+        cm = name_year.filter(Col("name").eq("CM")).extend(
+            "one", Col("year") - 2000
+        )
+        result = conditional_cube(
+            [jg, cm],
+            ["name"],
+            [count_star("n_jg"), agg_sum("one", "s_cm")],
+            dont_care=DUMMY,
+        )
+        assert result.rows() == [("JG", 2, NULL), ("CM", 0, 12), (DUMMY, 2, 12)]
+
+    def test_grand_total_over_empty_sources(self, name_year):
+        empty = name_year.filter(Col("name").eq("XX"))
+        result = conditional_cube(
+            [empty, empty], ["name"], [count_star("a"), count_star("b")]
+        )
+        assert result.rows() == [(NULL, 0, 0)]
+
+    def test_at_least_one_aggregate(self, name_year):
+        with pytest.raises(QueryError, match="at least one aggregate"):
+            cube(name_year, ["name"], [])
+
+    def test_one_source_per_aggregate(self, name_year):
+        with pytest.raises(QueryError, match="need as many sources"):
+            conditional_cube([name_year], ["name"], [count_star("a"), count_star("b")])
 
 
 class TestDummyRewrite:

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine.expressions import (
     And,
@@ -228,3 +230,48 @@ class TestCompilePredicate:
             compile_predicate(
                 Comparison("=", Const(1), Col("zzz")), ["x"]
             )
+
+
+_cells = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from([0.0, -0.5, 2.5, 1e-300]),
+    st.just(NULL),
+    st.just("s"),
+)
+_leaves = st.one_of(st.sampled_from(["a", "b"]).map(Col), _cells.map(Const))
+_arithmetic = st.recursive(
+    _leaves,
+    lambda inner: st.one_of(
+        st.builds(Arithmetic, st.sampled_from(["+", "-", "*", "/"]), inner, inner),
+        st.builds(Unary, st.sampled_from(["neg", "log", "abs"]), inner),
+    ),
+    max_leaves=6,
+)
+
+
+def _outcome(thunk):
+    try:
+        return ("ok", [repr(v) for v in thunk()])
+    except QueryError:
+        return ("QueryError",)
+
+
+@settings(max_examples=300)
+@given(
+    expr=_arithmetic,
+    rows=st.lists(st.tuples(_cells, _cells), max_size=8),
+)
+def test_column_at_a_time_matches_row_wise(expr, rows):
+    """NULL propagation, ±inf on x/0, NULL on 0/0 and the non-numeric
+    QueryError are the same whether E runs per row or per column."""
+    columns = {"a": [r[0] for r in rows], "b": [r[1] for r in rows]}
+    by_rows = _outcome(
+        lambda: [expr.evaluate({"a": a, "b": b}) for a, b in rows]
+    )
+    by_columns = _outcome(lambda: expr.evaluate_columns(columns, len(rows)))
+    assert by_columns == by_rows
+
+
+def test_evaluate_columns_unknown_column():
+    with pytest.raises(QueryError, match="unknown column"):
+        (Col("a") + 1).evaluate_columns({"b": [1]}, 1)

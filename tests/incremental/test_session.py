@@ -298,13 +298,21 @@ class TestFallbackLabels:
             )
 
     def test_float_sum(self):
+        """A float SUM is no fallback any more: its total is exact, so
+        it retracts, and the patched table equals the cold one."""
         db, question, attributes = _single_table(
-            [(1, "a", 1.5), (2, "a", 2.25), (3, "b", NULL)], kind="sum"
+            [(1, "a", 0.1), (2, "a", 0.2), (3, "a", 0.3), (4, "b", NULL)],
+            kind="sum",
         )
         with IncrementalSession(db, question, attributes, method="cube") as s:
-            assert not s.patchable
-            db.relation("T").delete_many([(1, "a", 1.5)])
-            self._refresh_falls_back(s, db, question, attributes, "float-sum")
+            assert s.patchable
+            db.relation("T").delete_many([(1, "a", 0.1)])
+            db.relation("T").insert_many([(5, "b", 1e-17), (6, "a", 0.7)])
+            assert s.refresh().strategy == "patched"
+            assert (
+                s.table().content_fingerprint()
+                == _cold_table(db, question, attributes).content_fingerprint()
+            )
 
     @pytest.mark.parametrize(
         "phantoms",

@@ -81,3 +81,25 @@ def test_filter_of_a_selection_matches_row_wise(data, predicate):
     assert table.filter(predicate).rows() == [
         table.rows()[i] for i in row_wise(table, predicate)
     ]
+
+
+@settings(max_examples=200)
+@given(
+    data=st.lists(st.tuples(*(values for _ in COLUMNS)), max_size=30).map(
+        lambda rows: rows + [(NULL, NULL, NULL)]
+    ),
+    column=columns,
+    constant=values.filter(lambda v: v is not NULL),
+    constant_first=st.booleans(),
+)
+def test_equality_against_a_constant_over_null_cells(
+    data, column, constant, constant_first
+):
+    """``=`` against a non-NULL constant is plain ``==`` in the kernel;
+    every drawn table holds NULL cells, which must never match."""
+    operands = (Const(constant), column) if constant_first else (column, Const(constant))
+    predicate = Comparison("=", *operands)
+    table = Table(COLUMNS, data)
+    got = select_positions(predicate, table.column, len(table))
+    assert got == row_wise(table, predicate)
+    assert len(data) - 1 not in got

@@ -6,6 +6,9 @@ Production never runs this code; reprolint's RL009 keeps it out of
 
 * :mod:`support.cube` — the row-at-a-time group-by and the two cube
   oracles the columnar kernels are held equal to;
+* :mod:`support.algorithm1` — Algorithm 1 as the paper runs it (one
+  cube per aggregate query, DUMMY rewrite, m-way outer join, μ per
+  row), the oracle for the one-cube build;
 * :mod:`support.expressions` — the row-wise predicate compiler, the
   reference for column-at-a-time filtering;
 * :mod:`support.intervention` — Definitions 2.5/2.6 checked directly,
