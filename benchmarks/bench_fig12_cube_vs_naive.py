@@ -15,7 +15,7 @@ with the gap widening in both sweeps.
 
 import time
 
-from conftest import print_series
+from conftest import min_time, print_series
 
 from repro.core import Explainer
 from repro.datasets import natality
@@ -45,8 +45,10 @@ class TestFig12aSizeSweep:
         def sweep():
             rows = []
             for n, db in databases.items():
-                t_cube = _timed(lambda db=db: _build(db, TWO_ATTRS, "cube"))
-                t_naive = _timed(lambda db=db: _build(db, TWO_ATTRS, "naive"))
+                t_cube = min_time(_build, setup=lambda db=db: (db, TWO_ATTRS, "cube"))
+                t_naive = min_time(
+                    _build, setup=lambda db=db: (db, TWO_ATTRS, "naive")
+                )
                 rows.append((n, t_cube, t_naive))
             return rows
 

@@ -3,7 +3,8 @@
 All three strategies run over the stored table M (K = 10), sweeping
 the number of relevant attributes.  Each is timed on its own cold copy
 of M (``dataclasses.replace``): a ranking memoises its best-first order
-on M, so a second strategy on the same M would time a memo hit.
+on M, so a second strategy on the same M would time a memo hit.  Each
+point is the least of 3 rounds, each on a fresh copy.
 Expected shape (paper): No-Minimal cheapest; Minimal-self-join
 competitive at few attributes;
 Minimal-append scales better as the attribute count (and hence M)
@@ -13,9 +14,8 @@ the minimal strategies suppress it.
 """
 
 import dataclasses
-import time
 
-from conftest import print_series
+from conftest import min_time, print_series
 
 from repro.core import Explainer
 from repro.core.topk import (
@@ -41,14 +41,12 @@ def test_fig14_strategy_sweep(benchmark, natality_db):
     def sweep():
         rows = []
         for d, m in tables.items():
-            times = []
-            for strategy in (
-                top_k_no_minimal, top_k_minimal_self_join, top_k_minimal_append
-            ):
-                cold = dataclasses.replace(m)
-                t0 = time.perf_counter()
-                strategy(cold, K)
-                times.append(time.perf_counter() - t0)
+            times = [
+                min_time(strategy, setup=lambda m=m: (dataclasses.replace(m), K))
+                for strategy in (
+                    top_k_no_minimal, top_k_minimal_self_join, top_k_minimal_append
+                )
+            ]
             rows.append((d, *times, len(m)))
         return rows
 

@@ -21,7 +21,9 @@ trajectories can accumulate across runs without per-module plumbing.
 Tests can add free-form records via the ``json_record`` fixture.
 """
 
+import gc
 import json
+import time
 
 import pytest
 
@@ -160,6 +162,23 @@ def print_ranking(title, ranking):
             else str(r.degree)
         )
         print(f"  {r.rank:>2}. {degree:>12}  {r.explanation}")
+
+
+def min_time(run, setup=tuple):
+    """The least wall time of ``run(*setup())`` over 3 rounds.
+
+    Each round gets fresh arguments from *setup* (untimed) and starts
+    after a full collection, so a gen-2 pass that lands in one round
+    cannot decide a timing gate.
+    """
+    best = float("inf")
+    for _ in range(3):
+        args = setup()
+        gc.collect()
+        start = time.perf_counter()
+        run(*args)
+        best = min(best, time.perf_counter() - start)
+    return best
 
 
 def print_series(title, pairs, unit=""):

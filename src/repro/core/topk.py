@@ -48,20 +48,34 @@ row order:
 The last is exactly K rounds of top-1 with ``¬φ`` appended: every
 position ahead of the walk's next pick was output or pruned, and the
 pick is the first maximum of the rows still remaining, which is what
-``max`` over them in *M*'s order returns.  The order (an ``array`` of
-positions — rows are built only for the K outputs) and the self-join's
-flags are memoised on the :class:`ExplanationTable` and live exactly
-as long as *M*: the table is immutable, an incremental refresh emits a
-new one, so nothing invalidates them.  Two threads racing on a first
-build compute equal values and the last write wins.
+``max`` over them in *M*'s order returns.
+
+The order is built lazily, in proportion to the walk (the point of
+Fig 14's K rounds of top-1: the dominated tail is never looked at).
+:class:`BestFirstOrder` sorts the positions with a defined degree once,
+by the degree alone — by the values themselves when they are all plain
+ints and floats, else by codes ordered as ``sort_key`` orders them.  A
+*run* is the positions that share one degree.  When a walk first
+reaches a run, the run is *refined*: filtered to positions with a real
+condition and ordered by condition count and attribute values.  Rows
+are built only for the K outputs.
+
+One :class:`BestFirstOrder` per (degree column, minimality), and the
+self-join's flags, are memoised on the :class:`ExplanationTable` and
+live exactly as long as *M*: the table is immutable, an incremental
+refresh emits a new one, so nothing invalidates them.  The service
+walks one cached *M* from several threads at once, so a run is refined
+under the order's lock and only ever appended: a walk reads the
+refined prefix without the lock.
 """
 
 from __future__ import annotations
 
+import threading
 from array import array
 from dataclasses import dataclass
-from itertools import combinations, islice
-from typing import Callable, Dict, List, Sequence, Set, Tuple, TypeVar
+from itertools import combinations
+from typing import Callable, Dict, Iterator, List, Sequence, Set, Tuple, TypeVar
 
 from ..engine.types import DUMMY, NULL, Row, Value, is_missing, sort_key
 from ..errors import ExplanationError
@@ -96,10 +110,14 @@ def _check_minimality(minimality: str) -> None:
 
 
 def _memoized(m: ExplanationTable, key: Tuple, build: Callable[[], T]) -> T:
-    """``build()`` once per *key* for the lifetime of *m*."""
+    """``build()`` once per *key* for the lifetime of *m*.
+
+    Two threads racing on a first build may both build, but both go on
+    with the value stored first.
+    """
     value = m._memo.get(key)
     if value is None:
-        value = m._memo[key] = build()
+        value = m._memo.setdefault(key, build())
     return value
 
 
@@ -129,37 +147,133 @@ def _eligible(mu: List[Value], conditions: List[int]) -> List[int]:
     return [p for p, c in enumerate(conditions) if c and not is_missing(mu[p])]
 
 
-def _dense_codes(column: List[Value]) -> List[int]:
+def _plain_numbers(mu: List[Value], positions: Sequence[int]) -> bool:
+    """Whether every degree at *positions* is an int or a float, not NaN:
+    then the values order and tie exactly as their ``sort_key`` does."""
+    for p in positions:
+        v = mu[p]
+        if (v.__class__ is not float and v.__class__ is not int) or v != v:
+            return False
+    return True
+
+
+def _degree_codes(column: List[Value]) -> List[int]:
     """Per row, an int ordered and tied as ``sort_key`` orders the column.
 
-    Ints, not key tuples, so the sort passes below keep no container per
-    row alive.
+    ``sort_key`` runs once per distinct value.  Values are told apart by
+    type too: ``True == 1``, but ``sort_key`` orders them apart.
     """
-    code = {k: i for i, k in enumerate(sorted(set(map(sort_key, column))))}
-    return [code[sort_key(v)] for v in column]
+    first: Dict[Tuple[type, Value], int] = {}
+    index = [first.setdefault((v.__class__, v), len(first)) for v in column]
+    keys = [sort_key(v) for _, v in first]
+    rank = {k: r for r, k in enumerate(sorted(set(keys)))}
+    code = [rank[k] for k in keys]
+    return [code[i] for i in index]
 
 
-def _best_first(m: ExplanationTable, by: str, minimality: str) -> array:
-    """Eligible positions of *M*, best first, ties in row order.
+class BestFirstOrder:
+    """*M*'s eligible row positions, best first, refined run by run.
 
-    Stable descending passes, least significant key first: each
-    attribute from the last, then the condition count, then the degree.
+    ``_sorted`` holds the positions with a defined degree, sorted once
+    by degree, descending and stable; run r (the positions sharing one
+    degree) is ``_sorted[_starts[r]:_starts[r + 1]]``.  ``_refined`` is
+    the best-first order of the first ``_runs`` runs.  All three are
+    ``array('l')``: a list per run would hold an int object per
+    position.
     """
-    mu, attr = _columns(m, by)
-    conditions = _conditions(attr, len(mu))
-    order = _eligible(mu, conditions)
-    for _, col in reversed(attr):
-        order.sort(key=_dense_codes(col).__getitem__, reverse=True)
-    order.sort(key=conditions.__getitem__, reverse=minimality == "specific")
-    order.sort(key=_dense_codes(mu).__getitem__, reverse=True)
-    return array("l", order)
+
+    __slots__ = ("_attr", "_sign", "_sorted", "_starts", "_refined", "_runs", "_lock")
+
+    def __init__(
+        self,
+        mu: List[Value],
+        attr: Sequence[Tuple[int, List[Value]]],
+        minimality: str,
+    ) -> None:
+        self._attr = [col for _, col in attr]
+        # general: fewer conditions first; specific: more.
+        self._sign = 1 if minimality == "specific" else -1
+        defined = [p for p, v in enumerate(mu) if v is not NULL and v is not DUMMY]
+        degree = mu if _plain_numbers(mu, defined) else _degree_codes(mu)
+        defined.sort(key=degree.__getitem__, reverse=True)
+        starts = array("l")
+        previous = object()  # equal to no degree
+        for i, p in enumerate(defined):
+            if degree[p] != previous:
+                starts.append(i)
+                previous = degree[p]
+        starts.append(len(defined))
+        self._sorted = array("l", defined)
+        self._starts = starts
+        self._refined = array("l")
+        self._runs = 0
+        self._lock = threading.Lock()
+
+    @property
+    def refined(self) -> int:
+        """How many degree-sorted positions the refined runs cover."""
+        return self._starts[self._runs]
+
+    def __iter__(self) -> Iterator[int]:
+        refined = self._refined  # only ever appended to
+        i = 0
+        while i < len(refined) or self._reach(i):
+            yield refined[i]
+            i += 1
+
+    def prefix(self, k: int) -> array:
+        """The first *k* positions (fewer when the order is shorter)."""
+        if k <= 0:
+            return array("l")
+        self._reach(k - 1)
+        return self._refined[:k]
+
+    def degree_codes(self, n: int) -> array:
+        """Per position of *M* (*n* rows), an int ordered as its degree:
+        the run's number counted from the last run, -1 when undefined."""
+        codes = array("l", [-1]) * n
+        runs = len(self._starts) - 1
+        for r in range(runs):
+            for i in range(self._starts[r], self._starts[r + 1]):
+                codes[self._sorted[i]] = runs - r
+        return codes
+
+    def _reach(self, i: int) -> bool:
+        """Refine runs until the order has position *i*; whether it does."""
+        if i < len(self._refined):
+            return True
+        with self._lock:
+            while len(self._refined) <= i and self._runs < len(self._starts) - 1:
+                self._refine(self._runs)
+                self._runs += 1
+            return i < len(self._refined)
+
+    def _refine(self, r: int) -> None:
+        """Append run *r*'s eligible positions, best first, to the order:
+        by condition count, then by the attribute values descending under
+        ``sort_key``, ties in row order."""
+        cols = self._attr
+        run = []
+        for p in self._sorted[self._starts[r]:self._starts[r + 1]]:
+            conditions = sum(col[p] is not DUMMY and col[p] is not NULL for col in cols)
+            if conditions:
+                run.append((self._sign * conditions, p))
+        if len(run) > 1:
+            run.sort(
+                key=lambda e: (e[0], tuple(sort_key(col[e[1]]) for col in cols)),
+                reverse=True,
+            )
+        self._refined.extend([p for _, p in run])
 
 
-def _order(m: ExplanationTable, by: str, minimality: str) -> array:
+def _order(m: ExplanationTable, by: str, minimality: str) -> BestFirstOrder:
     _check_minimality(minimality)
-    return _memoized(
-        m, (by, minimality), lambda: _best_first(m, by, minimality)
-    )
+
+    def build() -> BestFirstOrder:
+        mu, attr = _columns(m, by)
+        return BestFirstOrder(mu, attr, minimality)
+
+    return _memoized(m, (by, minimality), build)
 
 
 def _package(
@@ -177,6 +291,30 @@ def _package(
     ]
 
 
+def _first(
+    order: BestFirstOrder, k: int, keep: Callable[[int], bool]
+) -> Tuple[List[int], int]:
+    """The first *k* positions of *order* that *keep* accepts, and how
+    many positions the walk visited."""
+    chosen: List[int] = []
+    walked = 0
+    if k > 0:
+        for p in order:
+            walked += 1
+            if keep(p):
+                chosen.append(p)
+                if len(chosen) == k:
+                    break
+    return chosen, walked
+
+
+def _no_minimal(
+    m: ExplanationTable, k: int, by: str, minimality: str
+) -> Tuple[Sequence[int], int]:
+    chosen = _order(m, by, minimality).prefix(k)
+    return chosen, len(chosen)
+
+
 def top_k_no_minimal(
     m: ExplanationTable,
     k: int,
@@ -185,8 +323,7 @@ def top_k_no_minimal(
     minimality: str = "general",
 ) -> List[RankedExplanation]:
     """Strategy (i): plain top-K by the chosen degree column."""
-    order = _order(m, by, minimality)
-    return _package(m, order[: max(k, 0)], by)
+    return _package(m, _no_minimal(m, k, by, minimality)[0], by)
 
 
 def _pair_signature(
@@ -226,15 +363,16 @@ def _self_join(m: ExplanationTable, by: str, minimality: str) -> bytearray:
     degree ≥ its own.  Both are the self-join realized as hash lookups
     over pair-signature subsets; a row equal to a dominated one is
     flagged with it.  Signatures and degrees are ints (see
-    :func:`_signature_digits`, :func:`_dense_codes`): a container per
-    row, held across the join, would be promoted by the collector and
-    bring on a full collection in whatever request comes next.
+    :func:`_signature_digits`, :meth:`BestFirstOrder.degree_codes`): a
+    container per row, held across the join, would be promoted by the
+    collector and bring on a full collection in whatever request comes
+    next.
     """
     mu, attr = _columns(m, by)
     eligible = _eligible(mu, _conditions(attr, len(mu)))
     digits = _signature_digits(attr)
     signature = [sum(row_digits) for row_digits in zip(*digits)]
-    degree = _dense_codes(mu)
+    degree = _order(m, by, minimality).degree_codes(len(mu))
     best: Dict[int, int] = {}  # signature -> its highest degree code
     holder: Dict[int, int] = {}  # signature -> first position with that code
     for p in eligible:
@@ -279,6 +417,14 @@ def _dominated(m: ExplanationTable, by: str, minimality: str) -> bytearray:
     )
 
 
+def _minimal_self_join(
+    m: ExplanationTable, k: int, by: str, minimality: str
+) -> Tuple[List[int], int]:
+    order = _order(m, by, minimality)
+    dominated = _dominated(m, by, minimality)
+    return _first(order, k, lambda p: not dominated[p])
+
+
 def top_k_minimal_self_join(
     m: ExplanationTable,
     k: int,
@@ -287,10 +433,32 @@ def top_k_minimal_self_join(
     minimality: str = "general",
 ) -> List[RankedExplanation]:
     """Strategy (ii): filter dominated rows via self-join, then top-K."""
+    return _package(m, _minimal_self_join(m, k, by, minimality)[0], by)
+
+
+def _minimal_append(
+    m: ExplanationTable, k: int, by: str, minimality: str
+) -> Tuple[List[int], int]:
     order = _order(m, by, minimality)
-    dominated = _dominated(m, by, minimality)
-    survivors = (p for p in order if not dominated[p])
-    return _package(m, list(islice(survivors, max(k, 0))), by)
+    attr = _columns(m, by)[1]
+    columns = dict(attr)
+    output: List[Tuple[Tuple[int, Value], ...]] = []  # general: each φ
+    contains: List[Set[Tuple[int, Value]]] = []  # specific: φ's pairs
+
+    def keep(p: int) -> bool:
+        if minimality == "general":
+            # Pruned by ¬φ: p equals an output φ on φ's pairs.
+            if any(all(columns[i][p] == v for i, v in phi) for phi in output):
+                return False
+            output.append(_pair_signature(p, attr))
+            return True
+        mine = set(_pair_signature(p, attr))
+        if any(mine <= pairs for pairs in contains):
+            return False
+        contains.append(mine)
+        return True
+
+    return _first(order, k, keep)
 
 
 def top_k_minimal_append(
@@ -307,33 +475,20 @@ def top_k_minimal_append(
     dominated).  Specific mode: every remaining *generalization* is
     pruned instead.  Both are one walk of the best-first order.
     """
-    order = _order(m, by, minimality)
-    attr = _columns(m, by)[1]
-    columns = dict(attr)
-    chosen: List[int] = []
-    output: List[Tuple[Tuple[int, Value], ...]] = []  # general: each φ
-    contains: List[Set[Tuple[int, Value]]] = []  # specific: φ's pairs
-    for p in order:
-        if len(chosen) >= k:
-            break
-        if minimality == "general":
-            # Pruned by ¬φ: p equals an output φ on φ's pairs.
-            if any(all(columns[i][p] == v for i, v in phi) for phi in output):
-                continue
-            output.append(_pair_signature(p, attr))
-        else:
-            mine = set(_pair_signature(p, attr))
-            if any(mine <= pairs for pairs in contains):
-                continue
-            contains.append(mine)
-        chosen.append(p)
-    return _package(m, chosen, by)
+    return _package(m, _minimal_append(m, k, by, minimality)[0], by)
 
 
 STRATEGIES = {
     "no_minimal": top_k_no_minimal,
     "minimal_self_join": top_k_minimal_self_join,
     "minimal_append": top_k_minimal_append,
+}
+
+#: Each strategy's walk: the positions it outputs and how many it visited.
+_WALKS = {
+    "no_minimal": _no_minimal,
+    "minimal_self_join": _minimal_self_join,
+    "minimal_append": _minimal_append,
 }
 
 
@@ -347,15 +502,21 @@ def top_k_explanations(
 ) -> List[RankedExplanation]:
     """Dispatch to one of the three Section 4.3 strategies."""
     try:
-        fn = STRATEGIES[strategy]
+        walk = _WALKS[strategy]
     except KeyError:
         raise ExplanationError(
             f"unknown strategy {strategy!r}; choose from {sorted(STRATEGIES)}"
         ) from None
     with phase("topk", strategy=strategy, by=by, k=k, rows=len(m)) as ph:
         order = "reused" if (by, minimality) in m._memo else "built"
-        ranked = fn(m, k, by=by, minimality=minimality)
-        ph.annotate(order=order, returned=len(ranked))
+        positions, walked = walk(m, k, by, minimality)
+        ranked = _package(m, positions, by)
+        ph.annotate(
+            order=order,
+            walked=walked,
+            refined=_order(m, by, minimality).refined,
+            returned=len(ranked),
+        )
     return ranked
 
 

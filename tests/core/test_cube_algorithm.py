@@ -1,6 +1,9 @@
 """Tests for Algorithm 1 — degrees via the data cube."""
 
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -296,6 +299,82 @@ class TestOrderIndependence:
             check_additivity=False,
         )
         assert forwards.content_fingerprint() == backwards.content_fingerprint()
+
+    def test_insert_then_delete_leaves_both_fingerprints(self):
+        """Rows inserted into three relations and deleted again, with a
+        table *M* built in between, leave the database and *M*
+        fingerprints as they were."""
+        db = rex.database()
+        before = (
+            db.content_fingerprint(),
+            build_explanation_table(db, sigmod_question(), ATTRS).content_fingerprint(),
+        )
+        added = {
+            "Author": [("A4", "XY", "Z.edu", "edu")],
+            "Publication": [("P4", 2001, "SIGMOD"), ("P5", 2011, "VLDB")],
+            "Authored": [("A4", "P4"), ("A1", "P4"), ("A4", "P5")],
+        }
+        for name, rows in added.items():
+            assert db[name].insert_many(rows) == len(rows)
+        during = build_explanation_table(db, sigmod_question(), ATTRS)
+        assert during.content_fingerprint() != before[1]
+        for name, rows in reversed(list(added.items())):
+            for row in rows:
+                assert db[name].delete(row)
+        after = (
+            db.content_fingerprint(),
+            build_explanation_table(db, sigmod_question(), ATTRS).content_fingerprint(),
+        )
+        assert after == before
+
+
+ROOT = Path(__file__).resolve().parents[2]
+
+#: The database and *M* fingerprints of bundled natality, then the
+#: ``repro ask`` top-5 of its default question (Q_Race over the five
+#: Section 5.1.1 attributes).
+_NATALITY_IDENTITY = """
+from repro.cli import main
+from repro.core.explainer import Explainer
+from repro.datasets.catalog import BUNDLED
+
+database, question, attributes = BUNDLED["natality"]()
+print(database.content_fingerprint())
+m = Explainer(database, question, attributes).explanation_table("cube")
+print(m.content_fingerprint())
+main([
+    "ask", "--dataset", "natality", "--top", "5", "--dir", "high",
+    "--expr", "(q1 + 0.0001) / (q2 + 0.0001)",
+    "--agg", "q1 := count(*) WHERE Birth.ap = 'good' AND Birth.race = 'Asian'",
+    "--agg", "q2 := count(*) WHERE Birth.ap = 'poor' AND Birth.race = 'Asian'",
+    "--attributes", ",".join(attributes),
+])
+"""
+
+
+class TestHashSeedIndependence:
+    def test_fingerprints_and_ranking_equal_under_two_hash_seeds(self):
+        """Relations are sets, so *M*'s row order follows the hash seed;
+        neither fingerprint nor the ranking may."""
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", _NATALITY_IDENTITY],
+                capture_output=True,
+                text=True,
+                timeout=300,
+                check=True,
+                cwd=str(ROOT),
+                env={
+                    "PYTHONPATH": str(ROOT / "src"),
+                    "PATH": "/usr/bin:/bin",
+                    "PYTHONHASHSEED": seed,
+                },
+            ).stdout
+            for seed in ("0", "1")
+        ]
+        lines = outputs[0].splitlines()
+        assert len(lines) > 2 and "Birth." in outputs[0]
+        assert outputs[0] == outputs[1]
 
 
 class TestNullDimension:

@@ -1,21 +1,26 @@
 """The memoised best-first order behind the Section 4.3 strategies.
 
 The library ranks a table *M* by walking one order of its row positions
-per (degree, minimality), built on the first request and kept on *M*.
-These tests hold the walks to the row-at-a-time oracle
-(``topk_oracle``), check that a repeated ranking re-sorts nothing, and
-bound what one *M* keeps.
+per (degree, minimality), kept on *M* and refined one degree run at a
+time as walks reach it.  These tests hold the walks to the row-at-a-time
+oracle (``topk_oracle``) and the lazy order to the eager full sort
+(``support.topk.best_first``), check that a cold ranking reads a
+fraction of *M* and a repeated one re-sorts nothing, and bound what one
+*M* keeps.
 """
 
-from array import array
+import sys
+import threading
+from itertools import islice
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import topk
 from repro.core.cube_algorithm import MU_AGGR, MU_INTERV, ExplanationTable
 from repro.core.explainer import Explainer
-from repro.core.topk import STRATEGIES, top_k_explanations
+from repro.core.topk import STRATEGIES, BestFirstOrder, top_k_explanations
 from repro.datasets import natality
 from repro.engine.table import Table
 from repro.engine.types import DUMMY, NULL
@@ -24,7 +29,7 @@ from repro.service.engine import rank_table
 
 import topk_oracle as oracle
 
-from support.topk import dominated_rows
+from support.topk import best_first, dominated_rows
 
 
 MINIMALITIES = ("general", "specific")
@@ -34,27 +39,37 @@ MINIMALITIES = ("general", "specific")
 ATTRIBUTE_VALUES = st.sampled_from(
     [DUMMY, NULL, True, False, 0, 1, 1.0, 2, 2.5, "x", "y"]
 )
-#: Few distinct degrees, so ties are common; NULL/DUMMY are undefined.
-DEGREES = st.sampled_from([NULL, DUMMY, -1, 0, 1, 1.0, 2.5, 3])
+#: Few distinct degrees, so runs of tied rows are common; NULL/DUMMY
+#: are undefined.  ``True == 1``, but ``sort_key`` orders them apart.
+DEGREES = (
+    NULL, DUMMY, -1, 0, 1, 1.0, 2.5, 3, float("inf"), float("-inf"),
+    True, False, "x", "y",
+)
+#: NaN compares false with every number, so where a NaN degree lands,
+#: and where it sends the numbers compared with it, depends on which
+#: comparisons a sort makes: a heap and a sort disagree.  NaN is drawn
+#: only where the lazy order is held to the eager sort it replaced.
+NAN = float("nan")
 
 
 @st.composite
-def tables(draw):
-    width = draw(st.integers(1, 3))
+def tables(draw, degrees=DEGREES):
+    degree = st.sampled_from(degrees)
+    width = draw(st.integers(1, 4))
     attributes = tuple(f"R.a{i}" for i in range(width))
     rows = draw(
         st.lists(
             st.tuples(
                 *[ATTRIBUTE_VALUES] * width,
                 st.integers(0, 2),
-                DEGREES,
-                DEGREES,
+                degree,
+                degree,
             ),
-            max_size=10,
+            max_size=24,
         )
     )
     if rows:  # repeated rows: the self-join flags every copy of a row
-        rows += draw(st.lists(st.sampled_from(rows), max_size=3))
+        rows += draw(st.lists(st.sampled_from(rows), max_size=4))
     return ExplanationTable(
         table=Table(list(attributes) + ["v_q", MU_INTERV, MU_AGGR], rows),
         attributes=attributes,
@@ -139,13 +154,78 @@ class TestWalksMatchOracle:
                         assert _rendered(got) == _rendered(want)
 
 
-def _natality_m() -> ExplanationTable:
+def _natality_m(rows: int = 3000, width: int = 4) -> ExplanationTable:
     explainer = Explainer(
-        natality.generate(rows=3000, seed=7),
+        natality.generate(rows=rows, seed=7),
         natality.q_race_question(),
-        natality.extended_attributes()[:4],
+        natality.extended_attributes()[:width],
     )
     return explainer.explanation_table("cube")
+
+
+class TestLazyOrderMatchesEagerSort:
+    @settings(max_examples=400)
+    @given(
+        m=tables(degrees=(*DEGREES, NAN)),
+        calls=st.lists(CALLS, min_size=1, max_size=6),
+        data=st.data(),
+    )
+    def test_any_depth_after_interleaved_calls(self, m, calls, data):
+        """After each call, the order it walked equals the full sort to
+        any depth, then to full depth — NaN degrees included."""
+        for strategy, by, minimality, k in calls:
+            top_k_explanations(
+                m, k, by=by, strategy=strategy, minimality=minimality
+            )
+            want = list(best_first(m, by, minimality))
+            depth = data.draw(st.integers(0, len(want) + 1))
+            order = topk._order(m, by, minimality)
+            assert list(islice(order, depth)) == want[:depth]
+            assert list(order.prefix(depth)) == want[:depth]
+            assert list(order) == want
+
+    def test_natality_orders(self):
+        m = _natality_m()
+        for by in (MU_INTERV, MU_AGGR):
+            for minimality in MINIMALITIES:
+                assert list(topk._order(m, by, minimality)) == list(
+                    best_first(m, by, minimality)
+                )
+
+
+@pytest.fixture
+def frequent_switches():
+    """Let threads switch every microsecond, so walks interleave."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    yield
+    sys.setswitchinterval(interval)
+
+
+class TestConcurrentWalks:
+    @pytest.mark.parametrize("threads", [2, 4])
+    def test_threads_walk_one_fresh_order(self, threads, frequent_switches):
+        """Threads released together on one fresh *M* each walk the
+        eager sort's order to full depth, through one shared order."""
+        m = _natality_m(width=5)
+        want = list(best_first(m, MU_INTERV, "general"))
+        barrier = threading.Barrier(threads)
+        walks = [None] * threads
+
+        def walk(i):
+            barrier.wait()
+            walks[i] = list(topk._order(m, MU_INTERV, "general"))
+
+        workers = [
+            threading.Thread(target=walk, args=(i,)) for i in range(threads)
+        ]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join()
+        assert walks == [want] * threads
+        orders = [v for v in m._memo.values() if isinstance(v, BestFirstOrder)]
+        assert len(orders) == 1
 
 
 class TestOrderIsReused:
@@ -182,18 +262,41 @@ class TestOrderIsReused:
 
     def test_topk_span_says_whether_the_order_was_built(self):
         """Self-join after No-Minimal builds only the dominance flags:
-        the order is reused."""
+        the order is reused.  Each span also says how many positions the
+        call walked and how many of *M*'s the order has refined."""
         m = _natality_m()
         with TraceRecorder() as recorder:
             for strategy in ("no_minimal", "minimal_self_join", "no_minimal"):
                 top_k_explanations(m, 3, strategy=strategy)
             top_k_explanations(m, 3, by=MU_AGGR)
-        orders = [
-            span.payload["order"]
-            for span in recorder.spans()
-            if span.name == "topk"
-        ]
+        spans = [span.payload for span in recorder.spans() if span.name == "topk"]
+        orders = [span["order"] for span in spans]
         assert orders == ["built", "reused", "reused", "built"]
+        no_minimal, self_join, again, append = spans
+        assert no_minimal["walked"] == again["walked"] == 3
+        assert self_join["walked"] >= self_join["returned"] == 3
+        assert append["walked"] >= append["returned"] == 3
+        assert 3 <= no_minimal["refined"] <= self_join["refined"] < len(m)
+        assert again["refined"] == self_join["refined"]
+        assert 0 < append["refined"] < len(m)
+
+
+class TestBoundedWork:
+    def test_cold_minimal_append_reads_a_fraction_of_m(self, monkeypatch):
+        """A full sort calls ``sort_key`` about 2·|M|·(d + 1) times; the
+        lazy order only for the runs a k = 5 walk reaches."""
+        m = _natality_m(rows=10_000, width=7)
+        assert len(m) >= 4000
+        calls = []
+        real = topk.sort_key
+
+        def counting(value):
+            calls.append(value)
+            return real(value)
+
+        monkeypatch.setattr(topk, "sort_key", counting)
+        top_k_explanations(m, 5, strategy="minimal_append")
+        assert len(calls) < len(m)
 
 
 class TestMemoBound:
@@ -207,8 +310,11 @@ class TestMemoBound:
                         minimality=minimality,
                     )
         hybrids = [v for v in m._memo.values() if isinstance(v, tuple)]
-        orders = [v for v in m._memo.values() if isinstance(v, array)]
+        orders = [v for v in m._memo.values() if isinstance(v, BestFirstOrder)]
         assert len(hybrids) == 1
-        assert len(orders) <= 2 * 2
+        assert 0 < len(orders) <= 2 * 2
         (_, hybrid_m), = hybrids
-        assert sum(isinstance(v, array) for v in hybrid_m._memo.values()) <= 2
+        hybrid_orders = sum(
+            isinstance(v, BestFirstOrder) for v in hybrid_m._memo.values()
+        )
+        assert 0 < hybrid_orders <= 2
