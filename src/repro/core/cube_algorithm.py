@@ -3,7 +3,11 @@
 Given an intervention-additive numerical query ``Q = E(q_1 … q_m)`` and
 relevant attributes ``A'``:
 
-1. select ``σ_{w_j}(U)`` once per aggregate query ``q_j``;
+1. select ``σ_{w_j}(U)`` once per aggregate query ``q_j``
+   (:meth:`~repro.engine.table.Table.filter`): U is memoized per
+   database version with its indexes, so the leading ``R.A = c``
+   conjuncts of ``w_j`` read one posting instead of every cell, as the
+   paper's DBMS answers them from an index;
 2. compute one conditional-aggregate cube over ``A'``
    (:func:`~repro.engine.cube.conditional_cube`): aggregate ``j`` reads
    only ``σ_{w_j}(U)``, so each row φ holds ``v_j(φ) = q_j(D_φ)`` for
@@ -32,7 +36,9 @@ contemplates.
 from __future__ import annotations
 
 import hashlib
+import operator
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from ..engine.cube import conditional_cube
@@ -262,7 +268,9 @@ def finalize_explanation_table(
 
     E is evaluated one column at a time
     (:meth:`~repro.engine.expressions.Expression.evaluate_columns`), once
-    over the ``v_j`` columns and once over the ``u_j − v_j`` columns.
+    over the ``v_j`` columns and once over the ``u_j − v_j`` columns;
+    a column without NULL is filled, subtracted and signed with no
+    per-cell test.
     """
     query = question.query
     value_columns = [f"v_{q.name}" for q in query.aggregates]
@@ -317,10 +325,15 @@ def _remainders(original: Value, restricted: List[Value]) -> List[Value]:
     """``u_j − v_j`` per row, NULL if either side is NULL."""
     if is_null(original):
         return [NULL] * len(restricted)
+    if NULL not in restricted:
+        return list(map(operator.sub, repeat(original), restricted))
     return [NULL if is_null(v) else original - v for v in restricted]
 
 
 def _signed(sign: int, column: List[Value]) -> List[Value]:
+    """``sign × v`` per row, NULL kept."""
+    if NULL not in column:
+        return list(map(operator.mul, repeat(sign), column))
     return [v if is_null(v) else sign * v for v in column]
 
 
@@ -400,7 +413,7 @@ def _fill_missing_values(
     data: List[List[Value]] = []
     for i, name in enumerate(joined.columns):
         col = store.column(i)
-        if name in value_set:
+        if name in value_set and NULL in col:
             default = defaults[name]
             col = [default if is_null(v) else v for v in col]
         data.append(col)

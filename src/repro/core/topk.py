@@ -54,11 +54,12 @@ The order is built lazily, in proportion to the walk (the point of
 Fig 14's K rounds of top-1: the dominated tail is never looked at).
 :class:`BestFirstOrder` sorts the positions with a defined degree once,
 by the degree alone — by the values themselves when they are all plain
-ints and floats, else by codes ordered as ``sort_key`` orders them.  A
-*run* is the positions that share one degree.  When a walk first
-reaches a run, the run is *refined*: filtered to positions with a real
-condition and ordered by condition count and attribute values.  Rows
-are built only for the K outputs.
+ints and floats, else by codes ordered as ``sort_key`` orders them,
+every NaN in one place below the numbers.  A *run* is the positions
+that share one degree.  When a walk first reaches a run, the run is
+*refined*: filtered to positions with a real condition and ordered by
+condition count and attribute values.  Rows are built only for the K
+outputs.
 
 One :class:`BestFirstOrder` per (degree column, minimality), and the
 self-join's flags, are memoised on the :class:`ExplanationTable` and
@@ -157,15 +158,23 @@ def _plain_numbers(mu: List[Value], positions: Sequence[int]) -> bool:
     return True
 
 
+#: A NaN degree's ``sort_key`` stand-in: every NaN ties every other NaN
+#: and sorts below every number (above the booleans).  ``sort_key(nan)``
+#: compares neither below nor above a number, so a sort over it would
+#: misorder the finite degrees too.
+_NAN_KEY = (0.5, 0)
+
+
 def _degree_codes(column: List[Value]) -> List[int]:
-    """Per row, an int ordered and tied as ``sort_key`` orders the column.
+    """Per row, an int ordered and tied as ``sort_key`` orders the column,
+    with every NaN in one place (:data:`_NAN_KEY`).
 
     ``sort_key`` runs once per distinct value.  Values are told apart by
     type too: ``True == 1``, but ``sort_key`` orders them apart.
     """
     first: Dict[Tuple[type, Value], int] = {}
     index = [first.setdefault((v.__class__, v), len(first)) for v in column]
-    keys = [sort_key(v) for _, v in first]
+    keys = [_NAN_KEY if v != v else sort_key(v) for _, v in first]
     rank = {k: r for r, k in enumerate(sorted(set(keys)))}
     code = [rank[k] for k in keys]
     return [code[i] for i in index]

@@ -67,8 +67,9 @@ class Expression:
 
         Row ``i``'s environment maps each name to ``columns[name][i]``.
         Constants, columns and arithmetic evaluate one column at a time
-        through the same scalar functions as :meth:`evaluate`; any other
-        node builds an environment per row.
+        through the same scalar functions as :meth:`evaluate` (or, for
+        arithmetic over plain ints and floats, the bare operator those
+        functions apply); any other node builds an environment per row.
         """
         names = self.columns()
         if not names:
@@ -188,7 +189,12 @@ _ARITH_OPS: Dict[str, Callable[[float, float], float]] = {
     "+": operator.add,
     "-": operator.sub,
     "*": operator.mul,
+    "/": operator.truediv,
 }
+
+#: Operand types on which ``_ARITH_OPS`` is exactly :func:`_arithmetic`
+#: (once no divisor is zero); ``bool`` is not among them.
+_PLAIN_NUMBERS = frozenset((int, float))
 
 
 def _arithmetic(op: str, a: Value, b: Value) -> Value:
@@ -198,12 +204,10 @@ def _arithmetic(op: str, a: Value, b: Value) -> Value:
         return NULL
     if not isinstance(a, (int, float)) or not isinstance(b, (int, float)):
         raise QueryError(f"arithmetic {op} on non-numeric values {a!r}, {b!r}")
-    if op == "/":
-        if b == 0:
-            if a == 0:
-                return NULL
-            return math.inf if a > 0 else -math.inf
-        return a / b
+    if op == "/" and b == 0:
+        if a == 0:
+            return NULL
+        return math.inf if a > 0 else -math.inf
     return _ARITH_OPS[op](a, b)
 
 
@@ -235,14 +239,18 @@ class Arithmetic(Expression):
     def evaluate_columns(
         self, columns: Mapping[str, Sequence[Value]], nrows: int
     ) -> List[Value]:
-        return list(
-            map(
-                _arithmetic,
-                repeat(self.op),
-                self.left.evaluate_columns(columns, nrows),
-                self.right.evaluate_columns(columns, nrows),
-            )
-        )
+        """Column at a time; when both operands hold only ``int`` and
+        ``float`` (and no divisor is zero) the operator maps straight
+        over them, since :func:`_arithmetic` is then that operator."""
+        left = self.left.evaluate_columns(columns, nrows)
+        right = self.right.evaluate_columns(columns, nrows)
+        if (
+            set(map(type, left)) <= _PLAIN_NUMBERS
+            and set(map(type, right)) <= _PLAIN_NUMBERS
+            and (self.op != "/" or 0 not in right)
+        ):
+            return list(map(_ARITH_OPS[self.op], left, right))
+        return list(map(_arithmetic, repeat(self.op), left, right))
 
     def columns(self) -> Tuple[str, ...]:
         return tuple(dict.fromkeys(self.left.columns() + self.right.columns()))
@@ -443,10 +451,16 @@ def disj(*operands: Expression) -> Expression:
     return Or(tuple(flat))
 
 
+#: ``postings(name, constant)``: the ascending positions whose *name*
+#: cell equals the (non-NULL, non-NaN) *constant*.
+Postings = Callable[[str, Value], Sequence[int]]
+
+
 def select_positions(
     expr: Expression,
     column: Callable[[str], Sequence[Value]],
     nrows: int,
+    postings: Optional[Postings] = None,
 ) -> List[int]:
     """Row positions (ascending) where the boolean *expr* holds.
 
@@ -462,6 +476,13 @@ def select_positions(
     disjunct only on the rows no earlier one accepted — so, as in the
     row-wise short-circuit, a node is evaluated on exactly the rows the
     row-wise path would evaluate it on.
+
+    With *postings*, a top-level ``Col = Const``, or the leading run of
+    such conjuncts of a top-level :class:`And`, seeds the candidate list
+    with the smallest of their postings instead of every row.  Those
+    equalities cannot raise, and every conjunct still narrows the list
+    as above, so each later conjunct sees the rows it would see without
+    *postings*.
     """
 
     def index(cand: Optional[List[int]]) -> Sequence[int]:
@@ -526,7 +547,32 @@ def select_positions(
             if node.evaluate(dict(zip(names, vals)))
         ]
 
+    if postings is not None:
+        seeds = []
+        for node in expr.operands if isinstance(expr, And) else (expr,):
+            equality = _equality(node)
+            if equality is None:
+                break
+            seeds.append(postings(*equality))
+        if seeds:
+            return select(expr, list(min(seeds, key=len)))
     return select(expr, None)
+
+
+def _equality(node: Expression) -> Optional[Tuple[str, Value]]:
+    """``(name, constant)`` when *node* is ``Col = Const`` (either way
+    round) and a posting answers it: the constant is not NULL or NaN."""
+    if not (isinstance(node, Comparison) and node.op == "="):
+        return None
+    left, right = node.left, node.right
+    if isinstance(left, Const):
+        left, right = right, left
+    if not (isinstance(left, Col) and isinstance(right, Const)):
+        return None
+    constant = right.value
+    if constant is NULL or constant != constant:
+        return None
+    return left.name, constant
 
 
 def _compare_const(

@@ -73,8 +73,9 @@ class Table:
             checked.append(row)
         self._rows: Optional[List[Row]] = checked
         self._store: Optional[ColumnStore] = None
-        # Set only on from_relation views: the snapshot's join indexes.
-        self._index_cache: Optional[JoinIndexes] = None  # reprolint: disable=RL004 (keyed by the immutable snapshot: a mutation builds a new snapshot with a new dict)
+        # Set only on from_relation views (the snapshot's join indexes)
+        # and by keep_indexes().
+        self._index_cache: Optional[JoinIndexes] = None  # reprolint: disable=RL004 (keyed by the immutable snapshot or table: a mutation builds a new snapshot, and a new U, each with a new dict)
 
     # -- construction ----------------------------------------------------
 
@@ -257,13 +258,20 @@ class Table:
 
         Evaluated column-at-a-time (:func:`select_positions`): each
         comparison is one pass over its column, and a conjunction
-        narrows the candidate rows one conjunct at a time.  The
-        surviving rows are returned as a zero-copy selection over this
-        table's columns.
+        narrows the candidate rows one conjunct at a time.  On a table
+        that keeps its indexes (a relation view, or :meth:`keep_indexes`)
+        a leading ``Col = Const`` starts from that value's posting
+        (:meth:`index_positions` on the one column) instead of reading
+        every cell.  The surviving rows are returned as a zero-copy
+        selection over this table's columns.
         """
         for col in predicate.columns():
             self.position(col)  # raise early on unknown columns
-        sel = select_positions(predicate, self.column, len(self))
+        postings = None
+        if self._index_cache is not None:
+            def postings(name: str, constant: Value) -> Sequence[int]:
+                return self.index_positions((name,)).get((constant,), ())
+        sel = select_positions(predicate, self.column, len(self), postings)
         return Table._trusted(self.columns, store=self.store().select(sel))
 
     def filter_rows(self, fn: Callable[[Environment], bool]) -> "Table":
@@ -371,6 +379,18 @@ class Table:
         """Rows as a set (for containment checks)."""
         return set(self.rows())
 
+    def keep_indexes(self) -> "Table":
+        """Keep the indexes :meth:`index_positions` builds from now on.
+
+        For a table that outlives one query, such as the ``U(D)`` a
+        database memoizes per version: its joins and its equality
+        selections (:meth:`filter`) then build each index once.
+        Returns this table.
+        """
+        if self._index_cache is None:
+            self._index_cache = {}
+        return self
+
     def index_positions(self, columns: Sequence[str]) -> Dict[Row, List[int]]:
         """Hash index mapping key tuples to *row positions* (read-only).
 
@@ -378,7 +398,8 @@ class Table:
         position afterwards.  Rows with NULL keys are excluded: they
         never equi-join (:func:`~repro.engine.types.join_key`).  On a
         :meth:`from_relation` view the index is the relation snapshot's,
-        shared by every view of that version.
+        shared by every view of that version; after :meth:`keep_indexes`
+        it is kept on the table.
         """
         pos = self.positions(columns)
         cache = self._index_cache
@@ -390,9 +411,11 @@ class Table:
         index: Dict[Row, List[int]] = {}
         cols = [self.store().column(i) for i in pos]
         for i, key in enumerate(zip(*cols)):
-            if join_key(key) is None:
-                continue
-            index.setdefault(key, []).append(i)
+            hits = index.get(key)
+            if hits is not None:
+                hits.append(i)
+            elif join_key(key) is not None:  # once per non-NULL key, not per row
+                index[key] = [i]
         if cache is not None:
             cache[pos] = index
         return index

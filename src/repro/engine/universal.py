@@ -125,7 +125,11 @@ def universal_table(database: Database) -> Table:
 
     ``U`` depends on the database alone, so it is built once per
     database version (:meth:`Database.derived`): every caller on an
-    unchanged database shares one (immutable) table.
+    unchanged database shares one (immutable) table.  It keeps the
+    indexes built on it (:meth:`Table.keep_indexes`; a single-table U
+    is a relation view and shares the snapshot's), so an equality
+    selection ``σ_{R.A = c}(U)`` reads the rows of one posting, built
+    once per version, instead of every cell of ``R.A``.
     """
     return database.derived("universal", lambda: _build(database))
 
@@ -156,7 +160,7 @@ def _build(database: Database) -> Table:
         for fk in tree.residual_edges:
             result = _filter_residual(result, fk)
         ph.annotate(rows=len(result))
-    return result
+    return result.keep_indexes()
 
 
 def _filter_residual(table: Table, fk: ForeignKey) -> Table:

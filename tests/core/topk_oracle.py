@@ -27,6 +27,12 @@ def _check_minimality(minimality: str) -> None:
         )
 
 
+def _degree_key(value: Value):
+    """``sort_key``, but every NaN ties every other NaN and sorts below
+    every number: ``sort_key(nan)`` is neither below nor above one."""
+    return (0.5, 0) if value != value else sort_key(value)
+
+
 def _rank_key(mu_pos: int, attr_pos: Sequence[int], minimality: str = "general"):
     """Sort key: degree first, then a specificity tie-break.
 
@@ -45,7 +51,7 @@ def _rank_key(mu_pos: int, attr_pos: Sequence[int], minimality: str = "general")
             if not is_dummy(row[i]) and not is_null(row[i])
         )
         return (
-            sort_key(row[mu_pos]),
+            _degree_key(row[mu_pos]),
             sign * conditions,
             tuple(sort_key(row[i]) for i in attr_pos),
         )
@@ -138,7 +144,7 @@ def dominated_rows(
         sig = _pair_signature(row, attr_pos)
         mu = row[mu_pos]
         best = degree_by_signature.get(sig)
-        if best is None or sort_key(mu) > sort_key(best):
+        if best is None or _degree_key(mu) > _degree_key(best):
             degree_by_signature[sig] = mu
             row_by_signature[sig] = row
     dominated: Set[Row] = set()
@@ -151,7 +157,7 @@ def dominated_rows(
                     if not subset:
                         continue  # trivial explanation is excluded
                     general = degree_by_signature.get(subset)
-                    if general is not None and sort_key(general) >= sort_key(mu):
+                    if general is not None and _degree_key(general) >= _degree_key(mu):
                         dominated.add(row)
                         break
                 else:
@@ -166,7 +172,7 @@ def dominated_rows(
         for size in range(1, len(sig)):  # proper, non-trivial subsets
             for subset in combinations(sig, size):
                 target = degree_by_signature.get(subset)
-                if target is not None and sort_key(mu) >= sort_key(target):
+                if target is not None and _degree_key(mu) >= _degree_key(target):
                     dominated.add(row_by_signature[subset])
     return dominated
 

@@ -36,10 +36,16 @@ def dominated_rows(
     return set(m.table.take([p for p, f in enumerate(flags) if f]).rows())
 
 
-def _dense_codes(column: List[Value]) -> List[int]:
-    """Per row, an int ordered and tied as ``sort_key`` orders the column."""
-    code = {k: i for i, k in enumerate(sorted(set(map(sort_key, column))))}
-    return [code[sort_key(v)] for v in column]
+def degree_key(value: Value):
+    """``sort_key``, but every NaN ties every other NaN and sorts below
+    every number: ``sort_key(nan)`` is neither below nor above one."""
+    return (0.5, 0) if value != value else sort_key(value)
+
+
+def _dense_codes(column: List[Value], key=sort_key) -> List[int]:
+    """Per row, an int ordered and tied as *key* orders the column."""
+    code = {k: i for i, k in enumerate(sorted(set(map(key, column))))}
+    return [code[key(v)] for v in column]
 
 
 def best_first(
@@ -51,7 +57,7 @@ def best_first(
     non-NULL) condition.  Stable descending passes over every eligible
     row, least significant key first: each attribute from the last,
     then the condition count (fewer first under ``general``), then the
-    degree.
+    degree (:func:`degree_key`).
     """
     table = m.table
     store = table.store()
@@ -65,5 +71,5 @@ def best_first(
     for col in reversed(attr):
         order.sort(key=_dense_codes(col).__getitem__, reverse=True)
     order.sort(key=conditions.__getitem__, reverse=minimality == "specific")
-    order.sort(key=_dense_codes(mu).__getitem__, reverse=True)
+    order.sort(key=_dense_codes(mu, degree_key).__getitem__, reverse=True)
     return array("l", order)
