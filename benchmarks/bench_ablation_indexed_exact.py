@@ -1,10 +1,13 @@
 """E17 — ablation: the Section 6(i) optimized iterative evaluator.
 
 For non-additive queries the cube is unavailable and the paper's
-prototype falls back to a naive loop.  Our indexed evaluator shares
-posting lists, per-tuple occurrence counts, and survival scans across
-candidates.  Expected shape: indexed ≪ per-candidate exact, with the
-gap widening as the candidate count grows; identical degrees.
+prototype falls back to a naive loop.  Our indexed evaluator takes v_j
+and μ_aggr from Algorithm 1's cube and runs program P per cube row for
+μ_interv, sharing posting lists, per-tuple occurrence counts, and
+survival scans across candidates.  Expected shape: indexed ≪
+per-candidate exact, with the gap widening as the candidate count
+grows; indexed's candidates a subset of exact's, with identical
+columns.
 """
 
 import time
@@ -12,7 +15,7 @@ import time
 from conftest import min_time, print_series
 
 from repro.core import Explainer
-from repro.core.cube_algorithm import MU_INTERV
+from repro.core.cube_algorithm import MU_AGGR, MU_INTERV
 from repro.core.iterative import IndexedInterventionEvaluator
 from repro.core.numquery import AggregateQuery, single_query
 from repro.core.question import UserQuestion
@@ -56,15 +59,19 @@ def test_ablation_indexed_vs_exact(benchmark):
     benchmark.extra_info["speedup"] = t_exact / t_indexed
     assert t_indexed < t_exact, "the shared-index evaluator should win"
 
-    def degree_map(m):
-        return {
-            str(m.explanation_of(row)): row[m.table.position(MU_INTERV)]
-            for row in m.table.rows()
-        }
+    def degree_map(m, column):
+        pos = m.table.position(column)
+        return {str(m.explanation_of(row)): row[pos] for row in m.table.rows()}
 
-    fast, slow = degree_map(m_indexed), degree_map(m_exact)
-    for key in fast:
-        assert abs(fast[key] - slow[key]) < 1e-9, key
+    assert m_indexed.q_original == m_exact.q_original
+    assert set(degree_map(m_indexed, MU_INTERV)) <= set(
+        degree_map(m_exact, MU_INTERV)
+    ), "indexed found candidates exact does not have"
+    values = [f"v_{name}" for name in m_indexed.aggregate_names]
+    for column in [MU_INTERV, MU_AGGR] + values:
+        fast, slow = degree_map(m_indexed, column), degree_map(m_exact, column)
+        for key in fast:
+            assert abs(fast[key] - slow[key]) < 1e-9, (column, key)
 
 
 def test_ablation_indexed_scales_with_candidates(benchmark):

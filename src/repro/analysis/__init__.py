@@ -23,7 +23,6 @@ See ``docs/analysis.md`` for the proposition-to-rule mapping.
 """
 
 from .additivity import (
-    INDEXED_KINDS,
     VERDICT_EXACT_CUBE,
     VERDICT_NEEDS_ITERATIVE,
     VERDICT_UNSUPPORTED,
@@ -51,7 +50,6 @@ __all__ = [
     "ConvergenceCertificate",
     "Diagnostic",
     "EdgeReport",
-    "INDEXED_KINDS",
     "PlanCertificate",
     "RULE_PROP_310",
     "RULE_PROP_311",

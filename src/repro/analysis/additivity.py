@@ -15,8 +15,8 @@ supplied, yielding one of three verdicts per aggregate:
   certified statically); exact degrees require running program P per
   candidate (the ``indexed``/``exact`` methods);
 * ``unsupported`` — the aggregate kind has no additivity rule at all
-  (avg, min, max, …); only the per-candidate ``exact`` ground-truth
-  method applies.
+  (avg, min, max, …); exact degrees again require program P per
+  candidate.
 
 The certificate is the one additivity verdict type:
 :func:`repro.core.additivity.analyze_additivity` returns it
@@ -40,9 +40,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 VERDICT_EXACT_CUBE = "exact-cube"
 VERDICT_NEEDS_ITERATIVE = "needs-iterative"
 VERDICT_UNSUPPORTED = "unsupported"
-
-#: Aggregate kinds the indexed (posting-list) evaluator can compute.
-INDEXED_KINDS = frozenset({"count_star", "count", "count_distinct"})
 
 #: Kinds covered by the Corollary 3.6 argument (additive over disjoint
 #: unions of universal rows).
@@ -98,14 +95,10 @@ class AdditivityCertificate:
         """The fastest evaluation method this certificate deems sound.
 
         ``cube`` when every aggregate is certified additive; otherwise
-        ``indexed`` when the posting-list exact evaluator supports all
-        aggregate kinds; otherwise the per-candidate ``exact`` method.
+        ``indexed``, which runs program P per candidate and is exact for
+        every aggregate kind.
         """
-        if self.all_exact_cube:
-            return "cube"
-        if all(v.kind in INDEXED_KINDS for v in self.verdicts):
-            return "indexed"
-        return "exact"
+        return "cube" if self.all_exact_cube else "indexed"
 
     def explain(self) -> str:
         """A readable multi-line summary."""

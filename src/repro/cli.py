@@ -328,9 +328,8 @@ def cmd_ask(args: argparse.Namespace) -> int:
     report = explainer.additivity_report()
     print(report.explain())
     # Without --method the certificate picks the fastest sound method
-    # (cube when every aggregate is exact-cube, indexed when all are
-    # count-family, exact otherwise); an explicit one is checked by
-    # the build, after it is echoed.
+    # (cube when every aggregate is exact-cube, indexed otherwise); an
+    # explicit one is checked by the build, after it is echoed.
     method = args.method or explainer.resolve_method(AUTO_METHOD)
     print(f"method: {method}")
     print(render_ranking(explainer.top(args.top, method=method)))

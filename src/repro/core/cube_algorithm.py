@@ -322,12 +322,16 @@ def finalize_explanation_table(
 
 
 def _remainders(original: Value, restricted: List[Value]) -> List[Value]:
-    """``u_j − v_j`` per row, NULL if either side is NULL."""
+    """``u_j − v_j`` per row, NULL if either side is NULL or the values
+    do not subtract (the max of a string column)."""
     if is_null(original):
         return [NULL] * len(restricted)
-    if NULL not in restricted:
-        return list(map(operator.sub, repeat(original), restricted))
-    return [NULL if is_null(v) else original - v for v in restricted]
+    try:
+        if NULL not in restricted:
+            return list(map(operator.sub, repeat(original), restricted))
+        return [NULL if is_null(v) else original - v for v in restricted]
+    except TypeError:
+        return [NULL] * len(restricted)
 
 
 def _signed(sign: int, column: List[Value]) -> List[Value]:
@@ -348,14 +352,16 @@ def add_hybrid_column(
     ``mu_hybrid = −(weight·rank_interv + (1−weight)·rank_aggr)``, with
     rank 1 = best and tied degrees sharing the lowest rank of their tie
     (SQL ``RANK()``), so the hybrid is a function of the two degree
-    columns alone, not of *M*'s row order.  Rows whose either degree is
+    columns alone, not of *M*'s row order.  Degrees are ordered as top-K
+    orders them, a NaN below every number.  Rows whose either degree is
     undefined get NULL.
 
     The last result is kept on *m* (one slot, keyed by the weight), so
     re-ranking one cached table by the same hybrid reuses its table and
     that table's rankings.
     """
-    from ..engine.types import is_missing, sort_key
+    from ..engine.types import is_missing
+    from .topk import _degree_codes
 
     if not 0.0 <= weight <= 1.0:
         raise ExplanationError(f"hybrid weight must be in [0, 1], got {weight}")
@@ -368,15 +374,16 @@ def add_hybrid_column(
         return slot[1]
 
     def ranks(column: List[Value]) -> List[Optional[int]]:
-        first_rank: Dict[Tuple, int] = {}
-        degrees = sorted(
-            (sort_key(v) for v in column if not is_missing(v)), reverse=True
-        )
-        for rank, degree in enumerate(degrees, start=1):
-            first_rank.setdefault(degree, rank)
-        return [
-            None if is_missing(v) else first_rank[sort_key(v)] for v in column
-        ]
+        codes = iter(_degree_codes([v for v in column if not is_missing(v)]))
+        codes_of = [None if is_missing(v) else next(codes) for v in column]
+        # RANK(): one more than the number of strictly better degrees.
+        first_rank: Dict[int, int] = {}
+        for rank, code in enumerate(
+            sorted((c for c in codes_of if c is not None), reverse=True),
+            start=1,
+        ):
+            first_rank.setdefault(code, rank)
+        return [None if c is None else first_rank[c] for c in codes_of]
 
     hybrid_col: List[Value] = [
         NULL if ri is None or ra is None else -(weight * ri + (1 - weight) * ra)

@@ -19,8 +19,9 @@ Three evaluation methods build the explanation table *M*:
   non-additive queries; slowest.
 * ``"indexed"`` — the Section 6(i) optimized exact evaluator
   (:mod:`repro.core.iterative`): same ground-truth degrees as
-  ``"exact"``, sharing posting lists, seed indexes and survival scans
-  across candidates.
+  ``"exact"``; Algorithm 1's cube gives every column but μ_interv,
+  which program P fills per candidate, sharing posting lists, seed
+  indexes and survival scans across candidates.
 
 All methods produce the same table layout, so the Section 4.3 top-K
 strategies apply uniformly.
@@ -345,6 +346,7 @@ class Explainer:
                     self.attributes,
                     universal=self.universal,
                     strategy=self.strategy,
+                    support_threshold=self.support_threshold,
                 ).build_table()
             else:
                 m = self._naive_table(exact=True)

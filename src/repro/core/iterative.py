@@ -1,60 +1,63 @@
 """Optimized exact evaluation for all candidates (Section 6(i)).
 
-When the numerical query is *not* intervention-additive, Algorithm 1
-does not apply and the paper's prototype falls back to a naive loop it
-acknowledges is "too slow"; Section 6(i) lists optimizing that loop as
-future work.  This module is one such optimization.  It computes the
-**exact** (program-P) intervention degree for every candidate
-explanation, sharing work across candidates:
+When the numerical query is *not* intervention-additive, Algorithm 1's
+``u_j − v_j`` is not μ_interv, and the paper's prototype falls back to
+a naive loop it calls "too slow"; Section 6(i) lists optimizing that
+loop as future work.  This module is one such optimization, split along
+observation and intervention:
 
-* the universal table is materialized once and every row gets an id;
-* per relevant attribute, a **posting list** maps each value to the
-  ids of the universal rows carrying it, so ``σ_φ(U)`` is a set
-  intersection, not a scan;
-* per relation, a second posting list maps each tuple to the ids of
-  the universal rows it occurs in, so Rule (i) seeds (``tuples all of
-  whose rows satisfy φ``) come from counting occurrences inside
-  ``σ_φ(U)`` only;
-* ``Q(D − Δ^φ)`` is evaluated by row survival: the dead rows are the
-  union of the postings of Δ^φ's tuples, so the work is
-  |Δ^φ| times the fan-out, and the survivors feed precomputed
-  per-aggregate row-id sets — no joins are re-run.
+* ``v_j = q_j(D_φ)``, μ_aggr and ``u_j = q_j(D)`` are aggregates over
+  σ_φ(U) for every kind, additive or not: they come from Algorithm 1's
+  conditional-aggregate cube (:func:`~repro.core.cube_algorithm.table_from_cube`),
+  support filter included;
+* μ_interv runs program P once per row of that table, on the
+  database's shared :class:`~repro.engine.reduction.DeltaReducer`.
+  σ_φ(U) intersects U's attribute postings; Rule (i) seeds count
+  occurrences inside σ_φ(U) through per-relation tuple postings; and
+  ``Q(D − Δ^φ)`` reads the surviving U rows — no joins are re-run.
 
-Program P itself runs on the database's shared
-:class:`~repro.engine.reduction.DeltaReducer`, so no candidate
-re-reduces D.
-
-The candidate set equals the cube algorithm's (every combination of
-attribute values with support), so the output table is directly
-comparable to — and validated against — both the cube table (on
-additive queries) and the per-candidate exact evaluator.
+Three candidate sets are in play, each inside the next, partial and
+trivial combinations included: the cube's (support in some
+σ_{w_j}(U)); this evaluator's (support in U, which is one more cube
+source whose ``count(*)`` only fixes the groups); and the per-candidate
+``exact`` method's (the cross product of the active domains).  For
+``repro ask``'s DBLP question at scale 0.25, seed 2014, they have 178,
+184 and 1044 rows.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from itertools import filterfalse
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set
 
-from ..engine.cube import grouping_sets
+from ..engine.aggregates import count_star
+from ..engine.cube import conditional_cube
 from ..engine.database import Database, Delta
-from ..engine.expressions import select_positions
 from ..engine.table import Table
 from ..engine.types import DUMMY, NULL, Row, Value, is_null
 from ..engine.universal import universal_table
-from ..errors import QueryError
 from ..obs import phase
-from .cube_algorithm import MU_AGGR, MU_INTERV, ExplanationTable
+from .cube_algorithm import MU_INTERV, ExplanationTable, table_from_cube
 from .intervention import make_strategy
 from .numquery import AggregateQuery
+from .predicates import Explanation
 from .question import UserQuestion
+
+#: The cube column counting σ_φ(U); it fixes the candidate set and is
+#: dropped before *M* is finalized.
+_SUPPORT = "support"
 
 
 class IndexedInterventionEvaluator:
     """Exact degrees for all candidate explanations over ``attributes``.
 
-    Usable for any numerical query (additive or not); per candidate,
-    σ_φ(U), the seeds, program P and the survivors are all
-    posting-list or delta work, not scans of U or D.
+    Usable for any numerical query (additive or not).  The cube gives
+    every column of *M* but μ_interv; per candidate, σ_φ(U), the seeds,
+    program P and the survivors are all posting-list or delta work, not
+    scans of U or D.  ``support_threshold`` filters candidates as
+    :func:`~repro.core.cube_algorithm.build_explanation_table` does,
+    before program P runs.
     """
 
     def __init__(
@@ -65,6 +68,7 @@ class IndexedInterventionEvaluator:
         *,
         universal: Optional[Table] = None,
         strategy: Optional[str] = None,
+        support_threshold: Optional[float] = None,
     ) -> None:
         self.database = database
         self.question = question
@@ -90,29 +94,14 @@ class IndexedInterventionEvaluator:
             certified_bound=self.convergence.bound,
         )
         self._n = len(self.universal)
-        self._build_posting_lists()
+        self.postings = {
+            attr: self.universal.index_positions((attr,))
+            for attr in self.attributes
+        }
         self._build_projection_cache()
-        self._build_aggregate_indexes()
+        self._build_observed_table(support_threshold)
 
     # -- index construction ------------------------------------------------
-
-    def _build_posting_lists(self) -> None:
-        """attribute -> value -> frozenset of universal row ids.
-
-        Built by a single scan of each attribute's *column* — the
-        universal table's rows are never re-tupled.
-        """
-        self.postings: Dict[str, Dict[Value, Set[int]]] = {}
-        for attr in self.attributes:
-            lists: Dict[Value, Set[int]] = {}
-            for idx, value in enumerate(self.universal.column(attr)):
-                if is_null(value):
-                    raise QueryError(
-                        f"attribute {attr!r} contains NULL; explanation "
-                        "attributes must be non-null"
-                    )
-                lists.setdefault(value, set()).add(idx)
-            self.postings[attr] = lists
 
     def _build_projection_cache(self) -> None:
         """Per relation: row id -> tuple, tuple -> U row ids, and the
@@ -137,26 +126,42 @@ class IndexedInterventionEvaluator:
                 t for t in self.database.relation(name).rows() if t not in postings
             )
 
-    def _build_aggregate_indexes(self) -> None:
-        """Per aggregate: its WHERE row-id set and argument column."""
+    def _build_observed_table(self, support_threshold: Optional[float]) -> None:
+        """σ_{w_j}(U) per aggregate, as row ids (with its argument
+        column) and as a cube source; then ``observed``, *M* from
+        Algorithm 1's cube over those sources plus U itself.
+
+        ``observed``'s μ_interv is Algorithm 1's ``u − v``, which
+        :meth:`build_table` replaces.  A NULL attribute value in U
+        raises, as the cube does.
+        """
+        u = self.universal
         self.agg_rows: Dict[str, FrozenSet[int]] = {}
         self.agg_arg_col: Dict[str, Optional[List[Value]]] = {}
+        sources, specs = [], []
         for q in self.question.query.aggregates:
             if q.where is None:
-                ids: FrozenSet[int] = frozenset(range(self._n))
+                positions: Sequence[int] = range(self._n)
+                sources.append(u)
             else:
-                for col in q.where.columns():
-                    self.universal.position(col)  # raise on unknown columns
-                ids = frozenset(
-                    select_positions(q.where, self.universal.column, self._n)
-                )
-            self.agg_rows[q.name] = ids
-            if q.aggregate.argument is None:
-                self.agg_arg_col[q.name] = None
-            else:
-                self.agg_arg_col[q.name] = self.universal.column(
-                    q.aggregate.argument
-                )
+                positions = u.filter_positions(q.where)
+                sources.append(u.take(positions))
+            specs.append(replace(q.aggregate, alias=f"v_{q.name}"))
+            self.agg_rows[q.name] = frozenset(positions)
+            arg = q.aggregate.argument
+            self.agg_arg_col[q.name] = None if arg is None else u.column(arg)
+        joined = conditional_cube(
+            sources + [u],
+            self.attributes,
+            specs + [count_star(_SUPPORT)],
+            dont_care=DUMMY,
+        )
+        self.observed = table_from_cube(
+            joined.project([c for c in joined.columns if c != _SUPPORT]),
+            self.question,
+            self.attributes,
+            support_threshold=support_threshold,
+        )
 
     # -- per-candidate machinery --------------------------------------------
 
@@ -165,12 +170,15 @@ class IndexedInterventionEvaluator:
         if not assignment:
             return set(range(self._n))
         lists = sorted(
-            (self.postings[attr].get(value, set()) for attr, value in assignment.items()),
+            (
+                self.postings[attr].get((value,), ())
+                for attr, value in assignment.items()
+            ),
             key=len,
         )
         result = set(lists[0])
         for other in lists[1:]:
-            result &= other
+            result.intersection_update(other)
             if not result:
                 break
         return result
@@ -223,89 +231,46 @@ class IndexedInterventionEvaluator:
             acc.add_many(arg_col[idx] for idx in relevant)
         return acc.result()
 
-    def degrees_for(self, assignment: Dict[str, Value]) -> Tuple[Value, Value, Dict[str, Value]]:
-        """(μ_interv, μ_aggr, q_j(D_φ) values) for one candidate."""
+    def mu_interv_for(self, assignment: Dict[str, Value]) -> Value:
+        """μ_interv for one candidate: seeds, program P, survivors, E."""
         query = self.question.query
-        phi_rows = self.phi_row_ids(assignment)
-        aggr_values = {
-            q.name: self._aggregate_over(q, phi_rows)
-            for q in query.aggregates
-        }
-        mu_a = query.evaluate_environment(aggr_values)
-        if not is_null(mu_a):
-            mu_a = self.question.aggravation_sign * mu_a
-
-        from .predicates import Explanation
-
         phi = Explanation.equality(self.database.schema, assignment)
-        seeds = self.seeds_from_rows(phi_rows)
+        seeds = self.seeds_from_rows(self.phi_row_ids(assignment))
         delta = self.engine.compute(phi, seeds=seeds).delta
         survivors = self.surviving_row_ids(delta)
-        interv_values = {
-            q.name: self._aggregate_over(q, survivors)
-            for q in query.aggregates
-        }
-        mu_i = query.evaluate_environment(interv_values)
-        if not is_null(mu_i):
-            mu_i = self.question.intervention_sign * mu_i
-        return mu_i, mu_a, aggr_values
+        mu = query.evaluate_environment(
+            {q.name: self._aggregate_over(q, survivors) for q in query.aggregates}
+        )
+        return mu if is_null(mu) else self.question.intervention_sign * mu
 
     # -- the full table --------------------------------------------------------
 
     def candidate_assignments(self) -> List[Dict[str, Value]]:
-        """Every attribute-value combination with support in U,
-        including partial ('don't care') combinations and the trivial
-        one — the same candidate set the cube materializes."""
-        attr_cols = [self.universal.column(a) for a in self.attributes]
-        cells: Set[Tuple[Tuple[str, Value], ...]] = set()
-        masks = [
-            tuple(a in s for a in self.attributes)
-            for s in grouping_sets(self.attributes)
+        """The candidates, one per row of *M* and in its order: every
+        attribute-value combination with support in U (and past the
+        support filter), partial ('don't care') combinations and the
+        trivial one included."""
+        rows = self.observed.table.project(self.attributes).rows()
+        return [
+            {a: v for a, v in zip(self.attributes, row) if v is not DUMMY}
+            for row in rows
         ]
-        for values in set(zip(*attr_cols)):
-            for mask in masks:
-                cells.add(
-                    tuple(
-                        (a, v)
-                        for a, v, keep in zip(self.attributes, values, mask)
-                        if keep
-                    )
-                )
-        return [dict(cell) for cell in sorted(cells, key=_cell_key)]
 
     def build_table(self) -> ExplanationTable:
         """The exact table *M* for all candidates."""
-        query = self.question.query
-        value_columns = [f"v_{q.name}" for q in query.aggregates]
-        columns = list(self.attributes) + value_columns + [MU_INTERV, MU_AGGR]
-        rows_out: List[Row] = []
+        m = self.observed
         with phase(
             "indexed_table", certified_bound=self.convergence.bound
         ) as ph:
-            for assignment in self.candidate_assignments():
-                mu_i, mu_a, aggr_values = self.degrees_for(assignment)
-                attr_values = tuple(
-                    assignment.get(attr, DUMMY) for attr in self.attributes
-                )
-                v_values = tuple(
-                    aggr_values[q.name] for q in query.aggregates
-                )
-                rows_out.append(attr_values + v_values + (mu_i, mu_a))
-            ph.annotate(candidates=len(rows_out))
+            candidates = self.candidate_assignments()
+            mu_interv = [self.mu_interv_for(a) for a in candidates]
+            ph.annotate(candidates=len(candidates))
+        columns = m.table.column_arrays()
+        columns[m.table.position(MU_INTERV)] = mu_interv
         return ExplanationTable(
-            table=Table(columns, rows_out),
-            attributes=self.attributes,
-            aggregate_names=tuple(query.names),
-            q_original={
-                q.name: self._aggregate_over(q, set(range(self._n)))
-                for q in query.aggregates
-            },
+            table=Table.from_columns(m.table.columns, columns, nrows=len(m)),
+            attributes=m.attributes,
+            aggregate_names=m.aggregate_names,
+            q_original=m.q_original,
         )
 
-
-def _cell_key(
-    cell: Tuple[Tuple[str, Value], ...]
-) -> Tuple[int, Tuple[Tuple[str, Tuple[int, Any]], ...]]:
-    from ..engine.types import sort_key
-
-    return (len(cell), tuple((a, sort_key(v)) for a, v in cell))

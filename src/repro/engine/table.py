@@ -265,14 +265,17 @@ class Table:
         every cell.  The surviving rows are returned as a zero-copy
         selection over this table's columns.
         """
+        return self.take(self.filter_positions(predicate))
+
+    def filter_positions(self, predicate: Expression) -> List[int]:
+        """The positions, ascending, of the rows :meth:`filter` keeps."""
         for col in predicate.columns():
             self.position(col)  # raise early on unknown columns
         postings = None
         if self._index_cache is not None:
             def postings(name: str, constant: Value) -> Sequence[int]:
                 return self.index_positions((name,)).get((constant,), ())
-        sel = select_positions(predicate, self.column, len(self), postings)
-        return Table._trusted(self.columns, store=self.store().select(sel))
+        return select_positions(predicate, self.column, len(self), postings)
 
     def filter_rows(self, fn: Callable[[Environment], bool]) -> "Table":
         """Rows where the Python callable *fn* (on the env dict) is true."""

@@ -72,10 +72,11 @@ class TestAnalyzePlan:
         assert cert.query_rendered is None
         assert cert.recommended_method == "exact"
 
-    def test_non_additive_non_indexed_recommends_exact(self):
+    def test_non_additive_recommends_indexed(self):
+        # indexed is exact for every aggregate kind, avg included.
         cert = analyze_plan(rex.schema(), avg_question(), ATTRS)
         assert not cert.additivity.all_exact_cube
-        assert cert.recommended_method == "exact"
+        assert cert.recommended_method == "indexed"
 
     def test_count_family_recommends_at_least_indexed(self):
         # count(DISTINCT ...) without the data condition resolved must
@@ -185,9 +186,9 @@ class TestExplainerIntegration:
         )
         assert ex.resolve_method(AUTO_METHOD) == "cube"
 
-    def test_auto_avg_resolves_to_exact(self):
+    def test_auto_avg_resolves_to_indexed(self):
         ex = Explainer(rex.database(), avg_question(), ATTRS)
-        assert ex.resolve_method(AUTO_METHOD) == "exact"
+        assert ex.resolve_method(AUTO_METHOD) == "indexed"
 
     def test_plan_carries_certificate(self):
         ex = Explainer(rex.database(), count_ratio_question(), ATTRS)

@@ -23,6 +23,7 @@ from repro.engine.types import NULL, is_null
 from repro.errors import ExplanationError
 
 ROOT = Path(__file__).resolve().parents[2]
+NAN = float("nan")
 
 
 def make_m(rows):
@@ -113,6 +114,50 @@ class TestAddHybridColumn:
             return {r[0]: repr(r[pos]) for r in m.table.rows()}
 
         assert hybrid_by_name(named) == hybrid_by_name(shuffled)
+
+    def test_nan_degree_ranks_last(self):
+        # A NaN degree ranks below every number, as top-K orders it.
+        degrees = [6, 2, 8, 1, NAN, 2, 5]
+        m = add_hybrid_column(
+            make_m([(f"r{i}", d, 0) for i, d in enumerate(degrees)]),
+            weight=1.0,
+        )
+        pos = m.table.position(MU_HYBRID)
+        assert [r[pos] for r in m.table.rows()] == [
+            -2.0, -4.0, -1.0, -6.0, -7.0, -4.0, -3.0
+        ]
+
+    @settings(max_examples=200)
+    @given(
+        degrees=st.lists(
+            st.one_of(
+                st.sampled_from([NULL, NAN, 0, 1, 2.5, -3]),
+                st.floats(allow_nan=True, allow_infinity=True),
+                st.integers(-5, 5),
+            ),
+            max_size=12,
+        ),
+    )
+    def test_larger_finite_degree_never_ranks_worse(self, degrees):
+        """With weight 1 the hybrid is minus μ_interv's rank: a larger
+        finite degree never gets a worse rank, whatever NaN or NULL
+        sits beside it, and equal degrees share one rank."""
+        m = add_hybrid_column(
+            make_m([(f"r{i}", d, 0) for i, d in enumerate(degrees)]),
+            weight=1.0,
+        )
+        pos = m.table.position(MU_HYBRID)
+        ranked = [
+            (d, -r[pos])
+            for d, r in zip(degrees, m.table.rows())
+            if not is_null(d) and d == d
+        ]
+        for d1, rank1 in ranked:
+            for d2, rank2 in ranked:
+                if d1 > d2:
+                    assert rank1 < rank2, (d1, d2, degrees)
+                elif d1 == d2:
+                    assert rank1 == rank2, (d1, d2, degrees)
 
     def test_last_weight_is_reused(self):
         base = make_m([("x", 1.0, 10.0), ("y", 2.0, 5.0)])

@@ -1,15 +1,19 @@
 """Tests for the indexed exact evaluator (Section 6(i) optimization)."""
 
+from itertools import product
+
 import pytest
 
 from repro.core.cube_algorithm import MU_AGGR, MU_INTERV
 from repro.core.explainer import Explainer
 from repro.core.iterative import IndexedInterventionEvaluator
 from repro.core.numquery import AggregateQuery, single_query
+from repro.core.parsing import parse_question
 from repro.core.question import UserQuestion
 from repro.datasets import dblp, natality
 from repro.datasets import running_example as rex
 from repro.engine.aggregates import (
+    AGGREGATE_KINDS,
     AggregateSpec,
     count_distinct,
     count_star,
@@ -217,3 +221,143 @@ class TestInternals:
         db = rex.database()
         ev = IndexedInterventionEvaluator(db, sigmod_question(), ATTRS)
         assert len(ev.surviving_row_ids(Delta.empty(db.schema))) == 6
+
+
+def ask_question():
+    """``repro ask``'s DBLP question: four needs-iterative counts."""
+    return parse_question(
+        "high",
+        "((q1 + 0.0001) / (q2 + 0.0001)) / ((q3 + 0.0001) / (q4 + 0.0001))",
+        [
+            f"{name} := count(distinct Publication.pubid) "
+            f"WHERE Publication.venue = 'SIGMOD' AND Author.dom = '{dom}' "
+            f"AND Publication.year >= {lo} AND Publication.year <= {hi}"
+            for name, dom, lo, hi in (
+                ("q1", "com", 2000, 2004),
+                ("q2", "com", 2007, 2011),
+                ("q3", "edu", 2000, 2004),
+                ("q4", "edu", 2007, 2011),
+            )
+        ],
+    )
+
+
+ASK_ATTRS = ("Author.inst", "Author.name")
+
+
+def running_example_case():
+    return rex.database(), sigmod_question(), ATTRS
+
+
+def dblp_case():
+    return dblp.generate(scale=0.25, seed=2014), ask_question(), ASK_ATTRS
+
+
+def observed_columns(m):
+    """Per candidate: its v_j values and μ_aggr."""
+    names = [f"v_{name}" for name in m.aggregate_names] + [MU_AGGR]
+    positions = m.table.positions(names)
+    return {
+        str(m.explanation_of(row)): tuple(row[p] for p in positions)
+        for row in m.table.rows()
+    }
+
+
+class TestRebuiltTable:
+    """*M* from the cube plus a program-P μ_interv column."""
+
+    @pytest.mark.parametrize("case", [running_example_case, dblp_case])
+    def test_candidate_set_is_every_combination_in_u(self, case):
+        db, question, attrs = case()
+        ev = IndexedInterventionEvaluator(db, question, attrs)
+        columns = [ev.universal.column(a) for a in attrs]
+        expected = {
+            frozenset((a, v) for a, v, keep in zip(attrs, row, mask) if keep)
+            for row in zip(*columns)
+            for mask in product((False, True), repeat=len(attrs))
+        }
+        candidates = [frozenset(c.items()) for c in ev.candidate_assignments()]
+        assert len(candidates) == len(set(candidates))
+        assert set(candidates) == expected
+        assert frozenset() in expected  # the trivial explanation
+        m = ev.build_table()
+        assert len(m) == len(expected)
+        assert {
+            frozenset(
+                (f"{a.relation}.{a.attribute}", a.constant)
+                for a in m.explanation_of(row).atoms
+            )
+            for row in m.table.rows()
+        } == expected
+
+    @pytest.mark.parametrize("kind", AGGREGATE_KINDS)
+    def test_observed_columns_equal_exact(self, kind):
+        """v_j, μ_aggr and q_original equal exact's on every key, for
+        every aggregate kind."""
+        argument = None if kind == "count_star" else "Publication.year"
+        question = UserQuestion.high(
+            single_query(
+                AggregateQuery(
+                    "q",
+                    AggregateSpec(kind, argument, "q"),
+                    Comparison("=", Col("Publication.venue"), Const("SIGMOD")),
+                )
+            )
+        )
+        explainer = Explainer(rex.database(), question, ATTRS)
+        m_indexed = explainer.explanation_table("indexed")
+        m_exact = explainer.explanation_table("exact")
+        assert m_indexed.q_original == m_exact.q_original
+        fast, slow = observed_columns(m_indexed), observed_columns(m_exact)
+        assert set(fast) <= set(slow)
+        for key in fast:
+            assert fast[key] == slow[key], key
+
+    def test_non_numeric_aggregate_matches_exact(self):
+        """max over a string column: u − v does not subtract, so the
+        cube's μ_interv is NULL, and program P's value replaces it."""
+        question = parse_question("high", "q", ["q := max(Author.name)"])
+        explainer = Explainer(rex.database(), question, ["Publication.year"])
+        m_indexed = explainer.explanation_table("indexed")
+        m_exact = explainer.explanation_table("exact")
+        for column in (MU_INTERV, MU_AGGR, "v_q"):
+            fast = degree_map(m_indexed, column)
+            assert fast == degree_map(m_exact, column), column
+
+    def test_observed_columns_equal_exact_on_dblp(self):
+        """On ``repro ask``'s DBLP question.  exact's v_j and μ_aggr are
+        naive's: one per-candidate loop builds both tables and differs
+        only in μ_interv, so the fast naive table stands in."""
+        db, question, attrs = dblp_case()
+        explainer = Explainer(db, question, list(attrs))
+        m_indexed = explainer.explanation_table("indexed")
+        m_naive = explainer.explanation_table("naive", check_additivity=False)
+        assert m_indexed.q_original == m_naive.q_original
+        fast, slow = observed_columns(m_indexed), observed_columns(m_naive)
+        assert set(fast) <= set(slow)
+        for key in fast:
+            assert fast[key] == slow[key], key
+
+    def test_support_threshold_filters_candidates(self):
+        # Three of the eleven candidates have no SIGMOD publication.
+        explainer = Explainer(
+            rex.database(), sigmod_question(), ATTRS, support_threshold=1
+        )
+        keys = {
+            method: set(degree_map(explainer.explanation_table(method), MU_INTERV))
+            for method in ("indexed", "exact")
+        }
+        assert len(keys["indexed"]) == 8
+        assert keys["indexed"] == keys["exact"]
+
+    def test_support_threshold_on_dblp(self):
+        db, question, attrs = dblp_case()
+        explainer = Explainer(db, question, list(attrs), support_threshold=5)
+        m_indexed = explainer.explanation_table("indexed")
+        m_exact = explainer.explanation_table("exact")
+        m_cube = explainer.explanation_table("cube", check_additivity=False)
+        assert len(m_indexed) == 20
+        assert m_indexed.content_fingerprint() == m_exact.content_fingerprint()
+        assert set(degree_map(m_indexed, MU_AGGR)) == set(
+            degree_map(m_cube, MU_AGGR)
+        )

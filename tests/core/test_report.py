@@ -52,9 +52,9 @@ class TestExplainQuestion:
         assert report.top_by_intervention
 
     def test_auto_method_is_the_explainers(self):
-        # sum(year) over SIGMOD: neither cube-exact nor indexable, so
-        # the certificate recommends exact; the report must not second-
-        # guess it with a rule of its own.
+        # sum(year) over SIGMOD is not cube-exact, so the certificate
+        # recommends indexed; the report must not second-guess it with
+        # a rule of its own.
         question = UserQuestion.high(
             single_query(
                 AggregateQuery(
@@ -67,7 +67,7 @@ class TestExplainQuestion:
         report = explain_question(
             rex.database(), question, ["Author.name"], k=2
         )
-        assert report.method == "exact"
+        assert report.method == "indexed"
         assert report.top_by_intervention
 
     def test_explicit_method_respected(self):

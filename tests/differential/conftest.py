@@ -19,6 +19,7 @@ import pytest
 from repro.backends import available_backends
 from repro.core.explainer import Explainer
 from repro.core.numquery import AggregateQuery, single_query
+from repro.core.parsing import parse_question
 from repro.core.question import UserQuestion
 from repro.datasets import dblp, geodblp, natality, tpch
 from repro.datasets import running_example as rex
@@ -37,8 +38,10 @@ DATASETS = (
 #: The execution-knob differentials (backend, auto resolution)
 #: additionally sweep the six other TPC-H questions and natality's
 #: Q_Marital.  The method and strategy differentials stay on
-#: DATASETS: ``brand-revenue`` is the sum question the exact-vs-cube
-#: NULL-vs-0 seam (docs/datasets.md) keeps out of the *method*
+#: DATASETS: ``brand-revenue`` is the sum question whose zero-support
+#: cells read NULL under program P (the indexed and exact methods, which
+#: evaluate every aggregate kind) but 0 under the cube's subtraction
+#: (docs/datasets.md), so it stays out of the cube-vs-indexed *method*
 #: comparison — cube-vs-cube across execution knobs is not affected
 #: by it.
 EXECUTION_DATASETS = DATASETS + (
@@ -50,6 +53,11 @@ EXECUTION_DATASETS = DATASETS + (
     "tpch-france-surge",
     "natality-marital",
 )
+
+#: A question mixing an exact-cube aggregate (a count(*)) with a
+#: needs-iterative one (a count(distinct) the footnote-11 condition
+#: rejects): the method differential compares indexed with exact on it.
+MIXED_DATASET = "tpch-mixed"
 
 #: SQL backends the matrix attempts; missing drivers skip, not fail.
 SQL_BACKENDS = ("sqlite", "duckdb")
@@ -112,6 +120,19 @@ def _build_workload(name):
             _instance("tpch"),
             tpch.question("promo-share"),
             tpch.question_attributes("promo-share"),
+        )
+    if name == MIXED_DATASET:
+        return (
+            _instance("tpch"),
+            parse_question(
+                "high",
+                "(q1 + 1) / (q2 + 1)",
+                [
+                    "q1 := count(*) WHERE Lineitem.shipmode = 'AIR'",
+                    "q2 := count(distinct Orders.custkey)",
+                ],
+            ),
+            ("Lineitem.shipmode", "Orders.priority"),
         )
     if name.startswith("tpch-"):
         question = name[len("tpch-"):]

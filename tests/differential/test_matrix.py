@@ -9,7 +9,10 @@ Three families of comparisons over the shared fixture matrix:
 * **Method differential** — the indexed exact evaluator covers a
   superset of the cube's candidates (the cube only materializes cells
   with support in the filtered sub-population) and must agree
-  *exactly* on every shared candidate, for both μ_interv and μ_aggr.
+  *exactly* on every shared candidate, for both μ_interv and μ_aggr;
+  on a question mixing an exact-cube and a needs-iterative aggregate
+  it must agree with the per-candidate exact evaluator on every
+  column.
 * **Auto resolution** — ``method: "auto"`` must deterministically
   resolve to the statically recommended method of the PR-4 plan
   certificate, and the resulting table must be fingerprint-identical
@@ -33,6 +36,7 @@ from repro.errors import ExplanationError
 from conftest import (
     DATASETS,
     EXECUTION_DATASETS,
+    MIXED_DATASET,
     SQL_BACKENDS,
     require_backend,
 )
@@ -114,6 +118,28 @@ class TestMethodDifferential:
             assert certificate.recommended_method == "indexed"
             return
         assert not diverging, f"{column} diverges on {dataset}: {diverging}"
+
+    def test_indexed_agrees_with_exact_on_mixed_question(
+        self, tables, workloads
+    ):
+        db, question, attributes = workloads(MIXED_DATASET)
+        verdicts = Explainer(
+            db, question, list(attributes)
+        ).certificate().additivity.verdicts
+        assert [v.additive for v in verdicts] == [True, False]
+        indexed = tables(MIXED_DATASET, "indexed")
+        exact = tables(MIXED_DATASET, "exact")
+        assert indexed.q_original == exact.q_original
+        columns = [c for c in indexed.table.columns if c not in attributes]
+        assert columns == [c for c in exact.table.columns if c not in attributes]
+        fast = {
+            column: degree_map(indexed, column) for column in columns
+        }
+        slow = {column: degree_map(exact, column) for column in columns}
+        assert set(fast[MU_INTERV]) <= set(slow[MU_INTERV])
+        for column in columns:
+            for key, value in fast[column].items():
+                assert value == slow[column][key], (column, key)
 
     @pytest.mark.parametrize("dataset", DATASETS)
     def test_rebuild_is_deterministic(self, tables, workloads, dataset):
