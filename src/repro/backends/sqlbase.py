@@ -481,10 +481,20 @@ class SQLBackend(ExecutionBackend):
             con.close()
 
         # Step 3b/4 run in Python on the marshalled rows so the μ
-        # arithmetic matches the in-memory reference exactly.
+        # arithmetic matches the in-memory reference exactly.  The
+        # DBMS hands back a new object per cell; equal attribute
+        # values are mapped to one object, as the in-memory cube's keys
+        # share U's, so *M* holds each distinct value once.  The type is
+        # part of the key: 1 and 1.0 are equal but render apart.
         n = len(attributes)
+        shared: Dict[Tuple[type, Value], Value] = {}
+
+        def key(value: Any) -> Value:
+            value = self._key_to_engine(value)
+            return shared.setdefault((value.__class__, value), value)
+
         marshalled = [
-            tuple(self._key_to_engine(v) for v in row[:n])
+            tuple(map(key, row[:n]))
             + tuple(self._value_to_engine(v) for v in row[n:])
             for row in rows
         ]

@@ -37,10 +37,12 @@ from __future__ import annotations
 
 import hashlib
 import operator
+from array import array
 from dataclasses import dataclass, field, replace
 from itertools import repeat
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
+from ..engine.columnstore import Column, typed_column
 from ..engine.cube import conditional_cube
 from ..engine.table import Table
 from ..engine.types import DUMMY, NULL, Value, is_dummy, is_null
@@ -67,7 +69,10 @@ class ExplanationTable:
 
     ``table`` columns: the relevant attributes (with DUMMY marking
     "don't care"), one ``v_<name>`` column per aggregate, then
-    ``mu_interv`` and ``mu_aggr``.
+    ``mu_interv`` and ``mu_aggr``.  The attribute columns are lists of
+    references, each distinct value one shared object; each numeric
+    column is a typed ``array('q')`` / ``array('d')`` when its cells
+    allow one (:func:`finalize_explanation_table`).
     """
 
     table: Table
@@ -271,17 +276,42 @@ def finalize_explanation_table(
     over the ``v_j`` columns and once over the ``u_j − v_j`` columns;
     a column without NULL is filled, subtracted and signed with no
     per-cell test.
+
+    The support filter runs first, so μ is computed for the kept rows
+    only.  Each ``v_j``, ``mu_interv`` and ``mu_aggr`` column of *M* is
+    then a typed column (:func:`~repro.engine.columnstore.typed_column`)
+    when its cells allow one, so the readers of *M* (the μ arithmetic
+    here, :mod:`repro.core.topk`'s degree sort, the service cache's
+    sizing) know its cells are plain numbers without scanning them.
     """
     query = question.query
     value_columns = [f"v_{q.name}" for q in query.aggregates]
     joined = _fill_missing_values(joined, query, value_columns)
 
-    # μ columns from the v_j column slices — the attribute columns pass
-    # through untouched (zero copy).
+    if support_threshold is not None:
+        support_cols = [joined.column(c) for c in value_columns]
+        joined = joined.take(
+            [
+                i
+                for i in range(len(joined))
+                if any(
+                    not is_null(col[i]) and col[i] >= support_threshold
+                    for col in support_cols
+                )
+            ]
+        )
+
+    # The attribute columns pass through untouched (zero copy); the
+    # v_j columns are typed once, after the filter.
     n = len(joined)
+    value_positions = set(joined.positions(value_columns))
+    data = [
+        typed_column(col) if i in value_positions else col
+        for i, col in enumerate(joined.column_arrays())
+    ]
     names = [q.name for q in query.aggregates]
     values = {
-        name: joined.column(c) for name, c in zip(names, value_columns)
+        name: data[joined.position(c)] for name, c in zip(names, value_columns)
     }
     remainders = {
         name: _remainders(q_original[name], col)
@@ -297,22 +327,9 @@ def finalize_explanation_table(
     )
     m = Table.from_columns(
         list(joined.columns) + [MU_INTERV, MU_AGGR],
-        joined.column_arrays() + [mu_interv_col, mu_aggr_col],
+        data + [typed_column(mu_interv_col), typed_column(mu_aggr_col)],
         nrows=n,
     )
-
-    if support_threshold is not None:
-        support_cols = [m.column(c) for c in value_columns]
-        keep = [
-            i
-            for i in range(len(m))
-            if any(
-                not is_null(col[i]) and col[i] >= support_threshold
-                for col in support_cols
-            )
-        ]
-        m = m.take(keep)
-
     return ExplanationTable(
         table=m,
         attributes=tuple(attributes),
@@ -321,21 +338,29 @@ def finalize_explanation_table(
     )
 
 
-def _remainders(original: Value, restricted: List[Value]) -> List[Value]:
+def _remainders(original: Value, restricted: Column) -> List[Value]:
     """``u_j − v_j`` per row, NULL if either side is NULL or the values
-    do not subtract (the max of a string column)."""
+    do not subtract (the max of a string column).  A typed column holds
+    no NULL, so it is not scanned for one."""
     if is_null(original):
         return [NULL] * len(restricted)
     try:
-        if NULL not in restricted:
+        if isinstance(restricted, array) or NULL not in restricted:
             return list(map(operator.sub, repeat(original), restricted))
         return [NULL if is_null(v) else original - v for v in restricted]
     except TypeError:
         return [NULL] * len(restricted)
 
 
-def _signed(sign: int, column: List[Value]) -> List[Value]:
-    """``sign × v`` per row, NULL kept."""
+def _signed(sign: int, column: Column) -> Column:
+    """``sign × v`` per row, NULL kept.  A typed column holds no NULL
+    and stays typed; ``1 × v`` is ``v`` for its plain numbers."""
+    if isinstance(column, array):
+        if sign == 1:
+            return column
+        return typed_column(
+            list(map(operator.mul, repeat(sign), column)), column.typecode
+        )
     if NULL not in column:
         return list(map(operator.mul, repeat(sign), column))
     return [v if is_null(v) else sign * v for v in column]

@@ -32,6 +32,7 @@ from itertools import filterfalse
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set
 
 from ..engine.aggregates import count_star
+from ..engine.columnstore import typed_column
 from ..engine.cube import conditional_cube
 from ..engine.database import Database, Delta
 from ..engine.table import Table
@@ -266,7 +267,7 @@ class IndexedInterventionEvaluator:
             mu_interv = [self.mu_interv_for(a) for a in candidates]
             ph.annotate(candidates=len(candidates))
         columns = m.table.column_arrays()
-        columns[m.table.position(MU_INTERV)] = mu_interv
+        columns[m.table.position(MU_INTERV)] = typed_column(mu_interv)
         return ExplanationTable(
             table=Table.from_columns(m.table.columns, columns, nrows=len(m)),
             attributes=m.attributes,

@@ -55,7 +55,9 @@ Fig 14's K rounds of top-1: the dominated tail is never looked at).
 :class:`BestFirstOrder` sorts the positions with a defined degree once,
 by the degree alone — by the values themselves when they are all plain
 ints and floats, else by codes ordered as ``sort_key`` orders them,
-every NaN in one place below the numbers.  A *run* is the positions
+every NaN in one place below the numbers.  A typed degree column
+(``array('q')``, or ``array('d')`` without a NaN) is known to be plain
+without a scan of its cells.  A *run* is the positions
 that share one degree.  When a walk first reaches a run, the run is
 *refined*: filtered to positions with a real condition and ordered by
 condition count and attribute values.  Rows are built only for the K
@@ -78,6 +80,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Dict, Iterator, List, Sequence, Set, Tuple, TypeVar
 
+from ..engine.columnstore import Column
 from ..engine.types import DUMMY, NULL, Row, Value, is_missing, sort_key
 from ..errors import ExplanationError
 from ..obs import phase
@@ -124,7 +127,7 @@ def _memoized(m: ExplanationTable, key: Tuple, build: Callable[[], T]) -> T:
 
 def _columns(
     m: ExplanationTable, by: str
-) -> Tuple[List[Value], List[Tuple[int, List[Value]]]]:
+) -> Tuple[Column, List[Tuple[int, List[Value]]]]:
     """The degree column and the (position, column) of each attribute."""
     table = m.table
     mu_pos = table.position(by)
@@ -143,7 +146,7 @@ def _conditions(attr: Sequence[Tuple[int, List[Value]]], n: int) -> List[int]:
     return counts
 
 
-def _eligible(mu: List[Value], conditions: List[int]) -> List[int]:
+def _eligible(mu: Column, conditions: List[int]) -> List[int]:
     """Positions with a defined degree and at least one real condition."""
     return [p for p, c in enumerate(conditions) if c and not is_missing(mu[p])]
 
@@ -156,6 +159,13 @@ def _plain_numbers(mu: List[Value], positions: Sequence[int]) -> bool:
         if (v.__class__ is not float and v.__class__ is not int) or v != v:
             return False
     return True
+
+
+def _holds_nan(values: List[float]) -> bool:
+    """Whether a NaN is among the floats *values*.  Their sum is NaN
+    when one is, and otherwise only when both +inf and -inf are."""
+    total = sum(values)
+    return total != total and any(v != v for v in values)
 
 
 #: A NaN degree's ``sort_key`` stand-in: every NaN ties every other NaN
@@ -195,15 +205,24 @@ class BestFirstOrder:
 
     def __init__(
         self,
-        mu: List[Value],
+        mu: Column,
         attr: Sequence[Tuple[int, List[Value]]],
         minimality: str,
     ) -> None:
         self._attr = [col for _, col in attr]
         # general: fewer conditions first; specific: more.
         self._sign = 1 if minimality == "specific" else -1
-        defined = [p for p, v in enumerate(mu) if v is not NULL and v is not DUMMY]
-        degree = mu if _plain_numbers(mu, defined) else _degree_codes(mu)
+        if isinstance(mu, array):
+            # A typed column: every degree is defined, and a plain number
+            # unless it is a NaN.  Sorted as a list: indexing an array
+            # builds a number object per access.
+            degree = mu.tolist()
+            defined = list(range(len(degree)))
+            if mu.typecode == "d" and _holds_nan(degree):
+                degree = _degree_codes(degree)
+        else:
+            defined = [p for p, v in enumerate(mu) if v is not NULL and v is not DUMMY]
+            degree = mu if _plain_numbers(mu, defined) else _degree_codes(mu)
         defined.sort(key=degree.__getitem__, reverse=True)
         starts = array("l")
         previous = object()  # equal to no degree

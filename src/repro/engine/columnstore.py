@@ -1,6 +1,6 @@
 """Column-major storage backing :class:`~repro.engine.table.Table`.
 
-A :class:`ColumnStore` keeps one plain Python list per column plus an
+A :class:`ColumnStore` keeps one sequence per column plus an
 optional *selection vector* — a list of row indices into the base
 columns. Operators that only drop rows (filter, take, limit) or drop
 columns (project) return a new store that *shares* the base column
@@ -12,6 +12,12 @@ Deliberately stdlib-only: the optional numpy fast path lives in
 :mod:`repro.engine.fastpath` and reads columns straight out of this
 store; nothing here imports numpy.
 
+A column is a plain Python list, or a *typed column*
+(:func:`typed_column`): an ``array('q')`` of ints or an ``array('d')``
+of floats.  Both index, iterate and measure (``len``) like a list, and
+a reader that sees the type knows every cell is a plain number without
+scanning; gathering a typed column through a selection yields a list.
+
 Stores are value-immutable by convention: every constructor *adopts*
 the lists it is given without copying, and callers must not mutate a
 list after handing it over.  All mutation-flavoured methods
@@ -21,11 +27,42 @@ stores.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from array import array
+from typing import Iterable, List, Optional, Sequence, Union
 
 from .types import Row, Value
 
-__all__ = ["ColumnStore"]
+__all__ = ["Column", "ColumnStore", "typed_column"]
+
+#: One column's cells: a list, or a typed ``array('q')`` / ``array('d')``.
+Column = Union[List[Value], array]
+
+
+def typed_column(values: List[Value], typecode: str = "") -> Column:
+    """*values* as a typed column when they allow one, else *values*.
+
+    ``array('q')`` when every value is an ``int`` (not a ``bool``) that
+    fits in int64; ``array('d')`` when every value is a ``float`` (NaN
+    and ±inf included).  Anything else (NULL, bool, a mix of ints and
+    floats, larger ints, strings) stays the list it is.  A caller that
+    knows every value is a float passes ``typecode="d"``, and one that
+    knows every value is an int ``"q"``, so no cell is scanned; an
+    already typed column is returned as it is.
+    """
+    if isinstance(values, array):
+        return values
+    if not typecode:
+        kinds = set(map(type, values))
+        if kinds == {float}:
+            typecode = "d"
+        elif kinds == {int}:
+            typecode = "q"
+        else:
+            return values
+    try:
+        return array(typecode, values)
+    except OverflowError:  # an int outside int64
+        return values
 
 
 class ColumnStore:
@@ -34,7 +71,8 @@ class ColumnStore:
     Parameters
     ----------
     columns:
-        One list per column.  Adopted, not copied.
+        One list or typed column (:func:`typed_column`) per column.
+        Adopted, not copied.
     nrows:
         Number of *base* rows.  Required explicitly so zero-column
         stores (legal: ``SELECT`` with no output columns still has a
@@ -48,7 +86,7 @@ class ColumnStore:
 
     def __init__(
         self,
-        columns: Sequence[List[Value]],
+        columns: Sequence[Column],
         nrows: int,
         selection: Optional[List[int]] = None,
     ) -> None:
@@ -72,7 +110,7 @@ class ColumnStore:
 
     @classmethod
     def from_columns(
-        cls, columns: Sequence[List[Value]], nrows: int
+        cls, columns: Sequence[Column], nrows: int
     ) -> "ColumnStore":
         """Adopt pre-built column lists (no copy, no validation)."""
         return cls(columns, nrows)
@@ -90,10 +128,10 @@ class ColumnStore:
 
     # -- column access ------------------------------------------------------
 
-    def column(self, index: int) -> List[Value]:
+    def column(self, index: int) -> Column:
         """The values of one column, selection applied.
 
-        Without a selection this is the base list itself (zero copy);
+        Without a selection this is the base column itself (zero copy);
         with one, the gathered list is built once and cached.  Callers
         must treat the result as read-only.
         """
@@ -107,7 +145,7 @@ class ColumnStore:
             self._materialized[index] = cached
         return cached
 
-    def columns(self) -> List[List[Value]]:
+    def columns(self) -> List[Column]:
         """All columns, selection applied (see :meth:`column`)."""
         return [self.column(i) for i in range(len(self._columns))]
 

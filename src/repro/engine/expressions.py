@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import operator
+from array import array
 from dataclasses import dataclass
 from itertools import compress, repeat
 from typing import (
@@ -35,6 +36,7 @@ from typing import (
 )
 
 from ..errors import QueryError
+from .columnstore import Column, typed_column
 from .types import (
     NULL,
     Value,
@@ -62,7 +64,7 @@ class Expression:
 
     def evaluate_columns(
         self, columns: Mapping[str, Sequence[Value]], nrows: int
-    ) -> List[Value]:
+    ) -> Column:
         """:meth:`evaluate` on each of *nrows* environments given column-wise.
 
         Row ``i``'s environment maps each name to ``columns[name][i]``.
@@ -70,12 +72,27 @@ class Expression:
         through the same scalar functions as :meth:`evaluate` (or, for
         arithmetic over plain ints and floats, the bare operator those
         functions apply); any other node builds an environment per row.
+
+        A result known to hold only floats, or only ints, comes back as
+        a typed column (:func:`~repro.engine.columnstore.typed_column`),
+        and a typed column in *columns* is known to hold plain numbers
+        without a scan of its cells.
         """
+        values, typecode = self._evaluate_typed(columns, nrows)
+        return typed_column(values, typecode) if typecode else values
+
+    def _evaluate_typed(
+        self, columns: Mapping[str, Sequence[Value]], nrows: int
+    ) -> Tuple[Sequence[Value], str]:
+        """:meth:`evaluate_columns`' cells, and ``"d"`` when every one is
+        known to be a float, ``"q"`` when every one is known to be an
+        int (not a bool), else ``""``.  Inner nodes hand their cells up
+        as they are, so only the root's are ever put in an array."""
         names = self.columns()
         if not names:
-            return [self.evaluate({})] * nrows
-        cols = [Col(name).evaluate_columns(columns, nrows) for name in names]
-        return [self.evaluate(dict(zip(names, vals))) for vals in zip(*cols)]
+            return [self.evaluate({})] * nrows, ""
+        cols = [Col(name)._evaluate_typed(columns, nrows)[0] for name in names]
+        return [self.evaluate(dict(zip(names, vals))) for vals in zip(*cols)], ""
 
     # Operator sugar so expressions compose naturally: Col("x") + 1 etc.
     def __add__(self, other: "ExpressionLike") -> "Arithmetic":
@@ -146,10 +163,10 @@ class Const(Expression):
     def evaluate(self, env: Environment) -> Value:
         return self.value
 
-    def evaluate_columns(
+    def _evaluate_typed(
         self, columns: Mapping[str, Sequence[Value]], nrows: int
-    ) -> List[Value]:
-        return [self.value] * nrows
+    ) -> Tuple[Sequence[Value], str]:
+        return [self.value] * nrows, _TYPECODES.get(self.value.__class__, "")
 
     def columns(self) -> Tuple[str, ...]:
         return ()
@@ -170,13 +187,16 @@ class Col(Expression):
         except KeyError:
             raise QueryError(f"unknown column {self.name!r} in expression") from None
 
-    def evaluate_columns(
+    def _evaluate_typed(
         self, columns: Mapping[str, Sequence[Value]], nrows: int
-    ) -> List[Value]:
+    ) -> Tuple[Sequence[Value], str]:
         try:
-            return list(columns[self.name])
+            column = columns[self.name]
         except KeyError:
             raise QueryError(f"unknown column {self.name!r} in expression") from None
+        if isinstance(column, array) and column.typecode in ("d", "q"):
+            return column, column.typecode  # read-only, so not copied
+        return list(column), ""
 
     def columns(self) -> Tuple[str, ...]:
         return (self.name,)
@@ -195,6 +215,15 @@ _ARITH_OPS: Dict[str, Callable[[float, float], float]] = {
 #: Operand types on which ``_ARITH_OPS`` is exactly :func:`_arithmetic`
 #: (once no divisor is zero); ``bool`` is not among them.
 _PLAIN_NUMBERS = frozenset((int, float))
+
+#: The typecode a column of one plain number type is known by.
+_TYPECODES = {float: "d", int: "q"}
+
+
+def _plain(column: Sequence[Value], typecode: str) -> bool:
+    """Whether every cell is an int or a float: known from *typecode*,
+    or else read off the cells."""
+    return bool(typecode) or set(map(type, column)) <= _PLAIN_NUMBERS
 
 
 def _arithmetic(op: str, a: Value, b: Value) -> Value:
@@ -236,21 +265,27 @@ class Arithmetic(Expression):
             self.op, self.left.evaluate(env), self.right.evaluate(env)
         )
 
-    def evaluate_columns(
+    def _evaluate_typed(
         self, columns: Mapping[str, Sequence[Value]], nrows: int
-    ) -> List[Value]:
+    ) -> Tuple[Sequence[Value], str]:
         """Column at a time; when both operands hold only ``int`` and
         ``float`` (and no divisor is zero) the operator maps straight
-        over them, since :func:`_arithmetic` is then that operator."""
-        left = self.left.evaluate_columns(columns, nrows)
-        right = self.right.evaluate_columns(columns, nrows)
+        over them, since :func:`_arithmetic` is then that operator.  An
+        operand whose type is known (a typed column, a constant, an
+        inner node's result) is not scanned.  A quotient, or a result
+        with a float operand, is all floats; ints combine into ints."""
+        left, left_code = self.left._evaluate_typed(columns, nrows)
+        right, right_code = self.right._evaluate_typed(columns, nrows)
         if (
-            set(map(type, left)) <= _PLAIN_NUMBERS
-            and set(map(type, right)) <= _PLAIN_NUMBERS
+            _plain(left, left_code)
+            and _plain(right, right_code)
             and (self.op != "/" or 0 not in right)
         ):
-            return list(map(_ARITH_OPS[self.op], left, right))
-        return list(map(_arithmetic, repeat(self.op), left, right))
+            values = list(map(_ARITH_OPS[self.op], left, right))
+            if self.op == "/" or "d" in (left_code, right_code):
+                return values, "d"
+            return values, "q" if left_code == right_code == "q" else ""
+        return list(map(_arithmetic, repeat(self.op), left, right)), ""
 
     def columns(self) -> Tuple[str, ...]:
         return tuple(dict.fromkeys(self.left.columns() + self.right.columns()))
@@ -293,16 +328,11 @@ class Unary(Expression):
     def evaluate(self, env: Environment) -> Value:
         return _unary(self.op, self.operand.evaluate(env))
 
-    def evaluate_columns(
+    def _evaluate_typed(
         self, columns: Mapping[str, Sequence[Value]], nrows: int
-    ) -> List[Value]:
-        return list(
-            map(
-                _unary,
-                repeat(self.op),
-                self.operand.evaluate_columns(columns, nrows),
-            )
-        )
+    ) -> Tuple[Sequence[Value], str]:
+        operand = self.operand._evaluate_typed(columns, nrows)[0]
+        return list(map(_unary, repeat(self.op), operand)), ""
 
     def columns(self) -> Tuple[str, ...]:
         return self.operand.columns()

@@ -39,7 +39,7 @@ from typing import (
 )
 
 from ..errors import QueryError
-from .columnstore import ColumnStore
+from .columnstore import Column, ColumnStore
 from .expressions import Environment, Expression, select_positions
 from .relation import JoinIndexes, Relation
 from .types import Row, Value, is_null, join_key, sort_key
@@ -105,12 +105,13 @@ class Table:
     def from_columns(
         cls,
         columns: Sequence[str],
-        data: Sequence[List[Value]],
+        data: Sequence[Column],
         nrows: Optional[int] = None,
     ) -> "Table":
-        """Build a table directly from column lists (adopted, no copy).
+        """Build a table directly from columns (adopted, no copy): lists
+        or typed columns (:func:`~repro.engine.columnstore.typed_column`).
 
-        All lists must share one length; *nrows* is required when
+        All columns must share one length; *nrows* is required when
         *data* is empty (a zero-column table still has a cardinality).
         """
         columns = tuple(columns)
@@ -179,20 +180,13 @@ class Table:
             self._store = ColumnStore.from_rows(self._rows, len(self.columns))
         return self._store
 
-    def column(self, column: str) -> List[Value]:
+    def column(self, column: str) -> Column:
         """One column's values in row order (treat as read-only)."""
         return self.store().column(self.position(column))
 
-    def column_arrays(self) -> List[List[Value]]:
+    def column_arrays(self) -> List[Column]:
         """All columns' values in schema order (treat as read-only)."""
         return self.store().columns()
-
-    def built_cells(self) -> List[Sequence[Value]]:
-        """The row tuples if built, else the column lists (read-only).
-
-        Every cell exactly once, without building the other layout.
-        """
-        return self._rows if self._rows is not None else self.store().columns()
 
     # -- basic protocol ----------------------------------------------------
 

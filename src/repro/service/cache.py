@@ -1,17 +1,20 @@
 """Content-addressed LRU cache for finalized explanation tables.
 
 Algorithm 1 front-loads all the cost into materializing the table *M*
-(one cube per aggregate plus the outer join); every top-K request over
-*M* — any K, either degree, any Section 4.3 strategy — is a cheap
-scan.  The serving layer therefore memoizes finalized
+(one conditional-aggregate cube over the relevant attributes, then
+the μ columns); every top-K request over *M* — any K, either degree,
+any Section 4.3 strategy — is a cheap scan.  The serving layer
+therefore memoizes finalized
 :class:`~repro.core.cube_algorithm.ExplanationTable` objects keyed by
 the :class:`~repro.core.explainer.ExplanationPlan` fingerprint
 (database content hash, canonical question, attributes, method,
 backend), so repeated questions skip cube construction entirely.
 
 Eviction is LRU under two simultaneous budgets — an entry count and a
-byte budget (tables are measured once at insertion time by
-:func:`estimate_table_bytes`).  All operations are thread-safe; the
+byte budget.  A table is measured once, at insertion, by
+:func:`estimate_table_bytes`, from its layout: the bytes *M* itself
+holds resident, in O(width) for the typed columns it normally has.
+All operations are thread-safe; the
 hit/miss/eviction counts are ``repro_cache_*`` series in a
 :class:`~repro.obs.MetricsRegistry` (the service's, or the cache's own
 when none is supplied), which :meth:`~ExplanationTableCache.stats`,
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import sys
 import threading
+from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
@@ -33,22 +37,31 @@ _SIZE_OVERHEAD = 256  # flat per-entry allowance for wrapper objects
 
 
 def estimate_table_bytes(m: ExplanationTable) -> int:
-    """An upper-ish estimate of the resident size of a table *M*.
+    """The bytes the table *M* holds resident, read off its layout.
 
-    Sums ``sys.getsizeof`` over every row tuple and cell plus the
-    column headers.  Interned/shared values are deliberately counted
-    per occurrence — the budget is a safety valve against unbounded
-    growth, not an accounting exercise, so over-counting is the safe
-    direction.  Cells are read in whichever layout *M* already has, so
-    a columnar *M* never builds its row tuples just to be measured;
-    every row tuple has the table's width, so one size stands for all.
+    Each column counts its container (``sys.getsizeof``): a typed
+    ``array('q')`` / ``array('d')`` column holds its numbers in that
+    buffer, so it is measured in O(1).  An attribute column counts its
+    pointer array only: its cells are references to values the database
+    already holds (the cube's keys are the universal table's cell
+    objects, and DUMMY is one object).  A numeric column that stayed a
+    list (NULL, bool or mixed cells) is also measured cell by cell.
+    A column shared by two names (``mu_aggr`` is the ``v_j`` column
+    itself when E is ``q_j`` and the sign is +1) is counted once.  The
+    column headers and ``q_original`` are added; row tuples are not,
+    because the serving path never builds them.
     """
     table = m.table
-    total = _SIZE_OVERHEAD
-    total += sum(sys.getsizeof(c) for c in table.columns)
-    total += len(table) * sys.getsizeof((None,) * len(table.columns))
-    for cells in table.built_cells():
-        total += sum(map(sys.getsizeof, cells))
+    attributes = set(table.positions(m.attributes))
+    total = _SIZE_OVERHEAD + sum(map(sys.getsizeof, table.columns))
+    counted = set()
+    for i, column in enumerate(table.column_arrays()):
+        if id(column) in counted:
+            continue
+        counted.add(id(column))
+        total += sys.getsizeof(column)
+        if i not in attributes and not isinstance(column, array):
+            total += sum(map(sys.getsizeof, column))
     for name, value in m.q_original.items():
         total += sys.getsizeof(name) + sys.getsizeof(value)
     return total

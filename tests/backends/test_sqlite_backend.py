@@ -98,6 +98,20 @@ class TestRunningExample:
         v = m.table.position("v_q")
         assert all(type(row[v]) is int for row in m.table.rows())
 
+    def test_equal_attribute_values_are_one_object(self):
+        """*M* holds each distinct attribute value once, as the in-memory
+        cube's keys share U's: the cache sizes an attribute column by its
+        references alone."""
+        db = rex.database()
+        m = build_explanation_table(
+            db, sigmod_question(), ATTRS, backend="sqlite"
+        )
+        for attr in ATTRS:
+            column = m.table.column(attr)
+            first = {}
+            assert all(first.setdefault(v, v) is v for v in column)
+            assert len(first) < len(column)
+
 
 class TestGuards:
     def test_non_additive_query_rejected(self):

@@ -110,6 +110,36 @@ class TestLRUAndCounters:
         assert 0 < estimate_table_bytes(small) < estimate_table_bytes(large)
 
 
+class TestBudgetCountsResident:
+    def test_estimate_matches_bytes_held(self):
+        """The byte budget counts what *M* holds resident: the estimate
+        of a wide natality *M* is within half again of the bytes
+        tracemalloc sees held once it is built.  U, its postings and the
+        question's analysis are built first, so only *M* is new."""
+        import gc
+        import tracemalloc
+
+        from repro.datasets import natality
+
+        db = natality.generate(rows=20_000, seed=1)
+        attributes = natality.wide_attributes()[:7]
+        explainer = Explainer(db, natality.q_race_question(), attributes)
+        explainer.explanation_table("cube")  # memoizes U and its postings
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            m = Explainer(
+                db, natality.q_race_question(), attributes
+            ).explanation_table("cube")
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(m) > 1_000
+        assert 0.5 <= estimate_table_bytes(m) / held <= 1.5
+
+
 class TestFingerprintInvalidation:
     def test_mutated_database_misses_cache(self):
         """A mutation changes the plan fingerprint, so the stale cached
